@@ -147,25 +147,6 @@ func BenchmarkFig4IdentifyProposed(b *testing.B) {
 	}
 }
 
-func BenchmarkFig4IdentifyScanStore(b *testing.B) {
-	for _, n := range []int{100, 400, 1600} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			env := newBenchEnv(b, 1000, n, WithStoreStrategy("scan"))
-			defer env.stop()
-			reading, err := env.src.GenuineReading(env.users[n/2])
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := env.client.Identify(reading); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkFig4IdentifyNormal(b *testing.B) {
 	for _, n := range []int{100, 200, 400, 800} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
@@ -240,29 +221,22 @@ func BenchmarkStoreIdentify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, strategy := range store.Strategies() {
-		b.Run(strategy, func(b *testing.B) {
-			db, err := store.ByStrategy(strategy, fe.Line())
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, rec := range records {
-				if err := db.Insert(rec); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rec, err := db.Identify(probe)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rec.ID != users[2500].ID {
-					b.Fatal("misidentified")
-				}
-			}
-		})
+	db := store.NewScan(fe.Line())
+	for _, rec := range records {
+		if err := db.Insert(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec, err := db.Identify(probe)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rec.ID != users[2500].ID {
+			b.Fatal("misidentified")
+		}
 	}
 }
 
@@ -270,7 +244,7 @@ func BenchmarkStoreIdentify(b *testing.B) {
 
 // seedScanStore reimplements the original single-mutex scan store (one
 // global RWMutex, one heap-allocated residue slice per entry, a fresh probe
-// residue slice per lookup) as the baseline the sharded stores are measured
+// residue slice per lookup) as the baseline the sharded store is measured
 // against.
 type seedScanStore struct {
 	line    *numberline.Line
@@ -362,7 +336,7 @@ func storePopulation(b *testing.B, dim, n int) ([]*store.Record, *sketch.Sketch,
 }
 
 // BenchmarkIdentifyParallel drives concurrent Identify traffic (b.RunParallel)
-// against the seed-style single-mutex store and the sharded stores, at
+// against the seed-style single-mutex store and the sharded scan store, at
 // database sizes up to 100k. This is the workload the sharding targets:
 // many simultaneous lookups that should scale with cores instead of
 // serialising on one lock and allocating per probe.
@@ -389,32 +363,27 @@ func BenchmarkIdentifyParallel(b *testing.B) {
 				}
 			})
 		})
-		for _, strategy := range []string{"scan", "bucket"} {
-			b.Run(fmt.Sprintf("%s/N=%d", strategy, n), func(b *testing.B) {
-				db, err := store.ByStrategy(strategy, line)
-				if err != nil {
+		b.Run(fmt.Sprintf("scan/N=%d", n), func(b *testing.B) {
+			db := store.NewScan(line)
+			for _, rec := range records {
+				if err := db.Insert(rec); err != nil {
 					b.Fatal(err)
 				}
-				for _, rec := range records {
-					if err := db.Insert(rec); err != nil {
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					rec, err := db.Identify(probe)
+					if err != nil {
 						b.Fatal(err)
 					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						rec, err := db.Identify(probe)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if rec.ID != wantID {
-							b.Fatal("misidentified")
-						}
+					if rec.ID != wantID {
+						b.Fatal("misidentified")
 					}
-				})
+				}
 			})
-		}
+		})
 	}
 }
 
@@ -512,39 +481,34 @@ func BenchmarkStoreIdentifyBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, strategy := range []string{"scan", "bucket"} {
-		db, err := store.ByStrategy(strategy, line)
-		if err != nil {
+	db := store.NewScan(line)
+	for _, rec := range records {
+		if err := db.Insert(rec); err != nil {
 			b.Fatal(err)
 		}
-		for _, rec := range records {
-			if err := db.Insert(rec); err != nil {
+	}
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			recs, err := db.IdentifyBatch(probes)
+			if err != nil {
 				b.Fatal(err)
 			}
+			if recs[0] == nil {
+				b.Fatal("probe 0 not identified")
+			}
 		}
-		b.Run(strategy+"/batch", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				recs, err := db.IdentifyBatch(probes)
-				if err != nil {
+	})
+	b.Run("single", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, p := range probes {
+				if _, err := db.Identify(p); err != nil {
 					b.Fatal(err)
 				}
-				if recs[0] == nil {
-					b.Fatal("probe 0 not identified")
-				}
 			}
-		})
-		b.Run(strategy+"/single", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, p := range probes {
-					if _, err := db.Identify(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // --- substrate micro-benchmarks -------------------------------------------

@@ -100,7 +100,7 @@
 // resource account as the report's "macro" section — throughput,
 // latency percentiles, peak RSS and GC pause in one JSON document:
 //
-//	fuzzyid-load -spawn-server ./fuzzyid-server -spawn-args "-dim 64 -strategy scan" \
+//	fuzzyid-load -spawn-server ./fuzzyid-server -spawn-args "-dim 64" \
 //	             -dim 64 -scenario identify,nomatch -format json > report.json
 //
 // With -compare/-candidate the harness gates one such report against a

@@ -2,7 +2,7 @@
 // TCP. It accepts enrollment, verification and identification sessions from
 // fuzzyid-client (or any implementation of the wire protocol).
 //
-//	fuzzyid-server -addr 127.0.0.1:7700 -dim 512 -strategy bucket
+//	fuzzyid-server -addr 127.0.0.1:7700 -dim 512 -shards 8
 //
 // With -data the enrollment database is durable: mutations are written to a
 // WAL under the directory before they are acknowledged, the database is
@@ -165,12 +165,9 @@ func setup(args []string) (*proc, error) {
 	var (
 		addr      = fs.String("addr", "127.0.0.1:7700", "listen address")
 		dim       = fs.Int("dim", 512, "feature-vector dimension n (0 = accept any)")
-		strategy  = fs.String("strategy", "bucket", "identification store: bucket, scan or sorted")
 		scheme    = fs.String("scheme", "ed25519", "signature scheme: ed25519 or ecdsa-p256")
 		ext       = fs.String("extractor", "hmac-sha256", "strong extractor: sha256, hmac-sha256 or toeplitz")
 		shards    = fs.Int("shards", 0, "store shard count (0 = scheduler parallelism)")
-		resWidth  = fs.Int("residue-width", 0, "packed residue storage width: 0 (auto from ka), 16, 32 or 64 (debug/measurement override)")
-		coarse    = fs.Bool("coarse-filter", true, "consult the per-row coarse pre-filter during scans")
 		data      = fs.String("data", "", "persistence directory (empty = in-memory only)")
 		syncPol   = fs.String("sync", "always", "WAL durability with -data: always (fsync before ack; survives power loss) or os (kernel flush per append; survives SIGKILL only)")
 		groupWin  = fs.Duration("group-window", -1, "group-commit leader linger with -data -sync=always: how long one fsync waits to absorb concurrent enrolls (negative = default 2ms, 0 = sync immediately but still batch)")
@@ -205,16 +202,9 @@ func setup(args []string) (*proc, error) {
 		return nil, errors.New("-replica-of is incompatible with -serve-replication (chained replication is not supported)")
 	}
 	opts := []fuzzyid.Option{
-		fuzzyid.WithStoreStrategy(*strategy),
 		fuzzyid.WithSignatureScheme(*scheme),
 		fuzzyid.WithExtractor(*ext),
 		fuzzyid.WithShards(*shards),
-	}
-	if *resWidth != 0 {
-		opts = append(opts, fuzzyid.WithResidueWidth(*resWidth))
-	}
-	if !*coarse {
-		opts = append(opts, fuzzyid.WithoutCoarseFilter())
 	}
 	if *telemetry {
 		opts = append(opts, fuzzyid.WithTelemetry())
@@ -282,8 +272,7 @@ func setup(args []string) (*proc, error) {
 			return nil, err
 		}
 	}
-	fmt.Printf("fuzzyid-server listening on %s (dim=%d, strategy=%s, scheme=%s)\n",
-		srv.Addr(), *dim, *strategy, *scheme)
+	fmt.Printf("fuzzyid-server listening on %s (dim=%d, scheme=%s)\n", srv.Addr(), *dim, *scheme)
 	if *data != "" {
 		fmt.Printf("persistence: %s (%d records recovered, sync=%s)\n", *data, sys.Enrolled(), *syncPol)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 func TestSetupAndServe(t *testing.T) {
-	p, err := setup([]string{"-addr", "127.0.0.1:0", "-dim", "32", "-strategy", "sorted"})
+	p, err := setup([]string{"-addr", "127.0.0.1:0", "-dim", "32", "-shards", "3"})
 	if err != nil {
 		t.Fatalf("setup: %v", err)
 	}
@@ -115,8 +115,11 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestSetupValidation(t *testing.T) {
-	if _, err := setup([]string{"-strategy", "btree"}); err == nil {
-		t.Error("unknown strategy accepted")
+	// The store-selection flags are gone; naming one is a flag error.
+	for _, flag := range []string{"-strategy", "-residue-width", "-coarse-filter"} {
+		if _, err := setup([]string{flag, "1"}); err == nil {
+			t.Errorf("removed flag %s accepted", flag)
+		}
 	}
 	if _, err := setup([]string{"-scheme", "rsa"}); err == nil {
 		t.Error("unknown scheme accepted")

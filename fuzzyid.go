@@ -280,13 +280,9 @@ type optionFunc func(*config) error
 func (f optionFunc) apply(c *config) error { return f(c) }
 
 type config struct {
-	strategy     string
 	scheme       string
 	extractor    string
-	indexDims    int
 	shards       int
-	residueWidth int
-	noCoarse     bool
 	dataDir      string
 	syncOS       bool
 	groupWindow  time.Duration
@@ -301,15 +297,6 @@ type config struct {
 	qosScanSlots int
 	clusterSelf  string
 	clusterSpec  string
-}
-
-// WithStoreStrategy selects the identification lookup strategy: "bucket"
-// (default; inverted index) or "scan" (early-exit linear scan).
-func WithStoreStrategy(name string) Option {
-	return optionFunc(func(c *config) error {
-		c.strategy = name
-		return nil
-	})
 }
 
 // WithSignatureScheme selects the challenge-response signature scheme:
@@ -330,57 +317,15 @@ func WithExtractor(name string) Option {
 	})
 }
 
-// WithIndexDims sets the bucket-index depth (ignored for the scan store).
-func WithIndexDims(d int) Option {
-	return optionFunc(func(c *config) error {
-		if d < 0 {
-			return fmt.Errorf("fuzzyid: negative index dims %d", d)
-		}
-		c.indexDims = d
-		return nil
-	})
-}
-
 // WithShards sets the store shard count: the number of independently locked
 // partitions (and the bound on per-lookup scan workers) the record database
 // is split into. Zero selects the default, the scheduler's parallelism.
-// The sorted strategy is unsharded and ignores it.
 func WithShards(p int) Option {
 	return optionFunc(func(c *config) error {
 		if p < 0 {
 			return fmt.Errorf("fuzzyid: negative shard count %d", p)
 		}
 		c.shards = p
-		return nil
-	})
-}
-
-// WithResidueWidth forces the packed residue storage width of the scan and
-// bucket stores: 16, 32 or 64 bits, or 0 for the default (the narrowest
-// width that holds the interval span ka, chosen automatically). An explicit
-// width may only widen the automatic choice — it exists for debugging and
-// A/B measurement (64 reproduces the pre-packing memory layout); a width too
-// narrow for the system's parameters fails at NewSystem. The sorted strategy
-// keeps unpacked residues and ignores it.
-func WithResidueWidth(bits int) Option {
-	return optionFunc(func(c *config) error {
-		switch bits {
-		case 0, 16, 32, 64:
-			c.residueWidth = bits
-			return nil
-		default:
-			return fmt.Errorf("fuzzyid: invalid residue width %d (want 0, 16, 32 or 64)", bits)
-		}
-	})
-}
-
-// WithoutCoarseFilter disables the per-row coarse pre-filter of the scan and
-// bucket stores' residue table. The filter only ever skips rows that
-// provably cannot match, so results are identical either way; the switch
-// exists for debugging and A/B measurement of the open-set scan path.
-func WithoutCoarseFilter() Option {
-	return optionFunc(func(c *config) error {
-		c.noCoarse = true
 		return nil
 	})
 }
@@ -537,7 +482,7 @@ func WithScanSlots(n int) Option {
 // CreateTenant/DropTenant (or the tenant admin protocol of a connected
 // client).
 func NewSystem(p Params, opts ...Option) (*System, error) {
-	cfg := config{strategy: "bucket", scheme: "ed25519", extractor: "hmac-sha256"}
+	cfg := config{scheme: "ed25519", extractor: "hmac-sha256"}
 	for _, o := range opts {
 		if err := o.apply(&cfg); err != nil {
 			return nil, err
@@ -600,25 +545,16 @@ func NewSystem(p Params, opts ...Option) (*System, error) {
 	if cfg.noGroup {
 		popts = append(popts, persist.WithGroupCommit(false))
 	}
-	// The factory builds one tenant's full backing: the in-memory lookup
-	// strategy, recovered from and journaled into its own WAL partition
+	// The factory builds one tenant's full backing: the in-memory scan
+	// store, recovered from and journaled into its own WAL partition
 	// (sharing the data dir and fsync policy), with the replication hub
 	// appended after the WAL so durability precedes shipping.
 	factory := func(name string) (store.Store, func() error, error) {
-		var db store.Store
-		var err error
-		tun := store.Tuning{ResidueWidth: cfg.residueWidth, NoCoarseFilter: cfg.noCoarse}
-		if cfg.strategy == "bucket" && cfg.indexDims > 0 {
-			db, err = store.NewBucketTuned(fe.Line(), cfg.indexDims, cfg.shards, tun)
-		} else {
-			db, err = store.ByStrategyTuned(cfg.strategy, fe.Line(), cfg.shards, tun)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
+		db := store.NewScanShards(fe.Line(), cfg.shards)
 		var journals store.MultiJournal
 		var closer func() error
 		var log *persist.Log
+		var err error
 		if cfg.dataDir != "" {
 			log, err = persist.Open(persist.TenantDir(cfg.dataDir, name), popts...)
 			if err != nil {

@@ -90,15 +90,18 @@ func TestSystemEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSystemIdentifyBatch checks a batch against its ground truth — each
+// genuine reading names the user it was drawn from, the impostor no one —
+// at one shard and at several.
 func TestSystemIdentifyBatch(t *testing.T) {
-	for _, strategy := range []string{"scan", "bucket", "sorted"} {
-		sys, src := testSystem(t, 64, WithStoreStrategy(strategy), WithShards(4))
+	for _, shards := range []int{1, 4} {
+		sys, src := testSystem(t, 64, WithShards(shards))
 		client, stop := sys.LocalClient()
 		users := src.Population(10)
 		for _, u := range users {
 			if err := client.Enroll(u.ID, u.Template); err != nil {
 				stop()
-				t.Fatalf("%s enroll: %v", strategy, err)
+				t.Fatalf("shards=%d enroll: %v", shards, err)
 			}
 		}
 		readings := make([]Vector, 0, 3)
@@ -117,11 +120,11 @@ func TestSystemIdentifyBatch(t *testing.T) {
 		ids, err := client.IdentifyBatch(readings)
 		stop()
 		if err != nil {
-			t.Fatalf("%s IdentifyBatch: %v", strategy, err)
+			t.Fatalf("shards=%d IdentifyBatch: %v", shards, err)
 		}
 		for i := range want {
 			if ids[i] != want[i] {
-				t.Errorf("%s slot %d = %q, want %q", strategy, i, ids[i], want[i])
+				t.Errorf("shards=%d slot %d = %q, want %q", shards, i, ids[i], want[i])
 			}
 		}
 	}
@@ -155,15 +158,11 @@ func TestSystemOverTCP(t *testing.T) {
 
 func TestSystemOptions(t *testing.T) {
 	valid := [][]Option{
-		{WithStoreStrategy("scan")},
-		{WithStoreStrategy("sorted")},
 		{WithSignatureScheme("ecdsa-p256")},
 		{WithExtractor("sha256")},
-		{WithExtractor("toeplitz"), WithStoreStrategy("scan")},
-		{WithIndexDims(2)},
+		{WithExtractor("toeplitz"), WithShards(1)},
 		{WithShards(8)},
-		{WithShards(2), WithStoreStrategy("scan")},
-		{WithShards(3), WithIndexDims(2)},
+		{WithShards(3), WithSignatureScheme("ecdsa-p256")},
 	}
 	for _, opts := range valid {
 		sys, src := testSystem(t, 16, opts...)
@@ -185,10 +184,8 @@ func TestSystemOptions(t *testing.T) {
 
 func TestSystemBadOptions(t *testing.T) {
 	bad := [][]Option{
-		{WithStoreStrategy("btree")},
 		{WithSignatureScheme("rsa")},
 		{WithExtractor("md5")},
-		{WithIndexDims(-1)},
 		{WithShards(-1)},
 	}
 	for i, opts := range bad {
@@ -246,7 +243,7 @@ func TestSystemReport(t *testing.T) {
 func TestPersistenceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	const dim = 32
-	sys, src := testSystem(t, dim, WithPersistence(dir), WithStoreStrategy("scan"))
+	sys, src := testSystem(t, dim, WithPersistence(dir))
 	if !sys.Persistent() {
 		t.Fatal("Persistent() = false with WithPersistence")
 	}
@@ -271,7 +268,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 
 	// Restart: the database comes back from snapshot + WAL.
 	sys2, err := NewSystem(Params{Line: PaperLine(), Dimension: dim},
-		WithPersistence(dir), WithStoreStrategy("scan"))
+		WithPersistence(dir))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -310,7 +307,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 
 	// Second restart: snapshot plus post-snapshot WAL tail.
 	sys3, err := NewSystem(Params{Line: PaperLine(), Dimension: dim},
-		WithPersistence(dir), WithStoreStrategy("scan"))
+		WithPersistence(dir))
 	if err != nil {
 		t.Fatalf("second reopen: %v", err)
 	}

@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"fuzzyid/internal/core"
 	"fuzzyid/internal/extract"
 	"fuzzyid/internal/numberline"
 	"fuzzyid/internal/sigscheme"
-	"fuzzyid/internal/sketch"
-	"fuzzyid/internal/store"
 )
 
 // Ablate measures the design choices DESIGN.md calls out:
@@ -19,7 +16,6 @@ import (
 //   - interval shape k (§VII notes k=2 "cannot achieve constant
 //     identification": the false-close factor (2t+1)/ka rises to ~1, so
 //     sketch search stops discriminating);
-//   - bucket-index depth (lookup work vs index dimensions);
 //   - strong-extractor choice (Gen-side extraction latency);
 //   - signature scheme (sign+verify latency, the constant crypto term of
 //     the proposed protocol).
@@ -30,12 +26,6 @@ func Ablate(cfg Config) (*Table, error) {
 		Header: []string{"axis", "setting", "metric", "value"},
 	}
 	if err := ablateK(cfg, tbl); err != nil {
-		return nil, err
-	}
-	if err := ablateIndexDims(cfg, tbl); err != nil {
-		return nil, err
-	}
-	if err := ablateStoreStrategies(cfg, tbl); err != nil {
 		return nil, err
 	}
 	if err := ablateExtractors(cfg, tbl); err != nil {
@@ -107,138 +97,6 @@ func ablateK(cfg Config, tbl *Table) error {
 	}
 	return nil
 }
-
-// ablateIndexDims measures bucket-store identification lookup latency as a
-// function of the index depth.
-func ablateIndexDims(cfg Config, tbl *Table) error {
-	n := 800
-	dim := 256
-	probes := 50
-	if cfg.Quick {
-		n, dim, probes = 100, 64, 10
-	}
-	fe, err := core.New(core.Params{Line: numberline.PaperParams(), Dimension: dim})
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// Build one shared population.
-	type enrollment struct {
-		rec   *store.Record
-		probe numberline.Vector
-	}
-	enrollments := make([]enrollment, n)
-	for i := range enrollments {
-		x := uniformVector(rng, fe.Line(), dim)
-		_, helper, err := fe.Gen(x)
-		if err != nil {
-			return err
-		}
-		probe := make(numberline.Vector, dim)
-		for j := range probe {
-			probe[j] = fe.Line().Add(x[j], rng.Int63n(2*fe.Line().Threshold()+1)-fe.Line().Threshold())
-		}
-		enrollments[i] = enrollment{
-			rec:   &store.Record{ID: fmt.Sprintf("u%04d", i), PublicKey: []byte("pk"), Helper: helper},
-			probe: probe,
-		}
-	}
-	for _, d := range []int{1, 2, 4, 8} {
-		db := store.NewBucket(fe.Line(), d)
-		for i := range enrollments {
-			if err := db.Insert(enrollments[i].rec); err != nil {
-				return err
-			}
-		}
-		start := time.Now()
-		for i := 0; i < probes; i++ {
-			e := &enrollments[(i*101)%n]
-			probeSketch, err := fe.SketchOnly(e.probe)
-			if err != nil {
-				return err
-			}
-			rec, err := db.Identify(probeSketch)
-			if err != nil {
-				return err
-			}
-			if rec.ID != e.rec.ID {
-				return fmt.Errorf("index dims %d: misidentified %s as %s", d, e.rec.ID, rec.ID)
-			}
-		}
-		us := float64(time.Since(start)) / float64(probes) / float64(time.Microsecond)
-		tbl.AddRow("bucket index depth", fmt.Sprintf("d=%d (N=%d)", d, n), "identify lookup us", us)
-	}
-	return nil
-}
-
-// ablateStoreStrategies compares the three lookup strategies at the store
-// level (no protocol, no crypto): early-exit scan, bucket hash index, and
-// the sorted range index.
-func ablateStoreStrategies(cfg Config, tbl *Table) error {
-	n := 2000
-	dim := 128
-	probes := 200
-	if cfg.Quick {
-		n, dim, probes = 200, 64, 20
-	}
-	fe, err := core.New(core.Params{Line: numberline.PaperParams(), Dimension: dim})
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	type enrollment struct {
-		rec   *store.Record
-		probe *sketch.Sketch
-	}
-	enrollments := make([]enrollment, n)
-	for i := range enrollments {
-		x := uniformVector(rng, fe.Line(), dim)
-		_, helper, err := fe.Gen(x)
-		if err != nil {
-			return err
-		}
-		reading := make(numberline.Vector, dim)
-		for j := range reading {
-			reading[j] = fe.Line().Add(x[j], rng.Int63n(2*fe.Line().Threshold()+1)-fe.Line().Threshold())
-		}
-		probe, err := fe.SketchOnly(reading)
-		if err != nil {
-			return err
-		}
-		enrollments[i] = enrollment{
-			rec:   &store.Record{ID: fmt.Sprintf("s%05d", i), PublicKey: []byte("pk"), Helper: helper},
-			probe: probe,
-		}
-	}
-	for _, strategy := range store.Strategies() {
-		db, err := store.ByStrategy(strategy, fe.Line())
-		if err != nil {
-			return err
-		}
-		for i := range enrollments {
-			if err := db.Insert(enrollments[i].rec); err != nil {
-				return err
-			}
-		}
-		start := time.Now()
-		for i := 0; i < probes; i++ {
-			e := &enrollments[(i*striding)%n]
-			rec, err := db.Identify(e.probe)
-			if err != nil {
-				return err
-			}
-			if rec.ID != e.rec.ID {
-				return fmt.Errorf("strategy %s misidentified %s as %s", strategy, e.rec.ID, rec.ID)
-			}
-		}
-		us := float64(time.Since(start)) / float64(probes) / float64(time.Microsecond)
-		tbl.AddRow("store strategy", fmt.Sprintf("%s (N=%d)", strategy, n), "identify lookup us", us)
-	}
-	return nil
-}
-
-// striding spreads probe indices across the population.
-const striding = 7919
 
 // ablateExtractors times Gen with each strong extractor.
 func ablateExtractors(cfg Config, tbl *Table) error {

@@ -38,7 +38,7 @@ func Accuracy(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := store.NewBucket(line, 0)
+	db := store.NewScan(line)
 	population := src.Population(users)
 	for _, u := range population {
 		_, helper, err := fe.Gen(u.Template)

@@ -28,7 +28,7 @@ func Aging(cfg Config) (*Table, error) {
 	if cfg.Quick {
 		dim, users, probesPerEpoch, epochs = 48, 8, 80, 5
 	}
-	e, err := newEnv(dim, cfg.Seed, "bucket")
+	e, err := newEnv(dim, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

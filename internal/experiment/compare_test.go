@@ -29,7 +29,7 @@ func perfTables(meanMS, bytes string) []*Table {
 func TestIsPerfColumn(t *testing.T) {
 	for h, want := range map[string]bool{
 		"mean ms/verification":     true,
-		"proposed/bucket ms":       true,
+		"proposed/scan ms":         true,
 		"sketch ms":                true,
 		"bytes":                    true,
 		"runs":                     false,

@@ -97,10 +97,7 @@ func measureDurableEnroll(cfg Config, dim, nw, perWriter int, group bool) (float
 	if err != nil {
 		return 0, err
 	}
-	db, err := store.ByStrategy("bucket", fe.Line())
-	if err != nil {
-		return 0, err
-	}
+	db := store.NewScan(fe.Line())
 	log, err := persist.Open(dir, persist.WithGroupCommit(group))
 	if err != nil {
 		return 0, err

@@ -14,19 +14,16 @@ import (
 )
 
 // env is a complete in-memory deployment: fuzzy extractor, biometric
-// source, protocol server over a chosen store, and a device client wired
+// source, protocol server over a scan store, and a device client wired
 // through an in-memory pipe.
 type env struct {
-	fe     *core.FuzzyExtractor
 	src    *biometric.Source
-	db     store.Store
 	client *transport.Client
 	stop   func()
 }
 
 // newEnv builds a deployment for dimension dim over the paper's line.
-// strategy selects the store ("scan" or "bucket"; "" means "bucket").
-func newEnv(dim int, seed int64, strategy string) (*env, error) {
+func newEnv(dim int, seed int64) (*env, error) {
 	fe, err := core.New(core.Params{Line: numberline.PaperParams(), Dimension: dim})
 	if err != nil {
 		return nil, err
@@ -35,18 +32,11 @@ func newEnv(dim int, seed int64, strategy string) (*env, error) {
 	if err != nil {
 		return nil, err
 	}
-	if strategy == "" {
-		strategy = "bucket"
-	}
-	db, err := store.ByStrategy(strategy, fe.Line())
-	if err != nil {
-		return nil, err
-	}
 	scheme := sigscheme.Default()
-	proto := protocol.NewServer(fe, scheme, db)
+	proto := protocol.NewServer(fe, scheme, store.NewScan(fe.Line()))
 	device := protocol.NewDevice(fe, scheme)
 	client, stop := transport.LocalPair(proto, device)
-	return &env{fe: fe, src: src, db: db, client: client, stop: stop}, nil
+	return &env{src: src, client: client, stop: stop}, nil
 }
 
 // enrollPopulation enrolls count users and returns them.

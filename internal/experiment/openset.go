@@ -71,7 +71,7 @@ func OpenSet(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := store.NewBucket(line, 0)
+	db := store.NewScan(line)
 	population := src.Population(bigPop)
 	for _, u := range population {
 		_, helper, err := fe.Gen(u.Template)
@@ -139,8 +139,6 @@ func openSetRate(cfg Config, n, pop, probes int) (empirical, bound float64, err 
 	if err != nil {
 		return 0, 0, err
 	}
-	// Scan keeps small-dimension matching exact: bucket pre-filtering is
-	// tuned for working dimensions and would only narrow the candidate set.
 	db := store.NewScan(line)
 	for _, u := range src.Population(pop) {
 		_, helper, err := fe.Gen(u.Template)

@@ -22,7 +22,7 @@ func Verification(cfg Config) (*Table, error) {
 	}
 	var first, last float64
 	for _, n := range dims {
-		e, err := newEnv(n, cfg.Seed, "")
+		e, err := newEnv(n, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -41,7 +41,7 @@ func TestProcLifecycleAgainstRealServer(t *testing.T) {
 	}
 
 	addr, statsAddr := freePort(t), freePort(t)
-	p, err := Start(bin, []string{"-dim", "16", "-strategy", "scan"}, addr, statsAddr, 10*time.Millisecond)
+	p, err := Start(bin, []string{"-dim", "16"}, addr, statsAddr, 10*time.Millisecond)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}

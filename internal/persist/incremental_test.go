@@ -343,7 +343,7 @@ func TestMissingChainFileFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Open("scan", f.line(), 0, l2.Replay); !errors.Is(err, ErrCorrupt) {
+	if _, err := store.Open(f.line(), 0, l2.Replay); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("missing increment replay err = %v, want ErrCorrupt", err)
 	}
 }

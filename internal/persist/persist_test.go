@@ -54,7 +54,7 @@ func openStore(t testing.TB, f *fixture, dir string, opts ...Option) (*Log, stor
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := store.Open("scan", f.line(), 0, l.Replay)
+	s, err := store.Open(f.line(), 0, l.Replay)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -402,7 +402,7 @@ func benchmarkRecovery(b *testing.B, n int, compacted bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s2, err := store.Open("scan", f.line(), 0, l2.Replay)
+		s2, err := store.Open(f.line(), 0, l2.Replay)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -443,7 +443,7 @@ func TestCorruptMidSegmentFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Open("scan", f.line(), 0, l2.Replay); !errors.Is(err, ErrCorrupt) {
+	if _, err := store.Open(f.line(), 0, l2.Replay); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mid-segment corruption err = %v, want ErrCorrupt", err)
 	}
 	// The file must not have been truncated behind our back.
@@ -477,7 +477,7 @@ func TestBadHeaderWithDataFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Open("scan", f.line(), 0, l2.Replay); !errors.Is(err, ErrCorrupt) {
+	if _, err := store.Open(f.line(), 0, l2.Replay); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad-header-with-data err = %v, want ErrCorrupt", err)
 	}
 	if got := fileSize(t, wal); got != int64(len(buf)) {
@@ -584,7 +584,7 @@ func TestMissingSegmentFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Open("scan", f.line(), 0, l2.Replay); !errors.Is(err, ErrCorrupt) {
+	if _, err := store.Open(f.line(), 0, l2.Replay); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("gapped WAL chain err = %v, want ErrCorrupt", err)
 	}
 	// Losing the first segment is equally fatal.
@@ -596,7 +596,7 @@ func TestMissingSegmentFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Open("scan", f.line(), 0, l3.Replay); !errors.Is(err, ErrCorrupt) {
+	if _, err := store.Open(f.line(), 0, l3.Replay); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("chain not starting at 0 err = %v, want ErrCorrupt", err)
 	}
 }
@@ -684,7 +684,7 @@ func TestStaleFallbacksSurviveFailedReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Open("scan", f.line(), 0, l3.Replay); !errors.Is(err, ErrCorrupt) {
+	if _, err := store.Open(f.line(), 0, l3.Replay); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt newest snapshot err = %v, want ErrCorrupt", err)
 	}
 	// The fallback generation must still be on disk for manual recovery.
@@ -706,7 +706,7 @@ func TestStaleFallbacksSurviveFailedReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s4, err := store.Open("scan", f.line(), 0, l4.Replay)
+	s4, err := store.Open(f.line(), 0, l4.Replay)
 	if err != nil {
 		t.Fatalf("fallback recovery: %v", err)
 	}

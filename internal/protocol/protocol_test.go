@@ -38,7 +38,7 @@ func newEnv(t *testing.T, dim int, seed int64) *env {
 	return &env{
 		fe:     fe,
 		src:    src,
-		server: NewServer(fe, scheme, store.NewBucket(fe.Line(), 0)),
+		server: NewServer(fe, scheme, store.NewScan(fe.Line())),
 		device: NewDevice(fe, scheme),
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // TestConcurrentMixedWorkload interleaves Insert, Delete, Identify, Get and
-// IdentifyBatch across goroutines on every strategy. Run with -race; the
+// IdentifyBatch across goroutines on every store layout. Run with -race; the
 // assertions only involve records that no goroutine mutates, so the test is
 // deterministic despite the interleaving.
 func TestConcurrentMixedWorkload(t *testing.T) {
@@ -258,7 +259,7 @@ func TestScanParallelPath(t *testing.T) {
 }
 
 // TestAllInsertionOrderAfterDelete pins the All() contract: snapshots stay
-// in insertion order even though the sharded stores relocate rows on delete.
+// in insertion order even though the sharded table relocates rows on delete.
 func TestAllInsertionOrderAfterDelete(t *testing.T) {
 	f := newFixture(t, 16, 25)
 	users := f.src.Population(20)
@@ -291,38 +292,35 @@ func TestAllInsertionOrderAfterDelete(t *testing.T) {
 }
 
 // TestManyShards checks correctness is independent of the shard count,
-// including counts far above the record count.
+// including counts far above the record count: genuine and impostor probes
+// agree with the brute-force oracle at every count.
 func TestManyShards(t *testing.T) {
 	f := newFixture(t, 32, 26)
 	users := f.src.Population(10)
 	for _, shards := range []int{1, 3, 64} {
-		stores := []Store{
-			NewScanShards(f.fe.Line(), shards),
-			NewBucketShards(f.fe.Line(), 0, shards),
+		s := NewScanShards(f.fe.Line(), shards)
+		name := fmt.Sprintf("shards=%d", shards)
+		for _, u := range users {
+			_, helper, err := f.fe.Gen(u.Template)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Insert(&Record{ID: u.ID, PublicKey: []byte("pk"), Helper: helper}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		for _, s := range stores {
-			for _, u := range users {
-				_, helper, err := f.fe.Gen(u.Template)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Insert(&Record{ID: u.ID, PublicKey: []byte("pk"), Helper: helper}); err != nil {
-					t.Fatal(err)
-				}
+		for _, u := range users {
+			reading, err := f.src.GenuineReading(u)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, u := range users {
-				reading, err := f.src.GenuineReading(u)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec, err := s.Identify(f.probe(t, reading))
-				if err != nil || rec.ID != u.ID {
-					t.Errorf("%s shards=%d Identify(%s) = (%v, %v)", s.Strategy(), shards, u.ID, rec, err)
-				}
+			if err := checkOracle(t, name, s, f.fe.Line(), f.probe(t, reading)); err != nil {
+				t.Errorf("%s Identify(%s): %v", name, u.ID, err)
 			}
-			if s.Len() != len(users) {
-				t.Errorf("%s shards=%d Len = %d", s.Strategy(), shards, s.Len())
-			}
+		}
+		checkOracle(t, name, s, f.fe.Line(), f.probe(t, f.src.ImpostorReading()))
+		if s.Len() != len(users) {
+			t.Errorf("%s Len = %d", name, s.Len())
 		}
 	}
 }

@@ -10,11 +10,11 @@ import (
 )
 
 // This file defines the mutation-journal seam between the in-memory store
-// strategies and any durability backend (internal/persist today; a remote KV
-// or replication stream tomorrow). All state changes are expressed as
-// Mutation values; the Journaled wrapper is the single interception point
-// through which every Insert, Replace and Delete flows, and Open/Replay rebuild any
-// strategy from a recovered mutation stream through the very same path the
+// and any durability backend (internal/persist today; a remote KV or
+// replication stream tomorrow). All state changes are expressed as Mutation
+// values; the Journaled wrapper is the single interception point through
+// which every Insert, Replace and Delete flows, and Open/Replay rebuild the
+// store from a recovered mutation stream through the very same path the
 // live system uses.
 
 // Op tags a journal mutation.
@@ -277,14 +277,11 @@ func Replay(s Store, replay ReplayFunc) error {
 	})
 }
 
-// Open constructs the named strategy and rebuilds it from a recovered
-// mutation stream before any concurrent access is possible — the
-// persistence-aware counterpart of ByStrategyShards.
-func Open(name string, line *numberline.Line, shards int, replay ReplayFunc) (Store, error) {
-	s, err := ByStrategyShards(name, line, shards)
-	if err != nil {
-		return nil, err
-	}
+// Open constructs a scan store and rebuilds it from a recovered mutation
+// stream before any concurrent access is possible — the persistence-aware
+// counterpart of NewScanShards.
+func Open(line *numberline.Line, shards int, replay ReplayFunc) (Store, error) {
+	s := NewScanShards(line, shards)
 	if err := Replay(s, replay); err != nil {
 		return nil, err
 	}
@@ -294,7 +291,7 @@ func Open(name string, line *numberline.Line, shards int, replay ReplayFunc) (St
 // Journaled wraps a Store so that every mutation flows through one
 // interception point and is recorded in a Journal before it is applied —
 // proper write-ahead ordering. Reads delegate to the wrapped store
-// unchanged and stay as concurrent as the underlying strategy allows;
+// unchanged and stay as concurrent as the underlying store allows;
 // mutations are serialised by one mutex so the journal order always equals
 // the apply order. A mutation is validated up front (so the journal only
 // ever records mutations that apply cleanly), staged in the journal, and

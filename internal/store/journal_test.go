@@ -155,6 +155,8 @@ func TestJournaledPreValidation(t *testing.T) {
 	}
 }
 
+// TestOpenRebuildsEveryStrategy checks Open rebuilds the store from a
+// mutation history, with one shard and with the default count.
 func TestOpenRebuildsEveryStrategy(t *testing.T) {
 	f := newFixture(t, 16, 63)
 	// Build a mutation history: 6 enrollments, 2 revocations.
@@ -169,16 +171,16 @@ func TestOpenRebuildsEveryStrategy(t *testing.T) {
 	}
 	log = append(log, DeleteMutation(users[1].ID), DeleteMutation(users[4].ID))
 
-	for _, name := range Strategies() {
-		s, err := Open(name, f.fe.Line(), 0, replayOf(log))
+	for _, shards := range []int{1, 0} {
+		s, err := Open(f.fe.Line(), shards, replayOf(log))
 		if err != nil {
-			t.Fatalf("%s: Open: %v", name, err)
+			t.Fatalf("shards=%d: Open: %v", shards, err)
 		}
 		if got := s.Len(); got != 4 {
-			t.Fatalf("%s: rebuilt %d records, want 4", name, got)
+			t.Fatalf("shards=%d: rebuilt %d records, want 4", shards, got)
 		}
 		if _, ok := s.Get(users[1].ID); ok {
-			t.Fatalf("%s: revoked record present after rebuild", name)
+			t.Fatalf("shards=%d: revoked record present after rebuild", shards)
 		}
 		// The rebuilt store must identify a surviving user.
 		reading, err := f.src.GenuineReading(users[0])
@@ -188,7 +190,7 @@ func TestOpenRebuildsEveryStrategy(t *testing.T) {
 		probe := f.probe(t, reading)
 		rec, err := s.Identify(probe)
 		if err != nil || rec.ID != users[0].ID {
-			t.Fatalf("%s: post-rebuild identify = (%v, %v)", name, rec, err)
+			t.Fatalf("shards=%d: post-rebuild identify = (%v, %v)", shards, rec, err)
 		}
 	}
 }
@@ -202,21 +204,17 @@ func TestReplayRejectsCorruptStream(t *testing.T) {
 	}
 	rec := &Record{ID: u.ID, PublicKey: []byte("pk"), Helper: helper}
 	// Duplicate insert marks a corrupt journal, not a tolerable state.
-	_, err = Open("scan", f.fe.Line(), 0, replayOf([]Mutation{InsertMutation(rec), InsertMutation(rec)}))
+	_, err = Open(f.fe.Line(), 0, replayOf([]Mutation{InsertMutation(rec), InsertMutation(rec)}))
 	if !errors.Is(err, ErrDuplicateID) {
 		t.Fatalf("duplicate replay err = %v, want ErrDuplicateID", err)
 	}
 	// Deleting an unknown ID likewise.
-	_, err = Open("scan", f.fe.Line(), 0, replayOf([]Mutation{DeleteMutation("ghost")}))
+	_, err = Open(f.fe.Line(), 0, replayOf([]Mutation{DeleteMutation("ghost")}))
 	if !errors.Is(err, ErrUnknownID) {
 		t.Fatalf("unknown-delete replay err = %v, want ErrUnknownID", err)
 	}
-	// Unknown strategy surfaces before any replay.
-	if _, err := Open("btree", f.fe.Line(), 0, nil); err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
 	// An op value outside the contract is rejected.
-	_, err = Open("scan", f.fe.Line(), 0, replayOf([]Mutation{{Op: 99}}))
+	_, err = Open(f.fe.Line(), 0, replayOf([]Mutation{{Op: 99}}))
 	if err == nil {
 		t.Fatal("unknown op accepted")
 	}

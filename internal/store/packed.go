@@ -86,7 +86,7 @@ const matchBlock = 8
 
 // matchPacked runs the condition (1)-(4) circular-distance check of the
 // probe residues against one packed row. Semantically identical to matchRow
-// (the int64 reference implementation in table.go); structurally it is a
+// (the int64 reference implementation in the tests); structurally it is a
 // block loop whose body is branch-free: each lane folds its verdict into an
 // accumulator sign bit, and the block rejects if any lane exceeded the
 // threshold.
@@ -126,20 +126,14 @@ func matchPacked[T resWord](row []T, probe []int64, span, t int64) bool {
 // residue matrix of one shard. The granularity of every scanning method is a
 // row range, so the per-row hot path never pays interface dispatch.
 type resMatrix interface {
-	// width returns the storage width in bits.
-	width() int
 	// appendRow packs res onto the end of the matrix.
 	appendRow(res []int64)
-	// copyRow unpacks row into dst (len(dst) == dim).
-	copyRow(dst []int64, row, dim int)
 	// moveRow overwrites row dst with row src (swap-delete relocation).
 	moveRow(dst, src, dim int)
 	// setRow overwrites row in place with res (re-enroll replacement).
 	setRow(row int, res []int64)
 	// truncate shrinks the matrix to the given row count.
 	truncate(rows, dim int)
-	// matchOne checks the probe against a single row.
-	matchOne(row, dim int, probe []int64, span, t int64) bool
 	// scanRange checks the probe against rows [lo, hi), consulting the
 	// coarse summary first when cp is enabled, and returns the first
 	// matching row index or -1.
@@ -150,22 +144,19 @@ type resMatrix interface {
 // widths by newMatrix.
 type matrix[T resWord] struct {
 	data []T
-	w    int
 }
 
 // newMatrix constructs the packed matrix for a resolved storage width.
 func newMatrix(width int) resMatrix {
 	switch width {
 	case Width16:
-		return &matrix[int16]{w: Width16}
+		return &matrix[int16]{}
 	case Width32:
-		return &matrix[int32]{w: Width32}
+		return &matrix[int32]{}
 	default:
-		return &matrix[int64]{w: Width64}
+		return &matrix[int64]{}
 	}
 }
-
-func (m *matrix[T]) width() int { return m.w }
 
 func (m *matrix[T]) appendRow(res []int64) {
 	if need := len(m.data) + len(res); cap(m.data) < need {
@@ -175,13 +166,6 @@ func (m *matrix[T]) appendRow(res []int64) {
 	}
 	for _, r := range res {
 		m.data = append(m.data, T(r))
-	}
-}
-
-func (m *matrix[T]) copyRow(dst []int64, row, dim int) {
-	src := m.data[row*dim : (row+1)*dim]
-	for j := range dst {
-		dst[j] = int64(src[j])
 	}
 }
 
@@ -198,11 +182,6 @@ func (m *matrix[T]) setRow(row int, res []int64) {
 
 func (m *matrix[T]) truncate(rows, dim int) {
 	m.data = m.data[:rows*dim]
-}
-
-func (m *matrix[T]) matchOne(row, dim int, probe []int64, span, t int64) bool {
-	off := row * dim
-	return matchPacked(m.data[off:off+dim], probe, span, t)
 }
 
 func (m *matrix[T]) scanRange(lo, hi, dim int, probe []int64, span, t int64, coarse []uint64, cp coarseProbe) int {

@@ -178,7 +178,7 @@ func TestPackedScanEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i := range rows {
-						if _, err := tab.insert(&Record{ID: fmt.Sprint(i)}, rows[i]); err != nil {
+						if err := tab.insert(&Record{ID: fmt.Sprint(i)}, rows[i]); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -209,7 +209,7 @@ func TestPackedScanEquivalence(t *testing.T) {
 			for i := 0; i < n; i += 3 {
 				delete(ref, fmt.Sprint(i))
 				for _, c := range cfgs {
-					if _, _, err := c.tab.delete(fmt.Sprint(i)); err != nil {
+					if err := c.tab.delete(fmt.Sprint(i)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -300,11 +300,8 @@ func TestScanTunedRejectsNarrowWidth(t *testing.T) {
 	if _, err := NewScanTuned(line, 0, Tuning{ResidueWidth: 16}); err == nil {
 		t.Error("NewScanTuned accepted a width too narrow for the span")
 	}
-	if _, err := NewBucketTuned(line, 0, 0, Tuning{ResidueWidth: 16}); err == nil {
-		t.Error("NewBucketTuned accepted a width too narrow for the span")
-	}
-	if _, err := ByStrategyTuned("scan", line, 0, Tuning{ResidueWidth: 8}); err == nil {
-		t.Error("ByStrategyTuned accepted an invalid width")
+	if _, err := NewScanTuned(line, 0, Tuning{ResidueWidth: 8}); err == nil {
+		t.Error("NewScanTuned accepted an invalid width")
 	}
 }
 
@@ -371,9 +368,12 @@ func TestResBufHint(t *testing.T) {
 	putResBuf(b)
 	// Adoption raises the hint as a side effect of the first insert.
 	line := numberline.MustNew(numberline.Params{A: 100, K: 4, V: 500, T: 100})
-	tab := newResTable(line, 2)
+	tab, err := newResTableTuned(line, 2, Tuning{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(3))
-	if _, err := tab.insert(&Record{ID: "big"}, randRow(rng, 5000, line.IntervalSpan())); err != nil {
+	if err := tab.insert(&Record{ID: "big"}, randRow(rng, 5000, line.IntervalSpan())); err != nil {
 		t.Fatal(err)
 	}
 	if h := resBufHint.Load(); h < 5000 {

@@ -81,24 +81,20 @@ func (rf *reenrollFixture) version(rec *Record) string {
 	}
 }
 
-// raceVariants is the strategy x residue-width matrix the concurrency tests
-// run against: both lookup strategies at both packed widths, plus the
-// ordered store (which has no packed representation to tune).
+// raceVariants is the layout matrix the concurrency tests run against: the
+// scan store at both ends of the packed widths, with the coarse filter on
+// and off.
 func raceVariants(t *testing.T, f *fixture) map[string]Store {
 	t.Helper()
-	line := f.fe.Line()
-	variants := map[string]Store{"sorted": NewSorted(line)}
+	variants := map[string]Store{}
 	for _, w := range []int{Width16, Width64} {
-		scan, err := NewScanTuned(line, 0, Tuning{ResidueWidth: w})
-		if err != nil {
-			t.Fatal(err)
+		for _, noCoarse := range []bool{false, true} {
+			name := fmt.Sprintf("scan-w%d", w)
+			if noCoarse {
+				name += "-nocoarse"
+			}
+			variants[name] = mustScanTuned(t, f.fe.Line(), Tuning{ResidueWidth: w, NoCoarseFilter: noCoarse})
 		}
-		variants[fmt.Sprintf("scan-w%d", w)] = scan
-		bucket, err := NewBucketTuned(line, 0, 0, Tuning{ResidueWidth: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		variants[fmt.Sprintf("bucket-w%d", w)] = bucket
 	}
 	return variants
 }

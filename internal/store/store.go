@@ -4,26 +4,19 @@
 //
 // Identification lookup realises the paper's conditions (1)-(4), which
 // reduce to a per-coordinate circular-distance test modulo the interval
-// span ka (Theorem 2; see internal/sketch). Three strategies are provided:
+// span ka (Theorem 2; see internal/sketch). Scan, the one Store
+// implementation, is an early-exit linear scan over pre-computed residues:
+// each non-matching record is rejected after a geometric number of integer
+// comparisons (expected < 1/(1-q) with q = (2t+1)/ka), so the cost per
+// enrolled user is a few nanoseconds — negligible next to one signature.
+// The *cryptographic* cost of identification is one Rep and one signature
+// regardless of the database size — the paper's constant-cost claim —
+// while the normal approach of Fig. 2 pays one Rep per enrolled user. The
+// experiment harness measures both.
 //
-//   - Scan: an early-exit linear scan over pre-computed residues. Each
-//     non-matching record is rejected after a geometric number of integer
-//     comparisons (expected < 1/(1-q) with q = (2t+1)/ka), so the cost per
-//     enrolled user is a few nanoseconds — negligible next to one signature.
-//   - Bucket: an inverted index over the residue buckets of the first
-//     IndexDims coordinates. A query probes the 3^IndexDims circularly
-//     adjacent buckets and early-exit-verifies only the candidate lists,
-//     cutting the scanned fraction to ~(3/B)^IndexDims of the database.
-//   - Sorted: a range index over the first residue coordinate (sorted.go).
-//
-// Either way, the *cryptographic* cost of identification is one Rep and one
-// signature regardless of the database size — the paper's constant-cost
-// claim — while the normal approach of Fig. 2 pays one Rep per enrolled
-// user. The experiment harness measures both.
-//
-// Concurrency and layout. Scan and Bucket partition their records into P
-// independent shards (see table.go): readers of different shards never share
-// a lock cache line, and an insert or delete contends with one shard only.
+// Concurrency and layout. Scan partitions its records into P independent
+// shards (see table.go): readers of different shards never share a lock
+// cache line, and an insert or delete contends with one shard only.
 // Residues live in a flat row-major matrix per shard, packed to the
 // narrowest integer width that holds the interval span ka (see packed.go),
 // so the early-exit scan streams a quarter of the bytes the naive int64
@@ -38,7 +31,7 @@
 // Durability. Mutations are expressed as Mutation values behind the
 // journal seam of journal.go: the Journaled wrapper funnels every
 // Insert/Delete through one interception point into a Journal backend
-// (internal/persist), and Open/Replay rebuild any strategy from a recovered
+// (internal/persist), and Open/Replay rebuild the store from a recovered
 // mutation stream through the same path.
 package store
 
@@ -46,7 +39,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -76,7 +68,8 @@ type Record struct {
 	Helper *core.HelperData
 }
 
-// Store is the server database interface shared by all lookup strategies.
+// Store is the server database interface: Scan implements it, and the
+// Journaled wrapper layers durability over any implementation.
 type Store interface {
 	// Insert adds a record; the ID must be unused.
 	Insert(*Record) error
@@ -92,17 +85,17 @@ type Store interface {
 	// Identify returns a record whose enrolled sketch matches the probe
 	// under conditions (1)-(4), or ErrNotFound. When several records match
 	// (a false-close collision, bounded by the paper's FAR analysis), any
-	// of them may be returned; which one is strategy- and
+	// of them may be returned; which one is layout- and
 	// scheduling-dependent.
 	Identify(probe *sketch.Sketch) (*Record, error)
 	// IdentifyCtx is Identify with cancellation: the lookup aborts with
 	// ctx.Err() once ctx is done.
 	IdentifyCtx(ctx context.Context, probe *sketch.Sketch) (*Record, error)
 	// IdentifyBatch resolves many probes in one call, amortising probe
-	// validation and residue computation — and, where the strategy allows
-	// (Scan), lock acquisition — across the batch. The result is aligned
-	// with probes; a nil element means no record matched that probe. An
-	// error is returned only for malformed probes.
+	// validation, residue computation and lock acquisition across the
+	// batch. The result is aligned with probes; a nil element means no
+	// record matched that probe. An error is returned only for malformed
+	// probes.
 	IdentifyBatch(probes []*sketch.Sketch) ([]*Record, error)
 	// All returns a snapshot of every enrolled record in insertion-stable
 	// order. The normal-approach protocol of Fig. 2 iterates it.
@@ -112,40 +105,6 @@ type Store interface {
 	// Dimension returns the record dimension the store adopted at first
 	// insert, or 0 while it is empty.
 	Dimension() int
-	// Strategy names the lookup strategy ("scan", "bucket" or "sorted").
-	Strategy() string
-}
-
-// residues precomputes the mod-ka residues of a sketch's movements, the
-// quantity the match conditions compare.
-func residues(line *numberline.Line, s *sketch.Sketch) []int64 {
-	return residuesInto(make([]int64, 0, len(s.Movements)), line, s)
-}
-
-// residueClose reports whether two residues are within t on the circle of
-// circumference span.
-func residueClose(a, b, span, t int64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	if d > span-d {
-		d = span - d
-	}
-	return d <= t
-}
-
-// entry is a stored record with its precomputed residues (used by the Sorted
-// strategy, which keeps per-entry slices to preserve its range ordering).
-type entry struct {
-	rec *Record
-	res []int64
-}
-
-// matchEntry runs the full early-exit condition check of the probe residues
-// against a stored entry.
-func matchEntry(e *entry, probeRes []int64, span, t int64) bool {
-	return matchRow(e.res, probeRes, span, t)
 }
 
 // validateProbe rejects nil, empty and wrong-dimension probes. dim is the
@@ -191,8 +150,10 @@ func NewScanShards(line *numberline.Line, shards int) *Scan {
 	return s
 }
 
-// NewScanTuned constructs a scan store with explicit scan-path tuning; see
-// Tuning. It fails only on an invalid or too-narrow ResidueWidth.
+// NewScanTuned constructs a scan store with an explicit packed layout; see
+// Tuning. It exists so tests can build the reference layouts (64-bit
+// residues, no coarse filter) next to the production one, and fails only on
+// an invalid or too-narrow ResidueWidth.
 func NewScanTuned(line *numberline.Line, shards int, tun Tuning) (*Scan, error) {
 	tab, err := newResTableTuned(line, shards, tun)
 	if err != nil {
@@ -200,20 +161,6 @@ func NewScanTuned(line *numberline.Line, shards int, tun Tuning) (*Scan, error) 
 	}
 	return &Scan{line: line, tab: tab}, nil
 }
-
-// Strategy implements Store.
-func (s *Scan) Strategy() string { return "scan" }
-
-// Shards returns the number of shards the store was built with.
-func (s *Scan) Shards() int { return s.tab.numShards() }
-
-// ResidueWidth returns the packed residue storage width in bits.
-func (s *Scan) ResidueWidth() int { return s.tab.residueWidth() }
-
-// CoarseFilter reports whether scans consult the coarse pre-filter. It is
-// false until the first insert sizes the filter, and stays false when the
-// line's parameters make it vacuous or tuning disabled it.
-func (s *Scan) CoarseFilter() bool { return s.tab.coarseEnabled() }
 
 // Len implements Store.
 func (s *Scan) Len() int { return s.tab.size() }
@@ -229,7 +176,7 @@ func (s *Scan) Insert(rec *Record) error {
 	bufp := getResBuf()
 	res := residuesInto(*bufp, s.line, rec.Helper.Sketch.Sketch)
 	*bufp = res
-	_, err := s.tab.insert(rec, res)
+	err := s.tab.insert(rec, res)
 	putResBuf(bufp)
 	return err
 }
@@ -238,10 +185,7 @@ func (s *Scan) Insert(rec *Record) error {
 func (s *Scan) Get(id string) (*Record, bool) { return s.tab.get(id) }
 
 // Delete implements Store.
-func (s *Scan) Delete(id string) error {
-	_, _, err := s.tab.delete(id)
-	return err
-}
+func (s *Scan) Delete(id string) error { return s.tab.delete(id) }
 
 // Replace implements Store. The row is overwritten in place under its
 // shard's write lock, so a concurrent Identify or Get sees the old template
@@ -253,7 +197,7 @@ func (s *Scan) Replace(rec *Record) error {
 	bufp := getResBuf()
 	res := residuesInto(*bufp, s.line, rec.Helper.Sketch.Sketch)
 	*bufp = res
-	_, _, err := s.tab.replace(rec, res)
+	err := s.tab.replace(rec, res)
 	putResBuf(bufp)
 	return err
 }
@@ -435,406 +379,6 @@ func (s *Scan) IdentifyBatch(probes []*sketch.Sketch) ([]*Record, error) {
 	return out, nil
 }
 
-// Bucket is the inverted-index store: residues of the first IndexDims
-// coordinates are quantised into circular buckets of width >= t; the packed
-// composite bucket key maps to the list of rows in that cell. Lookup probes
-// the 3^IndexDims circularly adjacent cells (a matching record's key can
-// differ by at most one bucket per coordinate) and verifies candidates with
-// the early-exit condition check against the sharded flat residue table.
-// The cell index itself is sharded by key hash, so concurrent lookups and
-// inserts spread across independent locks.
-type Bucket struct {
-	line    *numberline.Line
-	reqDims int   // requested index depth, before clamping
-	buckets int64 // buckets per coordinate
-	bits    uint  // bits per coordinate in the packed cell key
-	effDims atomic.Int32
-
-	tab   *resTable
-	cells []cellShard
-}
-
-// cellShard is one shard of the inverted index, keyed by packed bucket key.
-type cellShard struct {
-	mu    sync.RWMutex
-	cells map[uint64][]*rowRef
-}
-
-var _ Store = (*Bucket)(nil)
-
-// DefaultIndexDims is the default number of indexed coordinates.
-const DefaultIndexDims = 4
-
-// maxIndexDims bounds the index depth so cell keys pack into 64 bits and
-// probe state fits on the stack.
-const maxIndexDims = 16
-
-// NewBucket constructs a bucket-index store with the default shard count.
-// indexDims <= 0 selects DefaultIndexDims; it is clamped to the record
-// dimension at first insert.
-func NewBucket(line *numberline.Line, indexDims int) *Bucket {
-	return NewBucketShards(line, indexDims, 0)
-}
-
-// NewBucketShards constructs a bucket-index store with an explicit shard
-// count; shards < 1 selects the default.
-func NewBucketShards(line *numberline.Line, indexDims, shards int) *Bucket {
-	b, err := NewBucketTuned(line, indexDims, shards, Tuning{})
-	if err != nil {
-		// Unreachable: the zero Tuning always resolves.
-		panic(err)
-	}
-	return b
-}
-
-// NewBucketTuned constructs a bucket-index store with explicit scan-path
-// tuning; see Tuning. It fails only on an invalid or too-narrow
-// ResidueWidth.
-func NewBucketTuned(line *numberline.Line, indexDims, shards int, tun Tuning) (*Bucket, error) {
-	if indexDims <= 0 {
-		indexDims = DefaultIndexDims
-	}
-	span := line.IntervalSpan()
-	t := line.Threshold()
-	var nbuckets int64 = 1
-	if t > 0 {
-		nbuckets = span / t // bucket width span/buckets >= t
-	} else {
-		nbuckets = span
-	}
-	if nbuckets < 1 {
-		nbuckets = 1
-	}
-	kb := uint(bits.Len64(uint64(nbuckets - 1)))
-	if nbuckets == 1 {
-		// Every record lands in the single cell; one indexed coordinate
-		// keeps the neighbour enumeration from revisiting it 3^d times.
-		indexDims = 1
-	}
-	for indexDims > maxIndexDims || (kb > 0 && uint(indexDims)*kb > 64) {
-		indexDims--
-	}
-	tab, err := newResTableTuned(line, shards, tun)
-	if err != nil {
-		return nil, err
-	}
-	b := &Bucket{
-		line:    line,
-		reqDims: indexDims,
-		buckets: nbuckets,
-		bits:    kb,
-		tab:     tab,
-		cells:   make([]cellShard, tab.numShards()),
-	}
-	for i := range b.cells {
-		b.cells[i].cells = make(map[uint64][]*rowRef)
-	}
-	return b, nil
-}
-
-// Strategy implements Store.
-func (b *Bucket) Strategy() string { return "bucket" }
-
-// Shards returns the number of shards the store was built with.
-func (b *Bucket) Shards() int { return b.tab.numShards() }
-
-// ResidueWidth returns the packed residue storage width in bits.
-func (b *Bucket) ResidueWidth() int { return b.tab.residueWidth() }
-
-// Buckets returns the number of buckets per indexed coordinate.
-func (b *Bucket) Buckets() int64 { return b.buckets }
-
-// IndexDims returns the number of indexed coordinates (after clamping).
-func (b *Bucket) IndexDims() int {
-	if d := b.effDims.Load(); d != 0 {
-		return int(d)
-	}
-	return b.reqDims
-}
-
-// clampDims fixes the effective index depth once the record dimension is
-// known.
-func (b *Bucket) clampDims(dim int) {
-	if b.effDims.Load() != 0 {
-		return
-	}
-	d := b.reqDims
-	if d > dim {
-		d = dim
-	}
-	b.effDims.CompareAndSwap(0, int32(d))
-}
-
-// Len implements Store.
-func (b *Bucket) Len() int { return b.tab.size() }
-
-// Dimension implements Store.
-func (b *Bucket) Dimension() int { return b.tab.dimension() }
-
-// Insert implements Store.
-func (b *Bucket) Insert(rec *Record) error {
-	if err := validateRecord(rec); err != nil {
-		return err
-	}
-	bufp := getResBuf()
-	defer putResBuf(bufp)
-	res := residuesInto(*bufp, b.line, rec.Helper.Sketch.Sketch)
-	*bufp = res
-	ref, err := b.tab.insert(rec, res)
-	if err != nil {
-		return err
-	}
-	b.clampDims(len(res))
-	b.addCellRef(b.cellKey(res, int(b.effDims.Load())), ref)
-	return nil
-}
-
-// Delete implements Store.
-func (b *Bucket) Delete(id string) error {
-	ref, res, err := b.tab.delete(id)
-	if err != nil {
-		return err
-	}
-	b.removeCellRef(b.cellKey(res, int(b.effDims.Load())), ref)
-	return nil
-}
-
-// Replace implements Store. Ordering matters for lock safety and lookup
-// visibility: the row handle is published to the new template's cell first,
-// then the row is swapped in place under its table-shard write lock, and
-// only then is the handle removed from the old cell. probeCell acquires the
-// cell-shard lock before the table-shard lock, so Replace never holds a
-// table-shard lock while touching a cell; and because the handle is in both
-// cells across the swap, a concurrent Identify always finds whichever
-// template is live (a stale or duplicate cell entry is harmless — every
-// candidate is fully verified against the live residues under the
-// table-shard lock).
-func (b *Bucket) Replace(rec *Record) error {
-	if err := validateRecord(rec); err != nil {
-		return err
-	}
-	bufp := getResBuf()
-	defer putResBuf(bufp)
-	res := residuesInto(*bufp, b.line, rec.Helper.Sketch.Sketch)
-	*bufp = res
-	ref, ok := b.tab.refOf(rec.ID)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownID, rec.ID)
-	}
-	b.clampDims(len(res))
-	newKey := b.cellKey(res, int(b.effDims.Load()))
-	b.addCellRef(newKey, ref)
-	newRef, oldRes, err := b.tab.replace(rec, res)
-	if err != nil {
-		b.removeCellRef(newKey, ref)
-		return err
-	}
-	if newRef != ref {
-		// The row was deleted and re-inserted between refOf and replace
-		// (impossible under the journal seam, which serialises mutations,
-		// but raw stores make no such promise): drop the stale handle and
-		// index the live one.
-		b.removeCellRef(newKey, ref)
-		b.addCellRef(newKey, newRef)
-	}
-	oldKey := b.cellKey(oldRes, int(b.effDims.Load()))
-	// Remove exactly one occurrence of the handle from the old cell: the one
-	// the original insert (or a prior replace) published. When the key is
-	// unchanged this removes the duplicate just added, leaving one entry.
-	b.removeCellRef(oldKey, newRef)
-	return nil
-}
-
-// addCellRef publishes a row handle under the given cell key.
-func (b *Bucket) addCellRef(key uint64, ref *rowRef) {
-	cs := b.cellShardFor(key)
-	cs.mu.Lock()
-	cs.cells[key] = append(cs.cells[key], ref)
-	cs.mu.Unlock()
-}
-
-// removeCellRef removes one occurrence of ref from the given cell (no-op
-// when absent).
-func (b *Bucket) removeCellRef(key uint64, ref *rowRef) {
-	cs := b.cellShardFor(key)
-	cs.mu.Lock()
-	cell := cs.cells[key]
-	for i, cand := range cell {
-		if cand == ref {
-			cell[i] = cell[len(cell)-1]
-			cell[len(cell)-1] = nil
-			cs.cells[key] = cell[:len(cell)-1]
-			break
-		}
-	}
-	if len(cs.cells[key]) == 0 {
-		delete(cs.cells, key)
-	}
-	cs.mu.Unlock()
-}
-
-// All implements Store.
-func (b *Bucket) All() []*Record { return b.tab.all() }
-
-// Get implements Store.
-func (b *Bucket) Get(id string) (*Record, bool) { return b.tab.get(id) }
-
-// Identify implements Store.
-func (b *Bucket) Identify(probe *sketch.Sketch) (*Record, error) {
-	return b.IdentifyCtx(context.Background(), probe)
-}
-
-// IdentifyCtx implements Store.
-func (b *Bucket) IdentifyCtx(ctx context.Context, probe *sketch.Sketch) (*Record, error) {
-	if err := validateProbe(probe, b.tab.dimension()); err != nil {
-		return nil, err
-	}
-	bufp := getResBuf()
-	defer putResBuf(bufp)
-	res := residuesInto(*bufp, b.line, probe)
-	*bufp = res
-	return b.identifyRes(ctx, res)
-}
-
-// identifyRes runs the neighbour-cell walk for one probe's residues. It
-// probes the probe's own cell before the neighbours, since a genuine
-// probe's record lands there except when boundary coordinates shifted
-// bucket.
-func (b *Bucket) identifyRes(ctx context.Context, res []int64) (*Record, error) {
-	d := int(b.effDims.Load())
-	if d == 0 {
-		return nil, ErrNotFound // empty store
-	}
-	span, t := b.line.IntervalSpan(), b.line.Threshold()
-	var base, offs [maxIndexDims]int64
-	var center uint64
-	for i := 0; i < d; i++ {
-		base[i] = b.bucketOf(res[i])
-		offs[i] = -1
-		center |= uint64(base[i]) << (uint(i) * b.bits)
-	}
-	if rec := b.probeCell(center, res, span, t); rec != nil {
-		return rec, nil
-	}
-	for {
-		var key uint64
-		allZero := true
-		for i := 0; i < d; i++ {
-			if offs[i] != 0 {
-				allZero = false
-			}
-			bk := (base[i] + offs[i] + b.buckets) % b.buckets
-			key |= uint64(bk) << (uint(i) * b.bits)
-		}
-		if !allZero { // the centre cell was probed first
-			if rec := b.probeCell(key, res, span, t); rec != nil {
-				return rec, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		// Advance the offset vector through {-1, 0, 1}^d.
-		i := 0
-		for ; i < d; i++ {
-			offs[i]++
-			if offs[i] <= 1 {
-				break
-			}
-			offs[i] = -1
-		}
-		if i == d {
-			break
-		}
-	}
-	return nil, ErrNotFound
-}
-
-// probeCell early-exit-verifies every candidate row of one cell, taking the
-// candidate's own table-shard read lock around each row check — lookups
-// touch only the shards their candidates live in, so concurrent readers of
-// different shards never share a lock cache line. A handle that went stale
-// between cell read and row lock (swap-delete) is kept harmless by the
-// bounds check plus the full residue comparison: a relocated row either
-// fails the match or names a record that genuinely matches.
-func (b *Bucket) probeCell(key uint64, probe []int64, span, t int64) *Record {
-	cs := b.cellShardFor(key)
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	dim := len(probe)
-	cell := cs.cells[key]
-	for i := 0; i < len(cell); {
-		sh := &b.tab.shards[cell[i].shard]
-		// One lock round trip covers the run of consecutive candidates
-		// living in the same shard.
-		sh.mu.RLock()
-		for ; i < len(cell) && &b.tab.shards[cell[i].shard] == sh; i++ {
-			row := int(cell[i].row.Load())
-			if row >= 0 && row < len(sh.recs) {
-				if sh.mat.matchOne(row, dim, probe, span, t) {
-					rec := sh.recs[row]
-					sh.mu.RUnlock()
-					return rec
-				}
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return nil
-}
-
-// IdentifyBatch implements Store.
-func (b *Bucket) IdentifyBatch(probes []*sketch.Sketch) ([]*Record, error) {
-	dim := b.tab.dimension()
-	for i, p := range probes {
-		if err := validateProbe(p, dim); err != nil {
-			return nil, fmt.Errorf("probe %d: %w", i, err)
-		}
-	}
-	out := make([]*Record, len(probes))
-	if len(probes) == 0 || b.tab.size() == 0 {
-		return out, nil
-	}
-	bufp := getResBuf()
-	defer putResBuf(bufp)
-	for i, p := range probes {
-		res := residuesInto(*bufp, b.line, p)
-		*bufp = res
-		rec, err := b.identifyRes(context.Background(), res)
-		if err != nil && !errors.Is(err, ErrNotFound) {
-			return nil, err
-		}
-		out[i] = rec
-	}
-	return out, nil
-}
-
-// bucketOf maps a residue in [0, span) to its bucket in [0, buckets).
-func (b *Bucket) bucketOf(res int64) int64 {
-	span := b.line.IntervalSpan()
-	bk := res * b.buckets / span
-	if bk >= b.buckets {
-		bk = b.buckets - 1
-	}
-	return bk
-}
-
-// cellKey packs the bucket indices of the first dims coordinates into one
-// uint64 — the map key of the inverted index.
-func (b *Bucket) cellKey(res []int64, dims int) uint64 {
-	var key uint64
-	for i := 0; i < dims; i++ {
-		key |= uint64(b.bucketOf(res[i])) << (uint(i) * b.bits)
-	}
-	return key
-}
-
-// cellShardFor spreads packed keys across the cell shards.
-func (b *Bucket) cellShardFor(key uint64) *cellShard {
-	h := (key + 1) * 0x9E3779B97F4A7C15 // Fibonacci hashing; +1 mixes key 0
-	return &b.cells[(h>>33)%uint64(len(b.cells))]
-}
-
 func validateRecord(rec *Record) error {
 	if rec == nil || rec.Helper == nil || rec.Helper.Sketch == nil || rec.Helper.Sketch.Sketch == nil {
 		return ErrNilRecord
@@ -851,34 +395,16 @@ func validateRecord(rec *Record) error {
 	return nil
 }
 
-// ByStrategy constructs a store by name with the default shard count:
-// "scan", "bucket" or "sorted".
-func ByStrategy(name string, line *numberline.Line) (Store, error) {
-	return ByStrategyShards(name, line, 0)
-}
-
-// ByStrategyShards constructs a store by name with an explicit shard count
-// (shards < 1 selects the default; the sorted strategy is unsharded and
-// ignores it).
+// ByStrategyShards constructs the identification store with an explicit
+// shard count (shards < 1 selects the default). Scan is the only store; the
+// name survives because the benchmark harness pins this call with "bucket",
+// the retired default, so both "scan" and "bucket" return a Scan and every
+// other name is an error.
 func ByStrategyShards(name string, line *numberline.Line, shards int) (Store, error) {
-	return ByStrategyTuned(name, line, shards, Tuning{})
-}
-
-// ByStrategyTuned constructs a store by name with explicit scan-path tuning
-// (see Tuning). The sorted strategy keeps unpacked per-entry residues and
-// ignores the tuning.
-func ByStrategyTuned(name string, line *numberline.Line, shards int, tun Tuning) (Store, error) {
 	switch name {
-	case "scan":
-		return NewScanTuned(line, shards, tun)
-	case "bucket":
-		return NewBucketTuned(line, 0, shards, tun)
-	case "sorted":
-		return NewSorted(line), nil
+	case "scan", "bucket":
+		return NewScanShards(line, shards), nil
 	default:
 		return nil, fmt.Errorf("store: unknown strategy %q", name)
 	}
 }
-
-// Strategies lists the available lookup strategies.
-func Strategies() []string { return []string{"scan", "bucket", "sorted"} }

@@ -13,7 +13,8 @@ import (
 	"fuzzyid/internal/sketch"
 )
 
-// fixture bundles a fuzzy extractor, a biometric source and an empty store.
+// fixture bundles a fuzzy extractor, a biometric source and empty stores:
+// the production layout and the unpacked, unfiltered reference layout.
 type fixture struct {
 	fe     *core.FuzzyExtractor
 	src    *biometric.Source
@@ -34,11 +35,74 @@ func newFixture(t *testing.T, dim int, seed int64) *fixture {
 		fe:  fe,
 		src: src,
 		stores: map[string]Store{
-			"scan":   NewScan(fe.Line()),
-			"bucket": NewBucket(fe.Line(), 0),
-			"sorted": NewSorted(fe.Line()),
+			"scan":              NewScan(fe.Line()),
+			"scan-w64-nocoarse": mustScanTuned(t, fe.Line(), Tuning{ResidueWidth: Width64, NoCoarseFilter: true}),
 		},
 	}
+}
+
+func mustScanTuned(t *testing.T, line *numberline.Line, tun Tuning) *Scan {
+	t.Helper()
+	s, err := NewScanTuned(line, 0, tun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// matchRow is the reference condition check: every probe residue within
+// circular distance t of the row's. The packed matcher and the store's
+// Identify are both tested against it.
+func matchRow(row, probe []int64, span, t int64) bool {
+	for i, r := range row {
+		d := r - probe[i]
+		if d < 0 {
+			d = -d
+		}
+		if d > span-d {
+			d = span - d
+		}
+		if d > t {
+			return false
+		}
+	}
+	return true
+}
+
+// residues reduces a sketch's movements mod ka.
+func residues(line *numberline.Line, s *sketch.Sketch) []int64 {
+	span := line.IntervalSpan()
+	out := make([]int64, len(s.Movements))
+	for i, m := range s.Movements {
+		out[i] = (m%span + span) % span
+	}
+	return out
+}
+
+// oracleMatches is the brute-force identification oracle: the IDs of every
+// record in s.All() whose residues match the probe's.
+func oracleMatches(s Store, line *numberline.Line, probe *sketch.Sketch) map[string]bool {
+	span, t := line.IntervalSpan(), line.Threshold()
+	want := residues(line, probe)
+	out := make(map[string]bool)
+	for _, rec := range s.All() {
+		if matchRow(residues(line, rec.Helper.Sketch.Sketch), want, span, t) {
+			out[rec.ID] = true
+		}
+	}
+	return out
+}
+
+// checkOracle fails unless s.Identify(probe) returns a record the oracle
+// matches, or ErrNotFound when the oracle matches none.
+func checkOracle(t *testing.T, name string, s Store, line *numberline.Line, probe *sketch.Sketch) error {
+	t.Helper()
+	want := oracleMatches(s, line, probe)
+	rec, err := s.Identify(probe)
+	if len(want) == 0 && !errors.Is(err, ErrNotFound) || len(want) > 0 && (err != nil || !want[rec.ID]) {
+		t.Fatalf("%s: Identify = (%v, %v), oracle matches %v", name, rec, err, want)
+	}
+	return err
 }
 
 // enroll registers a user in every store and returns the record.
@@ -210,24 +274,17 @@ func TestIdentifyNearMissRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		probe := f.probe(t, reading)
-		scanRec, scanErr := f.stores["scan"].Identify(probe)
-		bucketRec, bucketErr := f.stores["bucket"].Identify(probe)
-		// Both strategies must agree.
-		if (scanErr == nil) != (bucketErr == nil) {
-			t.Fatalf("strategies disagree: scan=%v bucket=%v", scanErr, bucketErr)
-		}
-		if scanErr == nil && scanRec.ID != bucketRec.ID {
-			t.Fatalf("strategies identified different users")
-		}
-		if errors.Is(scanErr, ErrNotFound) {
-			rejected++
+		for name, s := range f.stores {
+			if errors.Is(checkOracle(t, name, s, f.fe.Line(), probe), ErrNotFound) {
+				rejected++
+			}
 		}
 	}
 	// The residue distance of the pushed coordinate is t+1 except in the
 	// measure-zero-ish case where interval identifiers realign; all trials
 	// must reject.
-	if rejected != trials {
-		t.Errorf("near-miss rejected in %d/%d trials", rejected, trials)
+	if want := trials * len(f.stores); rejected != want {
+		t.Errorf("near-miss rejected in %d/%d trials", rejected, want)
 	}
 }
 
@@ -255,8 +312,9 @@ func TestIdentifyEmptyStore(t *testing.T) {
 	}
 }
 
-// TestStrategiesAgreeOnRandomWorkload cross-validates the bucket index
-// against the plain scan on a mixed workload of genuine and impostor probes.
+// TestStrategiesAgreeOnRandomWorkload checks every store layout against the
+// brute-force oracle on a mixed workload of genuine and impostor probes,
+// before and after deleting a third of the population.
 func TestStrategiesAgreeOnRandomWorkload(t *testing.T) {
 	f := newFixture(t, 32, 11)
 	users := f.src.Population(100)
@@ -264,7 +322,16 @@ func TestStrategiesAgreeOnRandomWorkload(t *testing.T) {
 		f.enroll(t, u)
 	}
 	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 100; trial++ {
+	for trial := 0; trial < 200; trial++ {
+		if trial == 100 {
+			for _, u := range users[:len(users)/3] {
+				for _, s := range f.stores {
+					if err := s.Delete(u.ID); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
 		var reading numberline.Vector
 		var err error
 		if rng.Intn(2) == 0 {
@@ -276,32 +343,25 @@ func TestStrategiesAgreeOnRandomWorkload(t *testing.T) {
 			reading = f.src.ImpostorReading()
 		}
 		probe := f.probe(t, reading)
-		recScan, errScan := f.stores["scan"].Identify(probe)
-		recBucket, errBucket := f.stores["bucket"].Identify(probe)
-		if (errScan == nil) != (errBucket == nil) {
-			t.Fatalf("trial %d: scan err=%v bucket err=%v", trial, errScan, errBucket)
-		}
-		if errScan == nil && recScan.ID != recBucket.ID {
-			t.Fatalf("trial %d: scan=%s bucket=%s", trial, recScan.ID, recBucket.ID)
+		for name, s := range f.stores {
+			checkOracle(t, fmt.Sprintf("trial %d %s", trial, name), s, f.fe.Line(), probe)
 		}
 	}
 }
 
+// TestBucketParameters pins the coarse filter's bucket sizing on the paper
+// line, and its clamp to a record dimension below the field count, where
+// identification must still work.
 func TestBucketParameters(t *testing.T) {
 	line, err := numberline.New(numberline.PaperParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBucket(line, 0)
-	if b.IndexDims() != DefaultIndexDims {
-		t.Errorf("IndexDims = %d", b.IndexDims())
+	// span=400, t=100 -> 4 buckets of 2 key bits, so 32 summarised fields.
+	if c := coarseParamsFor(line, 64, false); !c.enabled || c.buckets != 4 || c.fields != 32 {
+		t.Errorf("coarse params at dim 64 = %+v", c)
 	}
-	// span=400, t=100 -> 4 buckets.
-	if b.Buckets() != 4 {
-		t.Errorf("Buckets = %d, want 4", b.Buckets())
-	}
-	// IndexDims clamps to the record dimension.
-	b2 := NewBucket(line, 10)
+	s := NewScan(line)
 	fe := core.MustNew(core.Params{Line: numberline.PaperParams()})
 	src := biometric.MustNewSource(fe.Line(), biometric.Paper(3), 13)
 	u := src.NewUser("u")
@@ -309,13 +369,12 @@ func TestBucketParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b2.Insert(&Record{ID: "u", PublicKey: []byte("pk"), Helper: helper}); err != nil {
+	if err := s.Insert(&Record{ID: "u", PublicKey: []byte("pk"), Helper: helper}); err != nil {
 		t.Fatal(err)
 	}
-	if b2.IndexDims() != 3 {
-		t.Errorf("clamped IndexDims = %d, want 3", b2.IndexDims())
+	if got := s.tab.coarse.fields; got != 3 {
+		t.Errorf("clamped coarse fields = %d, want 3", got)
 	}
-	// And identification still works at tiny dimension.
 	reading, err := src.GenuineReading(u)
 	if err != nil {
 		t.Fatal(err)
@@ -324,28 +383,48 @@ func TestBucketParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := b2.Identify(probe)
+	rec, err := s.Identify(probe)
 	if err != nil || rec.ID != "u" {
 		t.Errorf("Identify = (%v, %v)", rec, err)
 	}
 }
 
+// TestByStrategy pins the surface the benchmark harness calls: "bucket" (the
+// retired default) and "scan" both build a working sharded scan store, and
+// any other name is an error.
 func TestByStrategy(t *testing.T) {
-	line, err := numberline.New(numberline.PaperParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range Strategies() {
-		s, err := ByStrategy(name, line)
-		if err != nil || s.Strategy() != name {
-			t.Errorf("ByStrategy(%q) = (%v, %v)", name, s, err)
+	f := newFixture(t, 32, 18)
+	users := f.src.Population(5)
+	for _, name := range []string{"bucket", "scan"} {
+		s, err := ByStrategyShards(name, f.fe.Line(), 0)
+		if err != nil {
+			t.Fatalf("ByStrategyShards(%q): %v", name, err)
+		}
+		scan, ok := s.(*Scan)
+		if !ok || scan.tab.numShards() < 2 {
+			t.Fatalf("ByStrategyShards(%q) = %T, want a sharded *Scan", name, s)
+		}
+		for _, u := range users {
+			_, helper, err := f.fe.Gen(u.Template)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Insert(&Record{ID: u.ID, PublicKey: []byte("pk"), Helper: helper}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reading, err := f.src.GenuineReading(users[3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := s.Identify(f.probe(t, reading)); err != nil || rec.ID != users[3].ID {
+			t.Errorf("%s: Identify = (%v, %v)", name, rec, err)
 		}
 	}
-	if _, err := ByStrategy("btree", line); err == nil {
-		t.Error("unknown strategy accepted")
-	}
-	if got := len(Strategies()); got != 3 {
-		t.Errorf("Strategies() has %d entries", got)
+	for _, name := range []string{"sorted", "btree"} {
+		if _, err := ByStrategyShards(name, f.fe.Line(), 0); err == nil {
+			t.Errorf("ByStrategyShards(%q) accepted", name)
+		}
 	}
 }
 
@@ -399,33 +478,6 @@ func TestDelete(t *testing.T) {
 		if err := s.Insert(&Record{ID: victim.ID, PublicKey: []byte("pk2"), Helper: helper}); err != nil {
 			t.Errorf("%s re-enroll after delete: %v", name, err)
 		}
-	}
-}
-
-func TestSortedOrderMaintained(t *testing.T) {
-	line, err := numberline.New(numberline.PaperParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSorted(line)
-	fe := core.MustNew(core.Params{Line: numberline.PaperParams()})
-	src := biometric.MustNewSource(fe.Line(), biometric.Paper(8), 17)
-	for i := 0; i < 50; i++ {
-		usr := src.NewUser(userID(i))
-		_, helper, err := fe.Gen(usr.Template)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Insert(&Record{ID: usr.ID, PublicKey: []byte("pk"), Helper: helper}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	prev := int64(-1)
-	for _, e := range s.entries {
-		if e.res[0] < prev {
-			t.Fatal("entries not sorted by first residue")
-		}
-		prev = e.res[0]
 	}
 }
 
@@ -483,19 +535,6 @@ func TestConcurrentInsertAndIdentify(t *testing.T) {
 	}
 }
 
-func TestScanStrategyName(t *testing.T) {
-	line, err := numberline.New(numberline.PaperParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := NewScan(line).Strategy(); got != "scan" {
-		t.Errorf("Strategy = %q", got)
-	}
-	if got := NewBucket(line, 0).Strategy(); got != "bucket" {
-		t.Errorf("Strategy = %q", got)
-	}
-}
-
 func TestLargePopulationIdentifyAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -521,10 +560,4 @@ func TestLargePopulationIdentifyAll(t *testing.T) {
 			}
 		}
 	}
-}
-
-func ExampleScan_strategy() {
-	line, _ := numberline.New(numberline.PaperParams())
-	fmt.Println(NewScan(line).Strategy())
-	// Output: scan
 }

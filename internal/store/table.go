@@ -11,20 +11,18 @@ import (
 	"fuzzyid/internal/sketch"
 )
 
-// This file implements the sharded flat residue table shared by the Scan and
-// Bucket stores. Records are partitioned into P independent shards by a hash
-// of their ID; each shard guards its state with its own RWMutex, so
-// concurrent reads never touch the same lock cache line and an insert or
-// delete contends only with operations on the same shard.
+// This file implements the sharded flat residue table behind the Scan
+// store. Records are partitioned into P independent shards by a hash of
+// their ID; each shard guards its state with its own RWMutex, so concurrent
+// reads never touch the same lock cache line and an insert or delete
+// contends only with operations on the same shard.
 //
 // Within a shard the precomputed mod-ka residues live in one flat row-major
 // matrix packed to the narrowest width that holds the span (see packed.go),
 // with a parallel record slice and a parallel per-row coarse summary word,
 // so the early-exit scan of conditions (1)-(4) walks contiguous memory
-// instead of chasing a pointer per record. Deletion swap-removes the row;
-// every row is tracked by a stable *rowRef handle whose position is updated
-// atomically under the shard write lock, which is what lets the Bucket store
-// keep references to rows in its cell index without a second lock order.
+// instead of chasing a pointer per record. Deletion swap-removes the row
+// and re-points the moved record's ID at its new position.
 
 // defaultShards picks the shard count for stores built without an explicit
 // one: the scheduler's parallelism, but at least 4 so sharding stays
@@ -44,9 +42,9 @@ func defaultShards() int {
 // cost constant per-shard overhead on every Identify.
 const maxShards = 64
 
-// Tuning carries the debug/measurement overrides for the scan path. The
-// zero value selects production behaviour: automatic (narrowest safe)
-// residue width and the coarse pre-filter on.
+// Tuning selects a non-production packed layout for tests that compare
+// layouts. The zero value is production behaviour: automatic (narrowest
+// safe) residue width and the coarse pre-filter on.
 type Tuning struct {
 	// ResidueWidth forces the packed matrix storage width: 0 (automatic
 	// from the line span), or one of Width16/Width32/Width64. An explicit
@@ -57,23 +55,14 @@ type Tuning struct {
 	NoCoarseFilter bool
 }
 
-// rowRef is a stable handle to one stored row. shard never changes; row is
-// updated (under the owning shard's write lock) when a swap-delete relocates
-// the row, and set to -1 when the row is removed.
-type rowRef struct {
-	shard int32
-	row   atomic.Int32
-}
-
 // tableShard is one shard of the residue table.
 type tableShard struct {
 	mu     sync.RWMutex
 	mat    resMatrix // packed flat row-major residue matrix; nil until first insert
 	coarse []uint64  // per-row coarse summary keys, parallel to recs
 	recs   []*Record
-	refs   []*rowRef // parallel handles; refs[i].row == i under mu
-	seqs   []uint64  // insertion sequence numbers, for stable All()
-	byID   map[string]*rowRef
+	seqs   []uint64       // insertion sequence numbers, for stable All()
+	byID   map[string]int // row of each record; byID[recs[i].ID] == i
 }
 
 // resTable is the sharded flat residue store.
@@ -88,15 +77,6 @@ type resTable struct {
 	coarse coarseParams // sized at dimension adoption; valid once dim != 0
 	seq    atomic.Uint64
 	count  atomic.Int64
-}
-
-func newResTable(line *numberline.Line, shards int) *resTable {
-	t, err := newResTableTuned(line, shards, Tuning{})
-	if err != nil {
-		// Unreachable: the zero Tuning always resolves.
-		panic(err)
-	}
-	return t
 }
 
 func newResTableTuned(line *numberline.Line, shards int, tun Tuning) (*resTable, error) {
@@ -117,13 +97,13 @@ func newResTableTuned(line *numberline.Line, shards int, tun Tuning) (*resTable,
 		noCoarse: tun.NoCoarseFilter,
 	}
 	for i := range t.shards {
-		t.shards[i].byID = make(map[string]*rowRef)
+		t.shards[i].byID = make(map[string]int)
 	}
 	return t, nil
 }
 
 // shardFor maps an ID to its owning shard (FNV-1a).
-func (t *resTable) shardFor(id string) int32 {
+func (t *resTable) shardFor(id string) int {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -133,18 +113,12 @@ func (t *resTable) shardFor(id string) int32 {
 		h ^= uint64(id[i])
 		h *= prime64
 	}
-	return int32(h % uint64(len(t.shards)))
+	return int(h % uint64(len(t.shards)))
 }
 
 func (t *resTable) numShards() int { return len(t.shards) }
 
 func (t *resTable) size() int { return int(t.count.Load()) }
-
-// residueWidth returns the resolved packed storage width in bits.
-func (t *resTable) residueWidth() int { return t.width }
-
-// coarseEnabled reports whether scans consult the coarse pre-filter.
-func (t *resTable) coarseEnabled() bool { return t.coarse.enabled }
 
 // dimension returns the adopted record dimension (0 while empty). The value
 // is monotone: once set it never changes, so a lock-free read is safe.
@@ -176,118 +150,90 @@ func (t *resTable) adoptDimension(n int) error {
 	return nil
 }
 
-// insert stores rec with its precomputed residues and returns the stable row
-// handle. res is copied; the caller may reuse its buffer.
-func (t *resTable) insert(rec *Record, res []int64) (*rowRef, error) {
+// insert stores rec with its precomputed residues. res is copied; the caller
+// may reuse its buffer.
+func (t *resTable) insert(rec *Record, res []int64) error {
 	if err := t.adoptDimension(len(res)); err != nil {
-		return nil, err
+		return err
 	}
 	key := t.coarse.keyOf(res)
-	si := t.shardFor(rec.ID)
-	sh := &t.shards[si]
+	sh := &t.shards[t.shardFor(rec.ID)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.byID[rec.ID]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateID, rec.ID)
+		return fmt.Errorf("%w: %q", ErrDuplicateID, rec.ID)
 	}
 	if sh.mat == nil {
 		sh.mat = newMatrix(t.width)
 	}
-	ref := &rowRef{shard: si}
-	ref.row.Store(int32(len(sh.recs)))
+	sh.byID[rec.ID] = len(sh.recs)
 	sh.mat.appendRow(res)
 	sh.coarse = append(sh.coarse, key)
 	sh.recs = append(sh.recs, rec)
-	sh.refs = append(sh.refs, ref)
 	sh.seqs = append(sh.seqs, t.seq.Add(1))
-	sh.byID[rec.ID] = ref
 	t.count.Add(1)
-	return ref, nil
+	return nil
 }
 
 func (t *resTable) get(id string) (*Record, bool) {
 	sh := &t.shards[t.shardFor(id)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ref, ok := sh.byID[id]
+	row, ok := sh.byID[id]
 	if !ok {
 		return nil, false
 	}
-	return sh.recs[ref.row.Load()], true
-}
-
-// refOf returns the stable row handle for id, for an index layered on top
-// that must publish the handle before mutating the row (Bucket.Replace).
-func (t *resTable) refOf(id string) (*rowRef, bool) {
-	sh := &t.shards[t.shardFor(id)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	ref, ok := sh.byID[id]
-	return ref, ok
+	return sh.recs[row], true
 }
 
 // replace overwrites id's record and residues in place under the owning
-// shard's write lock, keeping the row's handle, position and insertion
-// sequence. Readers therefore always observe a consistent (residues, record)
-// pair — entirely the old template or entirely the new one, never a mix. It
-// returns the row's stable handle and a copy of the old residues so an index
-// layered on top (Bucket) can migrate its references.
-func (t *resTable) replace(rec *Record, res []int64) (*rowRef, []int64, error) {
+// shard's write lock, keeping the row's position and insertion sequence.
+// Readers therefore always observe a consistent (residues, record) pair —
+// entirely the old template or entirely the new one, never a mix.
+func (t *resTable) replace(rec *Record, res []int64) error {
 	if err := t.adoptDimension(len(res)); err != nil {
-		return nil, nil, err
+		return err
 	}
 	key := t.coarse.keyOf(res)
 	sh := &t.shards[t.shardFor(rec.ID)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ref, ok := sh.byID[rec.ID]
+	row, ok := sh.byID[rec.ID]
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownID, rec.ID)
+		return fmt.Errorf("%w: %q", ErrUnknownID, rec.ID)
 	}
-	row := int(ref.row.Load())
-	old := make([]int64, len(res))
-	sh.mat.copyRow(old, row, len(res))
 	sh.mat.setRow(row, res)
 	sh.coarse[row] = key
 	sh.recs[row] = rec
-	return ref, old, nil
+	return nil
 }
 
-// delete removes id, swap-filling the hole with the shard's last row. It
-// returns the removed row's handle and a copy of its residues so an index
-// layered on top (Bucket) can clean up its references.
-func (t *resTable) delete(id string) (*rowRef, []int64, error) {
+// delete removes id, swap-filling the hole with the shard's last row.
+func (t *resTable) delete(id string) error {
 	sh := &t.shards[t.shardFor(id)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ref, ok := sh.byID[id]
+	row, ok := sh.byID[id]
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownID, id)
+		return fmt.Errorf("%w: %q", ErrUnknownID, id)
 	}
 	dim := int(t.dim.Load())
-	row := int(ref.row.Load())
-	res := make([]int64, dim)
-	sh.mat.copyRow(res, row, dim)
 	last := len(sh.recs) - 1
 	if row != last {
 		sh.mat.moveRow(row, last, dim)
 		sh.coarse[row] = sh.coarse[last]
 		sh.recs[row] = sh.recs[last]
-		sh.refs[row] = sh.refs[last]
 		sh.seqs[row] = sh.seqs[last]
-		sh.refs[row].row.Store(int32(row))
+		sh.byID[sh.recs[row].ID] = row
 	}
 	sh.mat.truncate(last, dim)
 	sh.coarse = sh.coarse[:last]
 	sh.recs[last] = nil
 	sh.recs = sh.recs[:last]
-	sh.refs[last] = nil
-	sh.refs = sh.refs[:last]
 	sh.seqs = sh.seqs[:last]
 	delete(sh.byID, id)
-	ref.row.Store(-1)
 	t.count.Add(-1)
-	return ref, res, nil
+	return nil
 }
 
 // all snapshots every record in insertion order (by sequence number).
@@ -311,28 +257,6 @@ func (t *resTable) all() []*Record {
 		out[i] = r.rec
 	}
 	return out
-}
-
-// matchRow runs the early-exit condition check of the probe residues against
-// one unpacked (int64) row. It is the reference implementation the packed
-// block-vectorized matchPacked is property-tested against, and the live path
-// for the Sorted strategy's per-entry slices. The expected number of
-// comparisons per non-matching row is geometric (< 1/(1-q) with
-// q = (2t+1)/ka), so the loop almost always exits on the first coordinate.
-func matchRow(row, probe []int64, span, t int64) bool {
-	for i, r := range row {
-		d := r - probe[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > span-d {
-			d = span - d
-		}
-		if d > t {
-			return false
-		}
-	}
-	return true
 }
 
 // resBufPool recycles probe-residue buffers so a steady-state Identify does

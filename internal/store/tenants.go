@@ -79,7 +79,7 @@ type TenantView struct {
 }
 
 // TenantFactory builds the backing store for a named tenant: the in-memory
-// strategy, optionally wrapped behind the journal seam (WAL, replication
+// store, optionally wrapped behind the journal seam (WAL, replication
 // hub). The returned closer (may be nil) releases the tenant's resources —
 // it is called when the tenant is dropped and when the registry resets.
 type TenantFactory func(name string) (Store, func() error, error)

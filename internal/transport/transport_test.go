@@ -37,7 +37,7 @@ func newWorld(t *testing.T, dim int, seed int64) *world {
 	return &world{
 		fe:     fe,
 		src:    src,
-		proto:  protocol.NewServer(fe, scheme, store.NewBucket(fe.Line(), 0)),
+		proto:  protocol.NewServer(fe, scheme, store.NewScan(fe.Line())),
 		device: protocol.NewDevice(fe, scheme),
 	}
 }
