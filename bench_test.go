@@ -422,6 +422,17 @@ func BenchmarkIdentifyNoMatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// A genuine probe of an enrolled user must still resolve, so a filter
+		// that rejects true matches fails here, not only in the tests.
+		member := users[n/2]
+		memberReading, err := src.GenuineReading(member)
+		if err != nil {
+			b.Fatal(err)
+		}
+		memberProbe, err := fe.SketchOnly(memberReading)
+		if err != nil {
+			b.Fatal(err)
+		}
 		variants := []struct {
 			name string
 			tun  store.Tuning
@@ -440,6 +451,9 @@ func BenchmarkIdentifyNoMatch(b *testing.B) {
 					if err := db.Insert(rec); err != nil {
 						b.Fatal(err)
 					}
+				}
+				if rec, err := db.Identify(memberProbe); err != nil || rec.ID != member.ID {
+					b.Fatalf("enrolled user not identified: (%v, %v)", rec, err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"fuzzyid/internal/numberline"
 	"fuzzyid/internal/sketch"
 )
 
@@ -192,6 +193,43 @@ func TestIdentifyBatchValidation(t *testing.T) {
 	}
 }
 
+// TestWrongDimensionIdentifyRacesFirstInsert races the first insert into a
+// fresh store against Identify and IdentifyBatch with a probe far longer
+// than the record, whose leading residues equal the record's so the coarse
+// filter admits it. While the store is empty the probe's length cannot be
+// checked, so the scan must not slice rows at it once the insert lands: the
+// only acceptable answers are a miss and ErrBadProbe.
+func TestWrongDimensionIdentifyRacesFirstInsert(t *testing.T) {
+	line := numberline.MustNew(numberline.PaperParams())
+	movements := []int64{3, -50, 120, 7, -199, 0, 64, 150}
+	long := &sketch.Sketch{Movements: make([]int64, 1000)}
+	copy(long.Movements, movements)
+	rec := rawRecord("u", movements)
+	for iter := 0; iter < 500; iter++ {
+		s := NewScanShards(line, 1)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := s.Insert(rec); err != nil {
+				t.Error(err)
+			}
+		}()
+		for k := 0; k < 4; k++ {
+			if _, err := s.Identify(long); !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrBadProbe) {
+				t.Errorf("iteration %d: Identify err = %v", iter, err)
+			}
+			if recs, err := s.IdentifyBatch([]*sketch.Sketch{long}); err != nil && !errors.Is(err, ErrBadProbe) || err == nil && recs[0] != nil {
+				t.Errorf("iteration %d: IdentifyBatch = (%v, %v)", iter, recs, err)
+			}
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+	}
+}
+
 func TestIdentifyCtxCancelled(t *testing.T) {
 	f := newFixture(t, 32, 24)
 	users := f.src.Population(20)
@@ -242,18 +280,18 @@ func TestScanParallelPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := residues(line, f.probe(t, reading))
-		rec, err := s.identifyParallel(context.Background(), res, span, tt, s.tab.probeFilter(res))
+		rec, err := s.identifyParallel(context.Background(), res, span, tt, s.tab.coarse.probe(res))
 		if err != nil || rec.ID != u.ID {
 			t.Fatalf("parallel Identify(%s) = (%v, %v)", u.ID, rec, err)
 		}
 	}
 	impRes := residues(line, f.probe(t, f.src.ImpostorReading()))
-	if _, err := s.identifyParallel(context.Background(), impRes, span, tt, s.tab.probeFilter(impRes)); !errors.Is(err, ErrNotFound) {
+	if _, err := s.identifyParallel(context.Background(), impRes, span, tt, s.tab.coarse.probe(impRes)); !errors.Is(err, ErrNotFound) {
 		t.Errorf("parallel impostor err = %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.identifyParallel(ctx, impRes, span, tt, s.tab.probeFilter(impRes)); !errors.Is(err, context.Canceled) {
+	if _, err := s.identifyParallel(ctx, impRes, span, tt, s.tab.coarse.probe(impRes)); !errors.Is(err, context.Canceled) {
 		t.Errorf("parallel cancelled err = %v", err)
 	}
 }

@@ -33,7 +33,9 @@ import (
 //     leading residues, checked before the row is touched at all. A probe
 //     admits a row only if every summarised coordinate lies in the same or
 //     an adjacent circular bucket, so a random (open-set) probe rejects all
-//     but ~(3/B)^F of rows after reading just 8 bytes per row.
+//     but ~(3/B)^F of rows after reading just 8 bytes per row. B is a power
+//     of two, so all F coordinates are tested at once by one branch-free
+//     lane-wise (SWAR) word expression per row.
 
 // resWord is the set of storage widths a residue matrix can pack to.
 type resWord interface {
@@ -208,12 +210,12 @@ func (m *matrix[T]) scanRange(lo, hi, dim int, probe []int64, span, t int64, coa
 
 // Coarse pre-filter sizing limits.
 const (
-	// maxCoarseBuckets caps buckets per summarised coordinate so the
-	// per-coordinate allowed set fits a uint16 bitmask.
+	// maxCoarseBuckets caps buckets per summarised coordinate at 4-bit key
+	// lanes, which still summarise 16 coordinates.
 	maxCoarseBuckets = 16
 	// minCoarseBuckets is the floor below which the filter is vacuous: with
-	// B < 4 every bucket is its own neighbour's neighbour, so the allowed
-	// mask admits everything.
+	// B < 4 a bucket and its two neighbours are every bucket, so the filter
+	// admits everything.
 	minCoarseBuckets = 4
 	// maxCoarseFields bounds the summarised coordinates: 64 key bits at a
 	// minimum of 2 bits per coordinate.
@@ -231,13 +233,20 @@ const (
 // based bucket width would break this at the ring seam whenever span is not
 // a multiple of the width). Neighbour admission then can never reject a true
 // match; see the equivalence and soundness tests in packed_test.go.
+//
+// B is a power of two, so a key field is a bits-wide lane whose arithmetic
+// wraps mod 2^bits = B, the ring of buckets: admit tests every lane in one
+// word expression. high and bit0 mark each summarised lane's top bit and
+// bit 0; upper marks its bits 2 and above (none when lanes are 2 bits).
 type coarseParams struct {
 	enabled bool
-	buckets int64  // B: buckets per summarised coordinate
-	bits    uint   // key bits per coordinate
-	mask    uint64 // (1 << bits) - 1
-	fields  int    // F: summarised coordinates (leading F of each row)
+	buckets int64 // B = 2^bits: buckets per summarised coordinate
+	bits    uint  // key bits per coordinate
+	fields  int   // F: summarised coordinates (leading F of each row)
 	span    int64
+	high    uint64
+	bit0    uint64
+	upper   uint64
 }
 
 // coarseParamsFor sizes the filter for a line and record dimension.
@@ -253,22 +262,16 @@ func coarseParamsFor(line *numberline.Line, dim int, disabled bool) coarseParams
 	if b < minCoarseBuckets {
 		return coarseParams{}
 	}
-	kb := uint(bits.Len64(uint64(b - 1)))
-	f := 64 / int(kb)
-	if f > maxCoarseFields {
-		f = maxCoarseFields
+	kb := uint(bits.Len64(uint64(b))) - 1 // round B down to 2^kb: arcs only widen
+	f := min(64/int(kb), maxCoarseFields, dim)
+	c := coarseParams{enabled: true, buckets: 1 << kb, bits: kb, fields: f, span: span}
+	for i := 0; i < f; i++ {
+		lane := uint(i) * kb
+		c.high |= 1 << (lane + kb - 1)
+		c.bit0 |= 1 << lane
+		c.upper |= (1<<kb - 4) << lane
 	}
-	if f > dim {
-		f = dim
-	}
-	return coarseParams{
-		enabled: true,
-		buckets: b,
-		bits:    kb,
-		mask:    uint64(1)<<kb - 1,
-		fields:  f,
-		span:    span,
-	}
+	return c
 }
 
 // keyOf packs the bucket indices of the row's leading fields coordinates
@@ -284,42 +287,49 @@ func (c coarseParams) keyOf(res []int64) uint64 {
 	return key
 }
 
-// coarseProbe is the probe-side admission test: per summarised coordinate, a
-// bitmask of the probe's own bucket and its two circular neighbours. It is
-// plain value state (no pointers) so Identify can keep it on the stack.
+// coarseProbe is the probe-side admission test, five words wide: a row
+// bucket k is within ±1 of the probe bucket b (mod B) exactly when the lane
+// difference z = (k - (b-1)) mod B is 0, 1 or 2. subLow and subTop split
+// the per-lane (b-1) mod B around the lane top bits (subLow = sub &^ high,
+// subTop = ^sub & high) for the borrow-free lane subtraction. It is plain
+// value state (no pointers) so Identify can keep it on the stack.
 type coarseProbe struct {
 	enabled bool
-	fields  int
-	bits    uint
-	mask    uint64
-	allowed [maxCoarseFields]uint16
+	high    uint64
+	subLow  uint64
+	subTop  uint64
+	bit0    uint64
+	upper   uint64
 }
 
-// probe builds the admission masks for one probe's residues.
+// probe builds the admission words for one probe's residues.
 func (c coarseParams) probe(res []int64) coarseProbe {
-	var cp coarseProbe
 	if !c.enabled {
-		return cp
+		return coarseProbe{}
 	}
-	cp.enabled, cp.fields, cp.bits, cp.mask = true, c.fields, c.bits, c.mask
+	var sub uint64
 	for i := 0; i < c.fields; i++ {
 		b := res[i] * c.buckets / c.span
-		lo := (b - 1 + c.buckets) % c.buckets
-		hi := (b + 1) % c.buckets
-		cp.allowed[i] = 1<<uint(b) | 1<<uint(lo) | 1<<uint(hi)
+		sub |= uint64((b-1+c.buckets)%c.buckets) << (uint(i) * c.bits)
 	}
-	return cp
+	return coarseProbe{
+		enabled: true,
+		high:    c.high,
+		subLow:  sub &^ c.high,
+		subTop:  ^sub & c.high,
+		bit0:    c.bit0,
+		upper:   c.upper,
+	}
 }
 
 // admit reports whether a row with the given summary key can possibly match
 // the probe. False means provably no match; true means the full row check
-// must run.
+// must run. Every lane is tested at once: z is the lane-wise key - sub mod B
+// (setting each lane's top bit on the minuend and clearing it on the
+// subtrahend stops borrows at lane boundaries; the xor restores the top
+// bits), and a lane fails when z >= 4 (a bit at 2 or above) or z == 3
+// (bits 0 and 1). Bits outside the summarised lanes are never examined.
 func (cp *coarseProbe) admit(key uint64) bool {
-	for i := 0; i < cp.fields; i++ {
-		if cp.allowed[i]>>(key&cp.mask)&1 == 0 {
-			return false
-		}
-		key >>= cp.bits
-	}
-	return true
+	z := ((key | cp.high) - cp.subLow) ^ ((key ^ cp.subTop) & cp.high)
+	return z&(cp.upper|z>>1&cp.bit0) == 0
 }

@@ -24,13 +24,16 @@ type sweepLine struct {
 
 // sweepLines covers: all three storage widths (including the 16-bit
 // boundary span), the coarse filter at its smallest (B=4) and largest
-// (B=16) sizing, a span/t ratio that auto-disables the filter, t=0, and a
-// span past maxCoarseSpan that trips the overflow guard. Dimensions are
-// chosen to exercise both the full blocks and the scalar tail of
-// matchPacked (dim % matchBlock != 0).
+// (B=16) sizing, span/t ratios of 5 and 13 that round B down to a power of
+// two, a span/t ratio that auto-disables the filter, t=0, and a span past
+// maxCoarseSpan that trips the overflow guard. Dimensions are chosen to
+// exercise both the full blocks and the scalar tail of matchPacked (dim %
+// matchBlock != 0), and dimensions past the field count F.
 func sweepLines() []sweepLine {
 	return []sweepLine{
 		{"w16-paper-B4", numberline.Params{A: 100, K: 4, V: 500, T: 100}, 19},
+		{"w16-ratio5-B4", numberline.Params{A: 100, K: 4, V: 500, T: 70}, 35},
+		{"w16-ratio13-B8", numberline.Params{A: 100, K: 4, V: 500, T: 30}, 23},
 		{"w16-ratio-disables", numberline.Params{A: 10, K: 2, V: 10, T: 9}, 8},
 		{"w16-t0-B16", numberline.Params{A: 100, K: 2, V: 5, T: 0}, 33},
 		{"w16-boundary", numberline.Params{A: 16384, K: 2, V: 2, T: 100}, 12},
@@ -86,7 +89,7 @@ func refMatches(rows map[string][]int64, probe []int64, span, t int64) map[strin
 // path, coarse filter included — the same code Identify runs.
 func tableMatches(tab *resTable, probe []int64) map[string]bool {
 	span, t := tab.line.IntervalSpan(), tab.line.Threshold()
-	cp := tab.probeFilter(probe)
+	cp := tab.coarse.probe(probe)
 	dim := len(probe)
 	out := make(map[string]bool)
 	for si := range tab.shards {
@@ -251,6 +254,112 @@ func TestCoarseFilterSoundness(t *testing.T) {
 			cp := c.probe(probe)
 			if !cp.admit(c.keyOf(row)) {
 				t.Fatalf("%s: coarse filter rejected a true match (row %v, probe %v)", sl.name, row, probe)
+			}
+		}
+	}
+}
+
+// admitRef is the per-field admission loop that the lane-wise admit
+// replaced, kept as its reference: per summarised coordinate, a bitmask of
+// the probe's bucket and its two circular neighbours, tested against the
+// row's key field.
+func admitRef(c coarseParams, probe []int64, key uint64) bool {
+	mask := uint64(1)<<c.bits - 1
+	for i := 0; i < c.fields; i++ {
+		b := probe[i] * c.buckets / c.span
+		allowed := uint16(1<<uint(b) | 1<<uint((b-1+c.buckets)%c.buckets) | 1<<uint((b+1)%c.buckets))
+		if allowed>>(key&mask)&1 == 0 {
+			return false
+		}
+		key >>= c.bits
+	}
+	return true
+}
+
+// TestAdmitMatchesReference pins admit to admitRef on every sweep line with
+// a live filter, over keys whose fields mostly sit within one bucket of the
+// probe's (so both verdicts occur), uniform random keys, and junk in the key
+// bits past the summarised lanes.
+func TestAdmitMatchesReference(t *testing.T) {
+	for _, sl := range sweepLines() {
+		line := numberline.MustNew(sl.params)
+		c := coarseParamsFor(line, sl.dim, false)
+		if !c.enabled {
+			continue
+		}
+		span := line.IntervalSpan()
+		rng := rand.New(rand.NewSource(13))
+		var admitted, rejected int
+		for iter := 0; iter < 20000; iter++ {
+			probe := randRow(rng, sl.dim, span)
+			key := rng.Uint64()
+			if iter%2 == 0 {
+				key <<= uint(c.fields) * c.bits
+				for i := 0; i < c.fields; i++ {
+					k := rng.Int63n(c.buckets)
+					if rng.Intn(8) != 0 {
+						k = mod(probe[i]*c.buckets/span+rng.Int63n(3)-1, c.buckets)
+					}
+					key |= uint64(k) << (uint(i) * c.bits)
+				}
+			}
+			cp := c.probe(probe)
+			got, want := cp.admit(key), admitRef(c, probe, key)
+			if got != want {
+				t.Fatalf("%s: admit(%#x) = %v, reference %v (probe %v)", sl.name, key, got, want, probe)
+			}
+			if want {
+				admitted++
+			} else {
+				rejected++
+			}
+		}
+		if admitted == 0 || rejected == 0 {
+			t.Errorf("%s: one-sided sample: %d admitted, %d rejected", sl.name, admitted, rejected)
+		}
+	}
+}
+
+// TestAdmitLaneExhaustive pins admit to admitRef, and both to the ±1
+// circular-neighbour rule, for every (probe bucket, row bucket) pair at
+// B = 4, 8 and 16 on the first, a middle and the last summarised lane — the
+// ring seam included. The other lanes hold varied buckets that admit, and
+// the key bits past the lanes are tried clear and set (at B = 8 that is the
+// unused 64th bit of 21 3-bit lanes).
+func TestAdmitLaneExhaustive(t *testing.T) {
+	for _, buckets := range []int64{4, 8, 16} {
+		line := numberline.MustNew(numberline.Params{A: 100, K: 4, V: 500, T: 400 / buckets})
+		c := coarseParamsFor(line, 64, false)
+		if !c.enabled || c.buckets != buckets {
+			t.Fatalf("B=%d: coarse params %+v", buckets, c)
+		}
+		span := line.IntervalSpan()
+		lowest := func(b int64) int64 { return (b*span + c.buckets - 1) / c.buckets } // smallest residue in bucket b
+		for _, lane := range []int{0, c.fields / 2, c.fields - 1} {
+			for pb := int64(0); pb < c.buckets; pb++ {
+				for rb := int64(0); rb < c.buckets; rb++ {
+					for _, junk := range []uint64{0, ^uint64(0) << (uint(c.fields) * c.bits)} {
+						probe := make([]int64, c.fields)
+						key := junk
+						for i := range probe {
+							b := int64(i) % c.buckets
+							k := mod(b+int64(i%3)-1, c.buckets)
+							if i == lane {
+								b, k = pb, rb
+							}
+							probe[i] = lowest(b)
+							key |= uint64(k) << (uint(i) * c.bits)
+						}
+						d := mod(rb-pb, c.buckets)
+						near := d <= 1 || d == c.buckets-1
+						cp := c.probe(probe)
+						got, want := cp.admit(key), admitRef(c, probe, key)
+						if got != want || want != near {
+							t.Fatalf("B=%d lane %d probe bucket %d row bucket %d junk %#x: admit %v, reference %v, neighbour %v",
+								buckets, lane, pb, rb, junk, got, want, near)
+						}
+					}
+				}
 			}
 		}
 	}

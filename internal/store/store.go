@@ -6,9 +6,11 @@
 // reduce to a per-coordinate circular-distance test modulo the interval
 // span ka (Theorem 2; see internal/sketch). Scan, the one Store
 // implementation, is an early-exit linear scan over pre-computed residues:
-// each non-matching record is rejected after a geometric number of integer
-// comparisons (expected < 1/(1-q) with q = (2t+1)/ka), so the cost per
-// enrolled user is a few nanoseconds — negligible next to one signature.
+// almost every non-matching record is rejected by one branch-free word test
+// of its coarse key, and the few the key admits after a geometric number
+// of integer comparisons (expected < 1/(1-q) with q = (2t+1)/ka), so the
+// cost per enrolled user is about a nanosecond — negligible next to one
+// signature.
 // The *cryptographic* cost of identification is one Rep and one signature
 // regardless of the database size — the paper's constant-cost claim —
 // while the normal approach of Fig. 2 pays one Rep per enrolled user. The
@@ -21,8 +23,9 @@
 // narrowest integer width that holds the interval span ka (see packed.go),
 // so the early-exit scan streams a quarter of the bytes the naive int64
 // layout would; a per-row coarse summary of the bucketed leading residues is
-// checked before each row so an open-set (no-match) probe rejects almost
-// every row after reading 8 bytes. Probe residue buffers are pooled — a
+// checked before each row, all of its fields in one lane-wise word
+// expression, so an open-set (no-match) probe rejects almost every row after
+// reading 8 bytes. Probe residue buffers are pooled — a
 // steady-state Identify performs zero heap allocations. Large scans fan out
 // across the shards with first-match cancellation (IdentifyCtx), and
 // IdentifyBatch amortises residue computation and lock acquisition across a
@@ -212,15 +215,23 @@ func (s *Scan) Identify(probe *sketch.Sketch) (*Record, error) {
 
 // IdentifyCtx implements Store.
 func (s *Scan) IdentifyCtx(ctx context.Context, probe *sketch.Sketch) (*Record, error) {
-	if err := validateProbe(probe, s.tab.dimension()); err != nil {
+	// dim is read once: a first insert landing after validation must not
+	// leave the scan slicing rows at an unchecked probe length. While dim is
+	// 0 no row exists (insert adopts the dimension before storing the first
+	// row), so a miss is the linearizable answer.
+	dim := s.tab.dimension()
+	if err := validateProbe(probe, dim); err != nil {
 		return nil, err
+	}
+	if dim == 0 {
+		return nil, ErrNotFound
 	}
 	bufp := getResBuf()
 	defer putResBuf(bufp)
 	res := residuesInto(*bufp, s.line, probe)
 	*bufp = res
 	span, t := s.line.IntervalSpan(), s.line.Threshold()
-	cp := s.tab.probeFilter(res)
+	cp := s.tab.coarse.probe(res) // published before the non-zero dim read above
 	if s.tab.size() >= scanParallelRows && s.tab.numShards() > 1 && runtime.GOMAXPROCS(0) > 1 {
 		return s.identifyParallel(ctx, res, span, t, cp)
 	}
@@ -237,18 +248,6 @@ func (s *Scan) IdentifyCtx(ctx context.Context, probe *sketch.Sketch) (*Record, 
 		return nil, err
 	}
 	return nil, ErrNotFound
-}
-
-// probeFilter builds the coarse admission masks for one probe. The filter
-// parameters are published by the dim store in adoptDimension, so they may
-// be read only after observing a non-zero dimension (the atomic load pairs
-// with that release store); while the table is empty the zero (disabled)
-// probe is returned, which admits every row.
-func (t *resTable) probeFilter(res []int64) coarseProbe {
-	if t.dim.Load() == 0 {
-		return coarseProbe{}
-	}
-	return t.coarse.probe(res)
 }
 
 // scanShardSeq walks one shard's packed matrix with per-block early exit,
@@ -336,7 +335,8 @@ func (j *scanJob) scanShard(si int) {
 }
 
 // IdentifyBatch implements Store. Residues are computed once per probe and
-// every shard lock is taken once for the whole batch.
+// every shard lock is taken once for the whole batch. As in IdentifyCtx, the
+// dimension is read once and an empty store answers all-nil.
 func (s *Scan) IdentifyBatch(probes []*sketch.Sketch) ([]*Record, error) {
 	dim := s.tab.dimension()
 	for i, p := range probes {
@@ -345,16 +345,15 @@ func (s *Scan) IdentifyBatch(probes []*sketch.Sketch) ([]*Record, error) {
 		}
 	}
 	out := make([]*Record, len(probes))
-	if len(probes) == 0 || s.tab.size() == 0 {
+	if len(probes) == 0 || dim == 0 {
 		return out, nil
 	}
 	span, t := s.line.IntervalSpan(), s.line.Threshold()
-	pdim := len(probes[0].Movements)
-	resAll := make([]int64, len(probes)*pdim)
+	resAll := make([]int64, len(probes)*dim)
 	cps := make([]coarseProbe, len(probes))
 	for i, p := range probes {
-		residuesInto(resAll[i*pdim:i*pdim:(i+1)*pdim], s.line, p)
-		cps[i] = s.tab.probeFilter(resAll[i*pdim : (i+1)*pdim])
+		residuesInto(resAll[i*dim:i*dim:(i+1)*dim], s.line, p)
+		cps[i] = s.tab.coarse.probe(resAll[i*dim : (i+1)*dim])
 	}
 	remaining := len(probes)
 	for si := range s.tab.shards {
@@ -364,7 +363,7 @@ func (s *Scan) IdentifyBatch(probes []*sketch.Sketch) ([]*Record, error) {
 			if out[pi] != nil {
 				continue
 			}
-			probeRes := resAll[pi*pdim : (pi+1)*pdim]
+			probeRes := resAll[pi*dim : (pi+1)*dim]
 			rec, _ := scanShardSeq(context.Background(), sh, probeRes, span, t, cps[pi])
 			if rec != nil {
 				out[pi] = rec

@@ -69,6 +69,16 @@ func matchRow(row, probe []int64, span, t int64) bool {
 	return true
 }
 
+// rawRecord builds a record straight from sketch movements, for tests that
+// choose residues directly instead of enrolling a template.
+func rawRecord(id string, movements []int64) *Record {
+	return &Record{
+		ID:        id,
+		PublicKey: []byte("pk"),
+		Helper:    &core.HelperData{Sketch: &sketch.RobustSketch{Sketch: &sketch.Sketch{Movements: movements}}},
+	}
+}
+
 // residues reduces a sketch's movements mod ka.
 func residues(line *numberline.Line, s *sketch.Sketch) []int64 {
 	span := line.IntervalSpan()
@@ -360,6 +370,22 @@ func TestBucketParameters(t *testing.T) {
 	// span=400, t=100 -> 4 buckets of 2 key bits, so 32 summarised fields.
 	if c := coarseParamsFor(line, 64, false); !c.enabled || c.buckets != 4 || c.fields != 32 {
 		t.Errorf("coarse params at dim 64 = %+v", c)
+	}
+	// B rounds span/t down to a power of two: span/t = 5 keeps 2-bit lanes,
+	// span/t = 13 takes 3-bit lanes, 21 of which fit the key.
+	for _, c := range []struct {
+		t, buckets int64
+		bits       uint
+		fields     int
+	}{
+		{t: 70, buckets: 4, bits: 2, fields: 32},
+		{t: 30, buckets: 8, bits: 3, fields: 21},
+	} {
+		l := numberline.MustNew(numberline.Params{A: 100, K: 4, V: 500, T: c.t})
+		got := coarseParamsFor(l, 64, false)
+		if !got.enabled || got.buckets != c.buckets || got.bits != c.bits || got.fields != c.fields {
+			t.Errorf("t=%d: coarse params %+v, want B=%d bits=%d F=%d", c.t, got, c.buckets, c.bits, c.fields)
+		}
 	}
 	s := NewScan(line)
 	fe := core.MustNew(core.Params{Line: numberline.PaperParams()})
