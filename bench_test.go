@@ -100,6 +100,22 @@ func BenchmarkTable2Rep(b *testing.B) {
 	}
 }
 
+// BenchmarkTable2Sketch is the device's identify step: the plain probe
+// sketch SketchOnly at n = 5000.
+func BenchmarkTable2Sketch(b *testing.B) {
+	fe, err := core.New(core.PaperParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := benchVector(b, fe.Line(), 5000, 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fe.SketchOnly(x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- §VII verification mode: protocol latency vs dimension n -------------
 
 func BenchmarkFig4Verification(b *testing.B) {

@@ -19,6 +19,8 @@ package numberline
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // Common parameter-validation errors. They are exported so that callers can
@@ -61,6 +63,11 @@ func PaperParams() Params {
 
 // Validate reports whether the parameters describe a well-formed line.
 func (p Params) Validate() error {
+	// Guard against int64 overflow of the ring size and of the distance
+	// arithmetic (which may add two in-range values). Both products are
+	// bounded by division before either is formed, so a wrapped k*a can
+	// neither pass the threshold check nor size the ring.
+	const maxRing = int64(1) << 61
 	switch {
 	case p.A <= 0:
 		return ErrUnitNotPositive
@@ -68,15 +75,10 @@ func (p Params) Validate() error {
 		return ErrUnitsOdd
 	case p.V <= 1:
 		return ErrIntervalCount
+	case p.A > maxRing/p.K || p.A*p.K > maxRing/p.V:
+		return ErrOverflow
 	case p.T < 0 || p.T >= p.K*p.A/2:
 		return ErrThresholdRange
-	}
-	// Guard against int64 overflow of the ring size and of the distance
-	// arithmetic (which may add two in-range values).
-	const maxRing = int64(1) << 61
-	iw := p.A * p.K
-	if iw <= 0 || iw > maxRing/p.V {
-		return ErrOverflow
 	}
 	return nil
 }
@@ -88,6 +90,11 @@ type Line struct {
 	ringSize     int64 // k*a*v, the total number of points
 	halfInterval int64 // k*a/2, distance from interval edge to identifier
 	halfRing     int64 // k*a*v/2, the largest point on the line
+	// spanRecip is ceil(2^64 / ka) when kav < 2^32, letting EdgeOffset
+	// reduce modulo ka with two multiplies instead of a division (Lemire,
+	// Kaser & Kurz, "Faster Remainder by Direct Computation", 2019). It is
+	// zero on larger rings, where EdgeOffset falls back to %.
+	spanRecip uint64
 }
 
 // New validates p and constructs the corresponding line.
@@ -97,13 +104,17 @@ func New(p Params) (*Line, error) {
 	}
 	iw := p.A * p.K
 	ring := iw * p.V
-	return &Line{
+	l := &Line{
 		params:       p,
 		intervalSpan: iw,
 		ringSize:     ring,
 		halfInterval: iw / 2,
 		halfRing:     ring / 2,
-	}, nil
+	}
+	if ring < 1<<32 {
+		l.spanRecip = math.MaxUint64/uint64(iw) + 1
+	}
+	return l, nil
 }
 
 // MustNew is New for parameters known to be valid at program start-up, such
@@ -139,8 +150,17 @@ func (l *Line) Max() int64 { return l.halfRing }
 func (l *Line) Contains(x int64) bool { return x > -l.halfRing && x <= l.halfRing }
 
 // Normalize reduces an arbitrary integer onto the line's canonical
-// representative range (-kav/2, kav/2] using ring arithmetic.
+// representative range (-kav/2, kav/2] using ring arithmetic. A point
+// already on the line is returned as is.
 func (l *Line) Normalize(x int64) int64 {
+	if l.Contains(x) {
+		return x
+	}
+	return l.reduce(x)
+}
+
+// reduce is Normalize for a point off the canonical range.
+func (l *Line) reduce(x int64) int64 {
 	r := x % l.ringSize
 	if r <= -l.halfRing {
 		r += l.ringSize
@@ -148,6 +168,24 @@ func (l *Line) Normalize(x int64) int64 {
 		r -= l.ringSize
 	}
 	return r
+}
+
+// EdgeOffset returns (x + kav/2) mod ka for a canonical point x (one with
+// Contains(x); Normalize others first): how far x lies to the right of the
+// interval edge at or before it, in [0, ka). It is 0 exactly at interval
+// edges and ka/2 at identifiers, so x's signed offset from its interval's
+// identifier is EdgeOffset(x) - ka/2. Every interval computation of the
+// line and of the Chebyshev sketch is built on this one reduction.
+func (l *Line) EdgeOffset(x int64) int64 {
+	// n is in [1, kav]; the edge kav ≡ 0 (mod ka) maps to 0 like the rest.
+	n := uint64(x + l.halfRing)
+	if l.spanRecip != 0 {
+		// n < 2^32 and ka < 2^32: the fractional part of n/ka, scaled by
+		// 2^64, times ka, is exactly n mod ka in the high word.
+		hi, _ := bits.Mul64(l.spanRecip*n, uint64(l.intervalSpan))
+		return int64(hi)
+	}
+	return int64(n % uint64(l.intervalSpan))
 }
 
 // Add returns x + d on the ring.
@@ -175,24 +213,15 @@ func (l *Line) Dist(x, y int64) int64 {
 // for them the function returns the interval to the point's right and
 // offset -k*a/2, and boundary == true.
 func (l *Line) IntervalIndex(x int64) (idx int64, offset int64, boundary bool) {
+	// Interval j covers the open range (j*ka, (j+1)*ka) of x + kav/2, whose
+	// edges are the multiples of ka; the edge at kav is the one at 0.
 	x = l.Normalize(x)
-	// Shift so the line starts at 0: u in [0, kav).
-	u := x + l.halfRing - 1 // Min maps to 0
-	// Interval j covers the open range (j*ka, (j+1)*ka) in the shifted
-	// coordinate system where edges are at multiples of ka. In the
-	// canonical system, edges are the points congruent to -kav/2 (mod ka),
-	// i.e. shifted coordinate u+1 divisible by ka.
-	shifted := u + 1 // in [1, kav]
-	if shifted == l.ringSize {
-		shifted = 0
+	u := l.EdgeOffset(x)
+	idx = (x + l.halfRing - u) / l.intervalSpan
+	if idx == l.params.V {
+		idx = 0
 	}
-	idx = shifted / l.intervalSpan
-	within := shifted % l.intervalSpan
-	if within == 0 {
-		return idx, -l.halfInterval, true
-	}
-	offset = within - l.halfInterval
-	return idx, offset, false
+	return idx, u - l.halfInterval, u == 0
 }
 
 // Identifier returns the identifier (midpoint) of interval idx in [0, v).
@@ -207,27 +236,24 @@ func (l *Line) Identifier(idx int64) int64 {
 // choice is made by the coin argument (false = left identifier, true =
 // right), implementing special cases 1 and 2 of the sketch algorithm.
 func (l *Line) NearestIdentifier(x int64, coin bool) (id, movement int64) {
-	idx, offset, boundary := l.IntervalIndex(x)
-	if boundary {
-		if coin {
-			// Move right: the interval to the point's right is idx.
-			id = l.Identifier(idx)
-			return id, l.halfInterval
-		}
-		// Move left: previous interval on the ring.
-		prev := (idx - 1 + l.params.V) % l.params.V
-		id = l.Identifier(prev)
-		return id, -l.halfInterval
+	x = l.Normalize(x)
+	movement = l.Movement(l.EdgeOffset(x), coin)
+	return l.Add(x, movement), movement
+}
+
+// Movement returns the sketch movement of a point whose EdgeOffset is u:
+// ka/2 - u, the signed step to its interval's identifier. At an edge
+// (u == 0) the coin picks the direction: true moves right by ka/2, false
+// moves left by ka/2. The coin is ignored everywhere else.
+func (l *Line) Movement(u int64, coin bool) int64 {
+	if u == 0 && !coin {
+		return -l.halfInterval
 	}
-	id = l.Identifier(idx)
-	return id, -offset
+	return l.halfInterval - u
 }
 
 // IsBoundary reports whether x is an interval edge (belongs to no interval).
-func (l *Line) IsBoundary(x int64) bool {
-	_, _, b := l.IntervalIndex(x)
-	return b
-}
+func (l *Line) IsBoundary(x int64) bool { return l.EdgeOffset(l.Normalize(x)) == 0 }
 
 // ContainingIdentifier returns the identifier of the interval containing x
 // and the circular distance from x to that identifier. For boundary points
@@ -235,8 +261,9 @@ func (l *Line) IsBoundary(x int64) bool {
 // recovery procedure of the paper rejects them regardless of which side is
 // reported; we report the right-hand interval.
 func (l *Line) ContainingIdentifier(x int64) (id, dist int64) {
-	idx, offset, _ := l.IntervalIndex(x)
-	id = l.Identifier(idx)
+	x = l.Normalize(x)
+	offset := l.EdgeOffset(x) - l.halfInterval
+	id = l.Add(x, -offset)
 	if offset < 0 {
 		return id, -offset
 	}

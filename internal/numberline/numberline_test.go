@@ -39,6 +39,11 @@ func TestParamsValidate(t *testing.T) {
 		{name: "threshold at half interval", give: Params{A: 1, K: 4, V: 8, T: 2}, want: ErrThresholdRange},
 		{name: "threshold above half interval", give: Params{A: 100, K: 4, V: 8, T: 200}, want: ErrThresholdRange},
 		{name: "overflow", give: Params{A: 1 << 40, K: 1 << 10, V: 1 << 20, T: 1}, want: ErrOverflow},
+		// k*a wraps to 4 in int64, which once passed both the threshold
+		// check and the ring-size guard.
+		{name: "overflow wrapped span", give: Params{A: 1<<62 + 1, K: 4, V: 500, T: 1}, want: ErrOverflow},
+		{name: "overflow span alone", give: Params{A: 1 << 61, K: 2, V: 2, T: 1}, want: ErrOverflow},
+		{name: "largest ring", give: Params{A: 1 << 58, K: 2, V: 4, T: 1}, want: nil},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -50,6 +55,47 @@ func TestParamsValidate(t *testing.T) {
 				t.Errorf("New() error = %v, want %v", newErr, tt.want)
 			}
 		})
+	}
+}
+
+// TestEdgeOffsetReduction searches random lines for a point where
+// EdgeOffset's multiply-high reduction (rings below 2^32) or its % fallback
+// (larger rings) disagrees with a plain (x + kav/2) mod ka, and pins where
+// the fast path switches on.
+func TestEdgeOffsetReduction(t *testing.T) {
+	for _, c := range []struct {
+		p    Params
+		fast bool
+	}{
+		{PaperParams(), true},
+		{Params{A: 3, K: 2, V: 715827882, T: 1}, true}, // kav = 2^32 - 4
+		{Params{A: 1, K: 4, V: 1 << 30, T: 1}, false},  // kav = 2^32
+	} {
+		if got := testLine(t, c.p).spanRecip != 0; got != c.fast {
+			t.Errorf("%v: multiply-high path = %v, want %v", c.p, got, c.fast)
+		}
+	}
+	rng := rand.New(rand.NewSource(36))
+	for i := 0; i < 400; i++ {
+		a := 1 + rng.Int63n(1<<uint(rng.Intn(31)))
+		k := 2 * (1 + rng.Int63n(3))
+		maxV := int64(1<<32-1) / (a * k) // fast path for the first half
+		if i%2 == 1 {
+			maxV = (int64(1) << 61) / (a * k)
+		}
+		if maxV < 2 {
+			continue
+		}
+		l := testLine(t, Params{A: a, K: k, V: 2 + rng.Int63n(maxV-1), T: 0})
+		xs := []int64{l.Min(), l.Min() + 1, -1, 0, 1, l.Max() - 1, l.Max()}
+		for j := 0; j < 200; j++ {
+			xs = append(xs, l.Min()+rng.Int63n(l.RingSize()))
+		}
+		for _, x := range xs {
+			if got, want := l.EdgeOffset(x), (x+l.halfRing)%l.intervalSpan; got != want {
+				t.Fatalf("%v: EdgeOffset(%d) = %d, want %d", l.params, x, got, want)
+			}
+		}
 	}
 }
 

@@ -92,16 +92,16 @@ func (c *Chebyshev) Sketch(x numberline.Vector) (*Sketch, error) {
 	}
 	movements := make([]int64, len(x))
 	for i, xi := range x {
+		u := c.line.EdgeOffset(xi)
 		coin := false
-		if c.line.IsBoundary(xi) {
+		if u == 0 {
 			b, err := flipCoin(c.coins)
 			if err != nil {
 				return nil, fmt.Errorf("sketch coin flip: %w", err)
 			}
 			coin = b
 		}
-		_, mv := c.line.NearestIdentifier(xi, coin)
-		movements[i] = mv
+		movements[i] = c.line.Movement(u, coin)
 	}
 	return &Sketch{Movements: movements}, nil
 }
@@ -109,6 +109,10 @@ func (c *Chebyshev) Sketch(x numberline.Vector) (*Sketch, error) {
 // Recover implements Rec(y, s): shift y by the recorded movements, locate
 // the containing interval identifiers, reject if any coordinate lands more
 // than t away from its identifier, and undo the movements.
+//
+// Per coordinate this is one reduction. With w = y + s and offset =
+// EdgeOffset(w) - ka/2 the signed offset of w from its identifier id, the
+// paper's output id - s equals w - offset - s = y - offset on the ring.
 func (c *Chebyshev) Recover(y numberline.Vector, s *Sketch) (numberline.Vector, error) {
 	if err := c.line.ValidateVector(y); err != nil {
 		return nil, fmt.Errorf("recover input: %w", err)
@@ -120,14 +124,14 @@ func (c *Chebyshev) Recover(y numberline.Vector, s *Sketch) (numberline.Vector, 
 		return nil, fmt.Errorf("%w: vector %d vs sketch %d", ErrDimensionMismatch, len(y), len(s.Movements))
 	}
 	t := c.line.Threshold()
+	half := c.line.IntervalSpan() / 2
 	z := make(numberline.Vector, len(y))
 	for i, yi := range y {
-		shifted := c.line.Add(yi, s.Movements[i])
-		id, dist := c.line.ContainingIdentifier(shifted)
-		if dist > t {
-			return nil, fmt.Errorf("coordinate %d: distance %d > t=%d: %w", i, dist, t, ErrNotClose)
+		offset := c.line.EdgeOffset(c.line.Add(yi, s.Movements[i])) - half
+		if offset > t || offset < -t {
+			return nil, fmt.Errorf("coordinate %d: distance %d > t=%d: %w", i, abs64(offset), t, ErrNotClose)
 		}
-		z[i] = c.line.Sub(id, s.Movements[i])
+		z[i] = c.line.Add(yi, -offset)
 	}
 	return z, nil
 }
@@ -225,15 +229,20 @@ func (c *Chebyshev) ResidueDist(a, b int64) int64 {
 	return circularDist(a, b, c.line.IntervalSpan())
 }
 
-// EncodeForHash renders a vector and a sketch into a canonical byte string
-// for the robust wrapper's digest H(x, s). The encoding is
-// length-prefixed big-endian int64s and is injective.
-func EncodeForHash(x numberline.Vector, s *Sketch) []byte {
-	buf := make([]byte, 0, 8*(2+len(x)+len(s.Movements)))
-	var tmp [8]byte
+// writeForHash writes the canonical encoding of a vector and a sketch, the
+// input of the robust wrapper's digest H(x, s): length-prefixed big-endian
+// int64s, which is injective. It streams through a fixed buffer, so hashing
+// an n = 5000 pair never builds the 80 KB encoding.
+func writeForHash(w io.Writer, x numberline.Vector, s *Sketch) {
+	var buf [1024]byte
+	n := 0
 	put := func(v int64) {
-		binary.BigEndian.PutUint64(tmp[:], uint64(v))
-		buf = append(buf, tmp[:]...)
+		if n == len(buf) {
+			w.Write(buf[:])
+			n = 0
+		}
+		binary.BigEndian.PutUint64(buf[n:], uint64(v))
+		n += 8
 	}
 	put(int64(len(x)))
 	for _, xi := range x {
@@ -243,7 +252,7 @@ func EncodeForHash(x numberline.Vector, s *Sketch) []byte {
 	for _, si := range s.Movements {
 		put(si)
 	}
-	return buf
+	w.Write(buf[:n])
 }
 
 func circularDist(a, b, modulus int64) int64 {

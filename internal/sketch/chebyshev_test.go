@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -317,17 +318,49 @@ func TestSketchCloneIndependent(t *testing.T) {
 	}
 }
 
+func encodeForHash(x numberline.Vector, s *Sketch) []byte {
+	var b bytes.Buffer
+	writeForHash(&b, x, s)
+	return b.Bytes()
+}
+
+// TestEncodeForHashInjective checks the streamed digest encoding: it is
+// length-prefixed big-endian int64s whatever the buffer boundaries, and
+// therefore injective.
 func TestEncodeForHashInjective(t *testing.T) {
 	// Distinct (x, s) pairs with identical concatenations must encode
 	// differently thanks to the length prefixes.
-	a := EncodeForHash(numberline.Vector{1, 2}, &Sketch{Movements: []int64{3}})
-	b := EncodeForHash(numberline.Vector{1}, &Sketch{Movements: []int64{2, 3}})
+	a := encodeForHash(numberline.Vector{1, 2}, &Sketch{Movements: []int64{3}})
+	b := encodeForHash(numberline.Vector{1}, &Sketch{Movements: []int64{2, 3}})
 	if bytes.Equal(a, b) {
-		t.Error("EncodeForHash collided on shifted split")
+		t.Error("encoding collided on shifted split")
 	}
-	c := EncodeForHash(numberline.Vector{1, 2}, &Sketch{Movements: []int64{3}})
+	c := encodeForHash(numberline.Vector{1, 2}, &Sketch{Movements: []int64{3}})
 	if !bytes.Equal(a, c) {
-		t.Error("EncodeForHash not deterministic")
+		t.Error("encoding not deterministic")
+	}
+	// Lengths around and across the writer's buffer flushes encode exactly
+	// as the flat layout.
+	rng := rand.New(rand.NewSource(34))
+	for _, n := range []int{0, 1, 126, 127, 128, 129, 255, 256, 300} {
+		x := make(numberline.Vector, n)
+		m := make([]int64, n/2+1)
+		for i := range x {
+			x[i] = rng.Int63() - rng.Int63()
+		}
+		for i := range m {
+			m[i] = rng.Int63() - rng.Int63()
+		}
+		var want []byte
+		for _, part := range [][]int64{x, m} {
+			want = binary.BigEndian.AppendUint64(want, uint64(len(part)))
+			for _, v := range part {
+				want = binary.BigEndian.AppendUint64(want, uint64(v))
+			}
+		}
+		if got := encodeForHash(x, &Sketch{Movements: m}); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: streamed encoding differs from the flat layout", n)
+		}
 	}
 }
 

@@ -1,18 +1,21 @@
 package sketch
 
 import (
+	"errors"
 	"testing"
 
 	"fuzzyid/internal/numberline"
 )
 
 // FuzzRecover feeds adversarial probe vectors and sketch movements to the
-// recovery procedure. Invariants: no panic; any successful recovery returns
-// a vector on the line whose shifted coordinates sit within t of an
-// interval identifier.
+// recovery procedure. Invariants: no panic; the verdict, the recovered
+// vector and the error text agree with the reference Add →
+// ContainingIdentifier → Sub chain; any successful recovery returns a
+// vector on the line whose shifted coordinates sit on interval identifiers.
 func FuzzRecover(f *testing.F) {
 	line := numberline.MustNew(numberline.Params{A: 3, K: 4, V: 6, T: 2})
 	c := NewChebyshev(line)
+	ref := newRefLine(line.Params())
 	f.Add(int64(0), int64(0), int64(1), int64(-1))
 	f.Add(int64(35), int64(-35), int64(6), int64(-6))
 	f.Add(int64(999), int64(-999), int64(999), int64(-999))
@@ -20,6 +23,32 @@ func FuzzRecover(f *testing.F) {
 		y := numberline.Vector{y0, y1}
 		s := &Sketch{Movements: []int64{m0, m1}}
 		z, err := c.Recover(y, s)
+		if line.ValidateVector(y) == nil {
+			var want numberline.Vector
+			var werr error
+			for _, m := range s.Movements { // Rec validates the whole sketch first
+				if m < -ref.half || m > ref.half {
+					werr = ErrInvalidSketch
+				}
+			}
+			if werr == nil {
+				for i := range y {
+					var zi int64
+					if zi, werr = ref.recover(i, y[i], s.Movements[i]); werr != nil {
+						break
+					}
+					want = append(want, zi)
+				}
+			}
+			switch {
+			case werr == nil && (err != nil || !z.Equal(want)):
+				t.Fatalf("Recover(%v, %v) = (%v, %v), reference %v", y, s.Movements, z, err, want)
+			case errors.Is(werr, ErrInvalidSketch) && !errors.Is(err, ErrInvalidSketch):
+				t.Fatalf("Recover(%v, %v) err = %v, want ErrInvalidSketch", y, s.Movements, err)
+			case errors.Is(werr, ErrNotClose) && (err == nil || err.Error() != werr.Error()):
+				t.Fatalf("Recover(%v, %v) err = %v, reference %v", y, s.Movements, err, werr)
+			}
+		}
 		if err != nil {
 			return
 		}

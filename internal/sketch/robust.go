@@ -63,10 +63,16 @@ func (r *Robust) Sketch(x numberline.Vector) (*RobustSketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RobustSketch{
-		Sketch: inner,
-		Digest: sha256.Sum256(EncodeForHash(x, inner)),
-	}, nil
+	return &RobustSketch{Sketch: inner, Digest: digest(x, inner)}, nil
+}
+
+// digest computes h = H(x, s) = SHA-256 of the canonical encoding of (x, s).
+func digest(x numberline.Vector, s *Sketch) [DigestSize]byte {
+	h := sha256.New()
+	writeForHash(h, x, s) // a hash.Hash Write never fails
+	var d [DigestSize]byte
+	h.Sum(d[:0])
+	return d
 }
 
 // Recover implements the robust Rec: x' <- Rec'(y, s'); reject unless
@@ -79,7 +85,7 @@ func (r *Robust) Recover(y numberline.Vector, rs *RobustSketch) (numberline.Vect
 	if err != nil {
 		return nil, err
 	}
-	want := sha256.Sum256(EncodeForHash(x, rs.Sketch))
+	want := digest(x, rs.Sketch)
 	if subtle.ConstantTimeCompare(want[:], rs.Digest[:]) != 1 {
 		return nil, ErrTampered
 	}

@@ -3,10 +3,12 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"fuzzyid/internal/numberline"
+	"fuzzyid/internal/sketch"
 )
 
 // This file property-tests the packed residue matrix of packed.go against
@@ -493,6 +495,31 @@ func TestResBufHint(t *testing.T) {
 		t.Fatalf("pooled buffer cap %d after adopting dim 5000", cap(*b))
 	}
 	putResBuf(b)
+}
+
+// TestResiduesMatchModulo checks residuesInto's conditional +ka against a
+// full mod-ka reduction: every legal movement, the illegal band out to
+// ±2ka, and the int64 extremes, on an even and an odd-a line.
+func TestResiduesMatchModulo(t *testing.T) {
+	for _, p := range []numberline.Params{
+		numberline.PaperParams(),
+		{A: 3, K: 2, V: 5, T: 1},
+	} {
+		line := numberline.MustNew(p)
+		span := line.IntervalSpan()
+		var mv []int64
+		for m := -2 * span; m <= 2*span; m++ {
+			mv = append(mv, m)
+		}
+		mv = append(mv, math.MinInt64, math.MinInt64+1, math.MaxInt64, -span*1000-1)
+		res := residuesInto(nil, line, &sketch.Sketch{Movements: mv})
+		for i, m := range mv {
+			want := (m%span + span) % span
+			if res[i] != want {
+				t.Fatalf("%v: residue of %d = %d, want %d", p, m, res[i], want)
+			}
+		}
+	}
 }
 
 // FuzzMatchPacked cross-checks the packed block-vectorized matcher against

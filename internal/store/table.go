@@ -304,14 +304,22 @@ func getResBuf() *[]int64 {
 func putResBuf(b *[]int64) { resBufPool.Put(b) }
 
 // residuesInto appends the mod-ka residues of the sketch movements to
-// buf[:0] and returns the (possibly grown) slice.
+// buf[:0] and returns the (possibly grown) slice. A legal movement lies in
+// [-ka/2, ka/2] and needs one conditional +ka; only a movement outside
+// [-ka, ka) pays for the full reduction.
 func residuesInto(buf []int64, line *numberline.Line, s *sketch.Sketch) []int64 {
 	span := line.IntervalSpan()
 	buf = buf[:0]
 	for _, m := range s.Movements {
-		r := m % span
+		r := m
 		if r < 0 {
 			r += span
+		}
+		if uint64(r) >= uint64(span) {
+			r = m % span
+			if r < 0 {
+				r += span
+			}
 		}
 		buf = append(buf, r)
 	}

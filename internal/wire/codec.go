@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Limits enforced while decoding.
@@ -91,11 +92,15 @@ func (e *Encoder) VarBytes(v []byte) {
 // String appends a length-prefixed string.
 func (e *Encoder) String(v string) { e.VarBytes([]byte(v)) }
 
-// Int64Slice appends a length-prefixed slice of int64.
+// Int64Slice appends a length-prefixed slice of int64. The buffer grows
+// once and the values are written in place.
 func (e *Encoder) Int64Slice(v []int64) {
 	e.Uint32(uint32(len(v)))
-	for _, x := range v {
-		e.Int64(x)
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*len(v))[:off+8*len(v)]
+	out := e.buf[off:]
+	for i, x := range v {
+		binary.BigEndian.PutUint64(out[8*i:], uint64(x))
 	}
 }
 
@@ -219,12 +224,13 @@ func (d *Decoder) Int64Slice(max int) ([]int64, error) {
 	if int(n) > max {
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, n, max)
 	}
-	if d.Remaining() < int(n)*8 {
-		return nil, ErrTruncated
+	b, err := d.take(8 * int(n))
+	if err != nil {
+		return nil, err
 	}
 	out := make([]int64, n)
 	for i := range out {
-		out[i], _ = d.Int64() // length pre-checked above
+		out[i] = int64(binary.BigEndian.Uint64(b[8*i:]))
 	}
 	return out, nil
 }
