@@ -18,7 +18,6 @@ import (
 	"fuzzyid/internal/extract"
 	"fuzzyid/internal/gf"
 	"fuzzyid/internal/numberline"
-	"fuzzyid/internal/shield"
 	"fuzzyid/internal/sigscheme"
 	"fuzzyid/internal/sketch"
 	"fuzzyid/internal/store"
@@ -754,43 +753,6 @@ func BenchmarkFuzzyVault(b *testing.B) {
 	b.Run("unlock", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := fv.Unlock(probe, locked); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkQIMShield(b *testing.B) {
-	qim, err := shield.New(0.01)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	const n = 256
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-		ys[i] = xs[i] + (rng.Float64()*2-1)*0.004
-	}
-	bits, err := shield.GenerateBits(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ws, err := qim.ConcealVector(xs, bits)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("conceal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := qim.ConcealVector(xs, bits); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reveal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := qim.RevealVector(ys, ws); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,7 +6,8 @@ package fuzzyid
 // carries a doc comment stating its contract. It runs under plain `go
 // test`, so the check gates CI and local work identically — no external
 // linter needed (CI additionally runs staticcheck's ST1000/ST1020/ST1022
-// over the same packages, which this mirrors).
+// over the same packages, which this mirrors). TestNoOrphanPackages guards
+// the other direction: no internal package survives that nothing runs.
 
 import (
 	"go/ast"
@@ -14,6 +15,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -103,4 +105,73 @@ func lintFields(t *testing.T, fset *token.FileSet, name string, s *ast.TypeSpec)
 			}
 		}
 	}
+}
+
+// TestNoOrphanPackages fails when a fuzzyid/internal/... package has no
+// importing non-test file outside its own directory. Importers are the
+// facade, other internal packages, the commands under cmd/ and the
+// benchmark harness; tests and stand-alone demo programs do not count, so a
+// package kept alive only by them is reported.
+func TestNoOrphanPackages(t *testing.T) {
+	internal := map[string]bool{} // internal package directories
+	imported := map[string]bool{} // directories imported from outside themselves
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if strings.HasPrefix(dir, "internal/") {
+			internal[dir] = true
+		}
+		if !countsAsImporter(dir) {
+			return nil
+		}
+		for _, imp := range f.Imports {
+			if p := strings.TrimPrefix(strings.Trim(imp.Path.Value, `"`), "fuzzyid/"); p != dir {
+				imported[p] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var orphans []string
+	for p := range internal {
+		if !imported[p] {
+			orphans = append(orphans, p)
+		}
+	}
+	sort.Strings(orphans)
+	for _, p := range orphans {
+		t.Errorf("%s: no non-test file outside the package imports it; delete it or give it a caller", p)
+	}
+}
+
+// countsAsImporter reports whether non-test files in dir keep the internal
+// packages they import alive.
+func countsAsImporter(dir string) bool {
+	if dir == "." {
+		return true
+	}
+	for _, root := range []string{"internal", "cmd", "benchmark"} {
+		if dir == root || strings.HasPrefix(dir, root+"/") {
+			return true
+		}
+	}
+	return false
 }

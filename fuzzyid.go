@@ -114,16 +114,11 @@ func WithMaxConns(n int) ServerOption { return transport.WithMaxConns(n) }
 // one-group map of the dialed primary and these replicas. Identifications
 // rotate round-robin across healthy replicas; enrollments, revocations,
 // re-enrollments, verifications and stats go to the primary. A replica
-// whose stream is down, that lags beyond WithMaxReplicaLag, or that fails
-// at the transport level is skipped, and identifications fall back to the
-// primary when no replica is usable.
+// whose stream is down, that is more than 1024 mutations behind its primary
+// (transport.DefaultMaxReplicaLag, a fixed bound), or that fails at the
+// transport level is skipped, and identifications fall back to the primary
+// when no replica is usable.
 func WithReplicas(addrs ...string) ClientOption { return transport.WithReplicas(addrs...) }
-
-// WithMaxReplicaLag bounds how many mutations behind its primary a replica
-// may be and still serve identifications for this client, with
-// WithReplicas or WithCluster (default transport.DefaultMaxReplicaLag; 0
-// disables the check).
-func WithMaxReplicaLag(n uint64) ClientOption { return transport.WithMaxReplicaLag(n) }
 
 // WithClientTelemetry binds a dialed Client's read-path instruments
 // (per-replica lag/health gauges, failover counter) to reg.
@@ -917,8 +912,8 @@ func (s *System) LocalClient(opts ...ClientOption) (*Client, func()) {
 
 // Dial connects a device client for this system's parameters to a remote
 // authentication server. Options configure timeouts and routing: the
-// replica fan-out (WithReplicas, WithMaxReplicaLag, WithClientTelemetry) or
-// a fetched cluster map (WithCluster).
+// replica fan-out (WithReplicas, WithClientTelemetry) or a fetched cluster
+// map (WithCluster).
 func (s *System) Dial(addr string, opts ...ClientOption) (*Client, error) {
 	return transport.Dial(addr, s.device, opts...)
 }

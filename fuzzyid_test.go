@@ -88,6 +88,32 @@ func TestSystemEndToEnd(t *testing.T) {
 	if !IsRejected(err) {
 		t.Fatalf("impostor err = %v", err)
 	}
+
+	// Rejection boundary through the full protocol: the store's matchPacked
+	// `t - d` sign test and sketch.Chebyshev.Recover's `offset > t ||
+	// offset < -t` refusal both admit distance exactly t and refuse t+1.
+	line := sys.Extractor().Line()
+	atT := reading.Clone()
+	atT[3] = line.Add(users[5].Template[3], line.Threshold())
+	if d, err := line.ChebyshevDist(users[5].Template, atT); err != nil || d != line.Threshold() {
+		t.Fatalf("boundary reading at distance %d (%v), want t = %d", d, err, line.Threshold())
+	}
+	if id, err := client.Identify(atT); err != nil || id != users[5].ID {
+		t.Fatalf("identify at distance t = %q, %v", id, err)
+	}
+	if err := client.Verify(users[5].ID, atT); err != nil {
+		t.Fatalf("verify at distance t: %v", err)
+	}
+	nearMiss, err := src.NearMissReading(users[5], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Identify(nearMiss); !IsRejected(err) {
+		t.Fatalf("identify at distance t+1 err = %v, want rejection", err)
+	}
+	if err := client.Verify(users[5].ID, nearMiss); !IsRejected(err) {
+		t.Fatalf("verify at distance t+1 err = %v, want rejection", err)
+	}
 }
 
 // TestSystemIdentifyBatch checks a batch against its ground truth — each

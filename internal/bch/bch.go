@@ -107,10 +107,6 @@ func (c *Code) K() int { return c.k }
 // T returns the designed error-correction capacity in bits.
 func (c *Code) T() int { return c.t }
 
-// Generator returns a copy of the generator polynomial as an unpacked GF(2)
-// coefficient vector (index i = coefficient of x^i).
-func (c *Code) Generator() Bits { return c.gen.Clone() }
-
 // Encode systematically encodes a k-bit message into an n-bit codeword.
 // Layout: codeword[0 : n-k] holds the parity bits, codeword[n-k : n] holds
 // the message verbatim.

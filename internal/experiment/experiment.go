@@ -43,9 +43,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the full-size configuration with a fixed seed.
-func DefaultConfig() Config { return Config{Seed: 42} }
-
 // Table is a rendered experiment result.
 type Table struct {
 	// ID is the experiment identifier ("table2", "fig4", ...).

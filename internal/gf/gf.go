@@ -51,7 +51,6 @@ type Field struct {
 	m     uint
 	size  uint32 // 2^m
 	mask  uint32 // 2^m - 1, also the number of non-zero elements
-	poly  uint32
 	exp   []Elem // exp[i] = alpha^i for i in [0, 2^m-2], doubled for overflow-free mul
 	log   []int  // log[e] = i with alpha^i = e; log[0] unused
 	cache map[uint]struct{}
@@ -92,7 +91,6 @@ func NewWithPolynomial(m uint, poly uint32) (*Field, error) {
 		m:    m,
 		size: size,
 		mask: mask,
-		poly: poly,
 		exp:  make([]Elem, 2*int(mask)),
 		log:  make([]int, size),
 	}
@@ -125,9 +123,6 @@ func (f *Field) Size() uint32 { return f.size }
 // N returns 2^m - 1, the order of the multiplicative group (and the natural
 // BCH code length).
 func (f *Field) N() uint32 { return f.mask }
-
-// Poly returns the primitive polynomial defining the field.
-func (f *Field) Poly() uint32 { return f.poly }
 
 // Contains reports whether e is a valid element of the field.
 func (f *Field) Contains(e Elem) bool { return e < f.size }

@@ -59,32 +59,3 @@ func TestIntervalGeometryRandomLines(t *testing.T) {
 		}
 	}
 }
-
-// TestQuantizeMonotonicityRandom checks that Quantize preserves order on
-// sorted inputs for random lines and ranges.
-func TestQuantizeMonotonicityRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(162))
-	for trial := 0; trial < 50; trial++ {
-		l, err := New(Params{A: 10 + rng.Int63n(100), K: 4, V: 50 + rng.Int63n(200), T: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo := rng.Float64()*100 - 50
-		hi := lo + 1 + rng.Float64()*100
-		features := make([]float64, 32)
-		cur := lo
-		for i := range features {
-			cur += rng.Float64() * (hi - cur) / 8
-			features[i] = cur
-		}
-		v, err := l.Quantize(features, lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < len(v); i++ {
-			if v[i] < v[i-1] {
-				t.Fatalf("quantization not monotone at %d: %d < %d", i, v[i], v[i-1])
-			}
-		}
-	}
-}

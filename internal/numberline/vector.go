@@ -3,7 +3,6 @@ package numberline
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrEmptyVector is returned when an operation receives a zero-length vector.
@@ -50,15 +49,6 @@ func (l *Line) ValidateVector(v Vector) error {
 	return nil
 }
 
-// NormalizeVector reduces every coordinate of v onto the line in place and
-// returns v for convenience.
-func (l *Line) NormalizeVector(v Vector) Vector {
-	for i := range v {
-		v[i] = l.Normalize(v[i])
-	}
-	return v
-}
-
 // ChebyshevDist returns the circular Chebyshev (L-infinity) distance between
 // x and y: max_i circ_dist(x_i, y_i). The vectors must have equal length.
 func (l *Line) ChebyshevDist(x, y Vector) (int64, error) {
@@ -84,30 +74,4 @@ func (l *Line) Close(x, y Vector) (bool, error) {
 		return false, err
 	}
 	return d <= l.params.T, nil
-}
-
-// Quantize maps a raw real-valued feature vector onto the line. Each feature
-// is expected in [lo, hi]; it is scaled affinely onto the representable range
-// and rounded to the nearest integer point. Features outside [lo, hi] are
-// clamped. This is the encoding step that feature-extraction front ends use
-// before sketching.
-func (l *Line) Quantize(features []float64, lo, hi float64) (Vector, error) {
-	if len(features) == 0 {
-		return nil, ErrEmptyVector
-	}
-	if !(hi > lo) || math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
-		return nil, fmt.Errorf("numberline: invalid feature range [%v, %v]", lo, hi)
-	}
-	span := float64(l.Max()-l.Min()) / (hi - lo)
-	out := make(Vector, len(features))
-	for i, f := range features {
-		if f < lo {
-			f = lo
-		} else if f > hi {
-			f = hi
-		}
-		p := float64(l.Min()) + (f-lo)*span
-		out[i] = l.Normalize(int64(math.Round(p)))
-	}
-	return out, nil
 }

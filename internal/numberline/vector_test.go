@@ -2,7 +2,6 @@ package numberline
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 )
 
@@ -46,19 +45,6 @@ func TestValidateVector(t *testing.T) {
 	}
 }
 
-func TestNormalizeVector(t *testing.T) {
-	l := small(t)
-	v := Vector{33, -17, 0}
-	got := l.NormalizeVector(v)
-	want := Vector{1, 15, 0}
-	if !got.Equal(want) {
-		t.Errorf("NormalizeVector = %v, want %v", got, want)
-	}
-	if err := l.ValidateVector(got); err != nil {
-		t.Errorf("normalized vector invalid: %v", err)
-	}
-}
-
 func TestChebyshevDist(t *testing.T) {
 	l := small(t)
 	tests := []struct {
@@ -99,91 +85,5 @@ func TestClose(t *testing.T) {
 	ok, err = l.Close(Vector{0, 5}, Vector{2, 5})
 	if err != nil || ok {
 		t.Errorf("Close at distance 2 = (%v, %v), want (false, nil)", ok, err)
-	}
-}
-
-func TestQuantize(t *testing.T) {
-	l := testLine(t, PaperParams())
-	features := []float64{0, 0.25, 0.5, 0.75, 1}
-	v, err := l.Quantize(features, 0, 1)
-	if err != nil {
-		t.Fatalf("Quantize: %v", err)
-	}
-	if err := l.ValidateVector(v); err != nil {
-		t.Fatalf("quantized vector invalid: %v", err)
-	}
-	if v[0] != l.Min() {
-		t.Errorf("feature at lo -> %d, want Min()=%d", v[0], l.Min())
-	}
-	if v[4] != l.Max() {
-		t.Errorf("feature at hi -> %d, want Max()=%d", v[4], l.Max())
-	}
-	if v[2] <= v[1] || v[3] <= v[2] {
-		t.Errorf("quantization not monotone: %v", v)
-	}
-}
-
-func TestQuantizeClamps(t *testing.T) {
-	l := testLine(t, PaperParams())
-	v, err := l.Quantize([]float64{-5, 5}, 0, 1)
-	if err != nil {
-		t.Fatalf("Quantize: %v", err)
-	}
-	if v[0] != l.Min() || v[1] != l.Max() {
-		t.Errorf("clamping failed: %v", v)
-	}
-}
-
-func TestQuantizeErrors(t *testing.T) {
-	l := testLine(t, PaperParams())
-	if _, err := l.Quantize(nil, 0, 1); !errors.Is(err, ErrEmptyVector) {
-		t.Errorf("empty features: %v, want ErrEmptyVector", err)
-	}
-	if _, err := l.Quantize([]float64{1}, 1, 1); err == nil {
-		t.Error("degenerate range accepted")
-	}
-	if _, err := l.Quantize([]float64{1}, 2, 1); err == nil {
-		t.Error("inverted range accepted")
-	}
-}
-
-func TestQuantizePreservesCloseness(t *testing.T) {
-	// Nearby raw features must land within the threshold after quantization
-	// when the raw perturbation is small relative to t; this is the property
-	// front-end feature extractors rely on.
-	l := testLine(t, PaperParams())
-	rng := rand.New(rand.NewSource(7))
-	// One raw unit maps to (Max-Min)/(hi-lo) = 199999 points per feature
-	// unit; choose perturbations below t/200000 in raw space.
-	eps := float64(l.Threshold()) / 400000.0
-	for i := 0; i < 200; i++ {
-		raw := make([]float64, 16)
-		noisy := make([]float64, 16)
-		for j := range raw {
-			raw[j] = rng.Float64()
-			noisy[j] = raw[j] + (rng.Float64()*2-1)*eps
-			if noisy[j] < 0 {
-				noisy[j] = 0
-			}
-			if noisy[j] > 1 {
-				noisy[j] = 1
-			}
-		}
-		x, err := l.Quantize(raw, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		y, err := l.Quantize(noisy, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ok, err := l.Close(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			d, _ := l.ChebyshevDist(x, y)
-			t.Fatalf("small raw perturbation exceeded threshold: dist=%d t=%d", d, l.Threshold())
-		}
 	}
 }

@@ -247,9 +247,6 @@ func Open(dir string, opts ...Option) (*Log, error) {
 	return l, nil
 }
 
-// Dir returns the persistence directory.
-func (l *Log) Dir() string { return l.dir }
-
 // AppendsSinceRotate returns the number of mutations appended to the active
 // segment — zero right after a snapshot, so callers can skip redundant
 // compactions.

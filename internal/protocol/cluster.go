@@ -76,15 +76,6 @@ func (s *Server) SetCluster(node *cluster.Node, dial ClusterDialer) {
 	}
 }
 
-// ClusterNode returns the node identity set by SetCluster (nil when the
-// server is not in cluster mode).
-func (s *Server) ClusterNode() *cluster.Node {
-	if s.cl == nil {
-		return nil
-	}
-	return s.cl.node
-}
-
 // clusterRefusal maps a write-gate verdict to its wire answer: frozen slots
 // shed with a retryable Overloaded, foreign slots redirect with
 // WrongPartition. handled=false means err was no gate verdict and the

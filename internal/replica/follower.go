@@ -29,12 +29,9 @@ import (
 // mutations become visible to identify/verify exactly as local enrollments
 // would.
 type Follower struct {
-	primary     string
-	tenants     *store.Registry
-	dialTimeout time.Duration
-	readTimeout time.Duration
-	maxBackoff  time.Duration
-	m           followerMetrics
+	primary string
+	tenants *store.Registry
+	m       followerMetrics
 
 	epoch     atomic.Uint64
 	applied   atomic.Uint64
@@ -81,23 +78,6 @@ func WithFollowerTelemetry(reg *telemetry.Registry) FollowerOption {
 	return followerOptionFunc(func(f *Follower) { f.m.bind(reg) })
 }
 
-// WithReadTimeout bounds the wait for the next stream message (default
-// DefaultReadTimeout); it must exceed the primary's heartbeat interval.
-func WithReadTimeout(d time.Duration) FollowerOption {
-	return followerOptionFunc(func(f *Follower) { f.readTimeout = d })
-}
-
-// WithDialTimeout bounds each connection attempt (default
-// DefaultDialTimeout).
-func WithDialTimeout(d time.Duration) FollowerOption {
-	return followerOptionFunc(func(f *Follower) { f.dialTimeout = d })
-}
-
-// WithMaxBackoff caps the reconnect backoff (default 2s).
-func WithMaxBackoff(d time.Duration) FollowerOption {
-	return followerOptionFunc(func(f *Follower) { f.maxBackoff = d })
-}
-
 // StartFollower begins replicating primary into the tenant registry and
 // returns immediately; the stream (re)connects in the background until
 // Close. The registry must not be mutated by anyone else — the follower
@@ -105,13 +85,10 @@ func WithMaxBackoff(d time.Duration) FollowerOption {
 // during replay.
 func StartFollower(primary string, tenants *store.Registry, opts ...FollowerOption) *Follower {
 	f := &Follower{
-		primary:     primary,
-		tenants:     tenants,
-		dialTimeout: DefaultDialTimeout,
-		readTimeout: DefaultReadTimeout,
-		maxBackoff:  2 * time.Second,
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		primary: primary,
+		tenants: tenants,
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	for _, o := range opts {
 		o.applyFollower(f)
@@ -164,6 +141,9 @@ func (f *Follower) Close() error {
 	return nil
 }
 
+// maxBackoff caps the reconnect loop's exponential backoff.
+const maxBackoff = 2 * time.Second
+
 // run is the reconnect loop.
 func (f *Follower) run() {
 	defer close(f.done)
@@ -196,8 +176,8 @@ func (f *Follower) run() {
 			return
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > f.maxBackoff {
-			backoff = f.maxBackoff
+		if backoff *= 2; backoff > maxBackoff {
+			backoff = maxBackoff
 		}
 	}
 }
@@ -214,7 +194,7 @@ func (f *Follower) reset() {
 
 // stream runs one replication session to completion (error or shutdown).
 func (f *Follower) stream() error {
-	conn, err := net.DialTimeout("tcp", f.primary, f.dialTimeout)
+	conn, err := net.DialTimeout("tcp", f.primary, DefaultDialTimeout)
 	if err != nil {
 		return err
 	}
@@ -237,7 +217,7 @@ func (f *Follower) stream() error {
 	f.m.connected.Set(1)
 	inSnapshot := false
 	for {
-		if err := conn.SetReadDeadline(time.Now().Add(f.readTimeout)); err != nil {
+		if err := conn.SetReadDeadline(time.Now().Add(DefaultReadTimeout)); err != nil {
 			return err
 		}
 		msg, err := wire.Receive(conn)

@@ -33,7 +33,8 @@ import (
 	"time"
 )
 
-// Default tuning; overridable per Hub/Follower via options.
+// Default tuning. The hub's retain and heartbeat are overridable via
+// HubOption; the follower's timeouts are fixed.
 const (
 	// DefaultRetain is the number of recent mutations the hub keeps in
 	// memory for tailing subscribers; a follower further behind than this

@@ -6,7 +6,6 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 
 	"fuzzyid/internal/gf"
@@ -48,26 +47,12 @@ type FuzzyVault struct {
 	field  *gf.Field
 	degree int // secret polynomial degree = SecretLen-1
 	chaff  int
-	coins  io.Reader
 }
-
-// VaultOption configures a FuzzyVault.
-type VaultOption interface {
-	apply(*FuzzyVault)
-}
-
-type vaultCoins struct{ r io.Reader }
-
-func (o vaultCoins) apply(v *FuzzyVault) { v.coins = o.r }
-
-// WithVaultCoins sets the chaff/shuffle randomness source (default
-// crypto/rand).
-func WithVaultCoins(r io.Reader) VaultOption { return vaultCoins{r: r} }
 
 // NewFuzzyVault builds a vault over GF(2^m) with secrets of secretLen field
 // elements (polynomial degree secretLen-1) and the given number of chaff
-// points.
-func NewFuzzyVault(m uint, secretLen, chaff int, opts ...VaultOption) (*FuzzyVault, error) {
+// points. Chaff and shuffles draw from crypto/rand.
+func NewFuzzyVault(m uint, secretLen, chaff int) (*FuzzyVault, error) {
 	if secretLen < 1 {
 		return nil, fmt.Errorf("%w: secret length %d", ErrVaultParams, secretLen)
 	}
@@ -78,7 +63,7 @@ func NewFuzzyVault(m uint, secretLen, chaff int, opts ...VaultOption) (*FuzzyVau
 	if err != nil {
 		return nil, err
 	}
-	return &FuzzyVault{field: field, degree: secretLen - 1, chaff: chaff, coins: rand.Reader}, nil
+	return &FuzzyVault{field: field, degree: secretLen - 1, chaff: chaff}, nil
 }
 
 // SecretLen returns the secret length in field elements.
@@ -219,7 +204,7 @@ func (v *FuzzyVault) tryDecode(xs, ys []gf.Elem, check [sha256.Size]byte) ([]gf.
 
 func (v *FuzzyVault) randomElem() (gf.Elem, error) {
 	max := big.NewInt(int64(v.field.Size()))
-	n, err := cryptoInt(v.coins, max)
+	n, err := cryptoInt(max)
 	if err != nil {
 		return 0, fmt.Errorf("sketch: vault randomness: %w", err)
 	}
@@ -228,7 +213,7 @@ func (v *FuzzyVault) randomElem() (gf.Elem, error) {
 
 func (v *FuzzyVault) shuffle(points []VaultPoint) error {
 	for i := len(points) - 1; i > 0; i-- {
-		n, err := cryptoInt(v.coins, big.NewInt(int64(i+1)))
+		n, err := cryptoInt(big.NewInt(int64(i + 1)))
 		if err != nil {
 			return fmt.Errorf("sketch: vault shuffle: %w", err)
 		}
@@ -244,7 +229,7 @@ func (v *FuzzyVault) randomSubset(xs, ys []gf.Elem, k int) ([]gf.Elem, []gf.Elem
 		idx[i] = i
 	}
 	for i := 0; i < k; i++ {
-		n, err := cryptoInt(v.coins, big.NewInt(int64(len(idx)-i)))
+		n, err := cryptoInt(big.NewInt(int64(len(idx) - i)))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -271,9 +256,9 @@ func checkDigest(secret []gf.Elem) [sha256.Size]byte {
 	return out
 }
 
-// cryptoInt draws a uniform integer in [0, max) from r.
-func cryptoInt(r io.Reader, max *big.Int) (int64, error) {
-	n, err := rand.Int(r, max)
+// cryptoInt draws a uniform integer in [0, max) from crypto/rand.
+func cryptoInt(max *big.Int) (int64, error) {
+	n, err := rand.Int(rand.Reader, max)
 	if err != nil {
 		return 0, err
 	}

@@ -375,11 +375,10 @@ func (c *Client) replicaRead(nc *nodeConn, fn func(io.ReadWriter) error) (done b
 		nc.lastProbe = now
 		lag := info.Lag()
 		nc.lagGauge.Set(int64(lag))
-		// The dead-stream check always applies; the lag bound only when
-		// configured (WithMaxReplicaLag(0) disables staleness policing).
-		// A stale replica keeps its connection and is benched only until
-		// the next probe can show the lag drained.
-		if info.Role == "replica" && (!info.Connected || (c.maxLag > 0 && lag > c.maxLag)) {
+		// A follower whose stream is down, or that is more than
+		// DefaultMaxReplicaLag mutations behind, keeps its connection and is
+		// benched only until the next probe can show the lag drained.
+		if info.Role == "replica" && (!info.Connected || lag > DefaultMaxReplicaLag) {
 			c.bench(nc, now.Add(DefaultReplicaProbe))
 			return false, nil
 		}

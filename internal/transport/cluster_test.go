@@ -13,8 +13,9 @@ import (
 )
 
 // fakeClusterNode is a raw-wire server that answers map fetches with its
-// configured map, rejects every identification and bounces every other
-// session opener with a WrongPartition redirect. bumpVersion controls
+// configured map, answers replication-status probes with status, rejects
+// every identification and bounces every other session opener with a
+// WrongPartition redirect. bumpVersion controls
 // whether each redirect advances the map version (a pathological but
 // protocol-legal server) or replays the same version (a buggy or malicious
 // one).
@@ -25,6 +26,7 @@ type fakeClusterNode struct {
 	redirects   atomic.Int64
 	mapFetches  atomic.Int64
 	identifies  atomic.Int64
+	status      atomic.Pointer[wire.ReplStatusInfo]
 }
 
 func startFakeClusterNode(t *testing.T, bumpVersion bool) *fakeClusterNode {
@@ -68,6 +70,8 @@ func (f *fakeClusterNode) serve(conn net.Conn) {
 		case *wire.ClusterMapRequest:
 			f.mapFetches.Add(1)
 			err = wire.Send(conn, &wire.ClusterMapInfo{Map: f.selfMap(f.version.Load())})
+		case *wire.ReplStatus:
+			err = wire.Send(conn, f.status.Load())
 		case *wire.IdentifyRequest:
 			f.identifies.Add(1)
 			err = wire.Send(conn, &wire.Reject{Reason: "no match"})
@@ -185,5 +189,45 @@ func TestClusterVerifyNotClusterNode(t *testing.T) {
 	u := w.src.NewUser("lost")
 	if err := client.Enroll(u.ID, u.Template); !protocol.IsRejected(err) {
 		t.Fatalf("cluster client against standalone server: err = %v, want rejection", err)
+	}
+}
+
+// TestReplicaLagBound pins the fixed staleness policy in replicaRead's
+// `lag > DefaultMaxReplicaLag` branch: a connected follower one mutation
+// past the bound is skipped and the scan lands on the primary; a follower
+// exactly at the bound serves it.
+func TestReplicaLagBound(t *testing.T) {
+	w := newWorld(t, 16, 305)
+	probe := w.src.ImpostorReading()
+	for _, tc := range []struct {
+		lag                      uint64
+		wantReplica, wantPrimary int64
+	}{
+		{lag: DefaultMaxReplicaLag + 1, wantReplica: 0, wantPrimary: 1},
+		{lag: DefaultMaxReplicaLag, wantReplica: 1, wantPrimary: 0},
+	} {
+		primary := startFakeClusterNode(t, false)
+		replica := startFakeClusterNode(t, false)
+		replica.status.Store(&wire.ReplStatusInfo{
+			Role:      "replica",
+			Primary:   primary.ln.Addr().String(),
+			Applied:   100,
+			Latest:    100 + tc.lag,
+			Connected: true,
+		})
+		client, err := Dial(primary.ln.Addr().String(), w.device,
+			WithReplicas(replica.ln.Addr().String()), WithTimeout(5*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = client.Identify(probe)
+		client.Close()
+		if !protocol.IsRejected(err) {
+			t.Fatalf("lag %d: identify err = %v, want rejection", tc.lag, err)
+		}
+		if r, p := replica.identifies.Load(), primary.identifies.Load(); r != tc.wantReplica || p != tc.wantPrimary {
+			t.Fatalf("lag %d: replica served %d and primary %d identifies, want %d and %d",
+				tc.lag, r, p, tc.wantReplica, tc.wantPrimary)
+		}
 	}
 }

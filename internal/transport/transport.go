@@ -277,8 +277,8 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // Read-path health policy; see WithReplicas.
 const (
-	// DefaultMaxReplicaLag is the staleness bound above which a replica is
-	// skipped by scans.
+	// DefaultMaxReplicaLag is the staleness bound, in mutations behind the
+	// primary, above which a replica is skipped by scans. It is fixed policy.
 	DefaultMaxReplicaLag = 1024
 	// DefaultReplicaProbe is how often a replica's lag is re-checked.
 	DefaultReplicaProbe = time.Second
@@ -299,7 +299,6 @@ type Client struct {
 	timeout      time.Duration
 	tenant       string   // namespace every session addresses; "" = default
 	retries      int      // extra attempts after an Overloaded shed; see WithOverloadRetry
-	maxLag       uint64   // see WithMaxReplicaLag
 	replicaAddrs []string // WithReplicas: the static map's followers
 	fetch        bool     // WithCluster: the map comes from the seed and refreshes
 	reg          *telemetry.Registry
@@ -361,19 +360,12 @@ func WithOverloadRetry(n int) ClientOption {
 // across them; enrollments, revocations, re-enrollments, verifications and
 // admin sessions go to the primary. A follower is skipped while a status
 // probe (every DefaultReplicaProbe) reports its stream down or its lag above
-// WithMaxReplicaLag, and benched for DefaultReplicaCooldown after a
+// DefaultMaxReplicaLag, and benched for DefaultReplicaCooldown after a
 // transport failure; a scan no follower can serve falls back to the
 // primary, so correctness never depends on follower availability. Ignored
 // under WithCluster, whose fetched map names each group's followers.
 func WithReplicas(addrs ...string) ClientOption {
 	return clientOptionFunc(func(c *Client) { c.replicaAddrs = append(c.replicaAddrs, addrs...) })
-}
-
-// WithMaxReplicaLag sets the staleness bound (in mutations behind the
-// primary) above which a replica is skipped by scans (default
-// DefaultMaxReplicaLag; 0 disables the lag check entirely).
-func WithMaxReplicaLag(n uint64) ClientOption {
-	return clientOptionFunc(func(c *Client) { c.maxLag = n })
 }
 
 // WithClientTelemetry binds the client's read-path instruments — per-replica
@@ -397,7 +389,7 @@ func Dial(addr string, device *protocol.Device, opts ...ClientOption) (*Client, 
 // seed: the primary of its static map or, under WithCluster, the node the
 // map is fetched from.
 func NewClient(conn net.Conn, device *protocol.Device, opts ...ClientOption) *Client {
-	c := &Client{device: device, timeout: DefaultTimeout, maxLag: DefaultMaxReplicaLag}
+	c := &Client{device: device, timeout: DefaultTimeout}
 	for _, o := range opts {
 		o.applyClient(c)
 	}
@@ -457,7 +449,7 @@ func (c *Client) Verify(id string, bio numberline.Vector) error {
 // Identify runs the proposed identification protocol and returns the
 // established identity. The probe scans every group, first match wins, each
 // group served by a healthy follower when it has one (a view at most
-// WithMaxReplicaLag stale). A miss with unreachable groups is a typed
+// DefaultMaxReplicaLag stale). A miss with unreachable groups is a typed
 // PartialIdentifyError, never a silent false reject.
 func (c *Client) Identify(bio numberline.Vector) (string, error) {
 	return c.scanOne(func(rw io.ReadWriter) (string, error) { return c.device.Identify(rw, bio) })
