@@ -6,6 +6,7 @@
 package fuzzyid
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -242,11 +243,12 @@ func BenchmarkStoreIdentify(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	var rec store.Record
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, err := db.Identify(probe)
-		if err != nil {
+		if err := db.IdentifyInto(ctx, probe, &rec); err != nil {
 			b.Fatal(err)
 		}
 		if rec.ID != users[2500].ID {

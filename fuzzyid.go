@@ -868,9 +868,9 @@ func (s *System) Extractor() *Extractor { return s.extractor }
 // Enrolled returns the number of enrolled users across every tenant.
 func (s *System) Enrolled() int { return s.tenants.Enrolled() }
 
-// StoreRecord returns the stored record for an enrolled identity in the
-// default tenant — the view a database insider has (used by the
-// tamper-resilience examples and tests). The store is resolved through the
+// StoreRecord returns a copy of the stored record for an enrolled identity
+// in the default tenant — the view a database insider has (used by the
+// tamper-resilience tests). The store is resolved through the
 // tenant registry on every call, so the view stays correct across a
 // follower's snapshot re-bootstraps (which rebuild the stores).
 func (s *System) StoreRecord(id string) (*Record, bool) { return s.tenants.Default().Get(id) }

@@ -358,7 +358,7 @@ func (s *Server) handlePartitionIngest(rw io.ReadWriter, first *wire.PartitionIn
 		for _, rec := range m.Records {
 			if ing, ok := db.(interface{ IngestHandoff(*store.Record) error }); ok {
 				err = ing.IngestHandoff(rec)
-			} else if _, exists := db.Get(rec.ID); exists {
+			} else if db.Contains(rec.ID) {
 				err = db.Replace(rec)
 			} else {
 				err = db.Insert(rec)

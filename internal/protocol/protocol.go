@@ -21,10 +21,12 @@
 package protocol
 
 import (
+	"context"
 	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"fuzzyid/internal/cluster"
@@ -1131,9 +1133,15 @@ func (s *Server) handleEnroll(rw io.ReadWriter, db store.Store, m *wire.EnrollRe
 	return wire.Send(rw, &wire.EnrollOK{ID: m.ID})
 }
 
+// scratchRecords recycles the record a verify, identify, revoke or re-enroll
+// session materialises its enrolled template into, so the challenge path
+// builds no movement vector per session.
+var scratchRecords = sync.Pool{New: func() any { return new(store.Record) }}
+
 func (s *Server) handleVerify(rw io.ReadWriter, db store.Store, m *wire.VerifyRequest) error {
-	rec, ok := db.Get(m.ID)
-	if !ok {
+	rec := scratchRecords.Get().(*store.Record)
+	defer scratchRecords.Put(rec)
+	if !db.GetInto(m.ID, rec) {
 		return wire.Send(rw, &wire.Reject{Reason: "unknown identity"})
 	}
 	return s.challengeResponse(rw, rec)
@@ -1149,7 +1157,9 @@ func (s *Server) handleIdentify(rw io.ReadWriter, db store.Store, name string, m
 	if !ok {
 		return err
 	}
-	rec, err := db.Identify(m.Probe)
+	rec := scratchRecords.Get().(*store.Record)
+	defer scratchRecords.Put(rec)
+	err = db.IdentifyInto(context.Background(), m.Probe, rec)
 	release()
 	if err != nil {
 		return wire.Send(rw, &wire.Reject{Reason: "no matching record"})
@@ -1200,8 +1210,9 @@ func (s *Server) runChallenge(rw io.ReadWriter, rec *store.Record) (bool, error)
 // the enrolled biometric — deletion is as strongly authenticated as
 // verification itself.
 func (s *Server) handleRevoke(rw io.ReadWriter, db store.Store, m *wire.RevokeRequest) error {
-	rec, ok := db.Get(m.ID)
-	if !ok {
+	rec := scratchRecords.Get().(*store.Record)
+	defer scratchRecords.Put(rec)
+	if !db.GetInto(m.ID, rec) {
 		return wire.Send(rw, &wire.Reject{Reason: "unknown identity"})
 	}
 	passed, err := s.runChallenge(rw, rec)
@@ -1231,8 +1242,9 @@ func (s *Server) handleRevoke(rw io.ReadWriter, db store.Store, m *wire.RevokeRe
 // mutation — so concurrent identify/verify sessions observe either the old
 // template or the new one in full.
 func (s *Server) handleReEnroll(rw io.ReadWriter, db store.Store, m *wire.ReEnrollRequest) error {
-	rec, ok := db.Get(m.ID)
-	if !ok {
+	rec := scratchRecords.Get().(*store.Record)
+	defer scratchRecords.Put(rec)
+	if !db.GetInto(m.ID, rec) {
 		return wire.Send(rw, &wire.Reject{Reason: "unknown identity"})
 	}
 	passed, err := s.runChallenge(rw, rec)

@@ -350,6 +350,9 @@ func TestTamperedHelperDataDetected(t *testing.T) {
 		t.Fatal("record missing")
 	}
 	rec.Helper.Sketch.Digest[3] ^= 0x40
+	if err := e.server.Store().Replace(rec); err != nil { // the store hands out copies
+		t.Fatal(err)
+	}
 	reading, err := e.src.GenuineReading(u)
 	if err != nil {
 		t.Fatal(err)

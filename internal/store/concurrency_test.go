@@ -248,10 +248,11 @@ func TestIdentifyCtxCancelled(t *testing.T) {
 		// first cancellation check, but it must never return ErrNotFound
 		// disguised as a scan result and must surface ctx.Err() on a miss.
 		impostor := f.probe(t, f.src.ImpostorReading())
-		if _, err := s.IdentifyCtx(ctx, impostor); !errors.Is(err, context.Canceled) && !errors.Is(err, ErrNotFound) {
+		var rec Record
+		if err := s.IdentifyInto(ctx, impostor, &rec); !errors.Is(err, context.Canceled) && !errors.Is(err, ErrNotFound) {
 			t.Errorf("%s cancelled err = %v", name, err)
 		}
-		if _, err := s.IdentifyCtx(context.Background(), probe); err != nil {
+		if err := s.IdentifyInto(context.Background(), probe, &rec); err != nil {
 			t.Errorf("%s background ctx: %v", name, err)
 		}
 	}
@@ -280,18 +281,19 @@ func TestScanParallelPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := residues(line, f.probe(t, reading))
-		rec, err := s.identifyParallel(context.Background(), res, span, tt, s.tab.coarse.probe(res))
-		if err != nil || rec.ID != u.ID {
-			t.Fatalf("parallel Identify(%s) = (%v, %v)", u.ID, rec, err)
+		var rec Record
+		if err := s.identifyParallel(context.Background(), res, span, tt, s.tab.coarse.probe(res), &rec); err != nil || rec.ID != u.ID {
+			t.Fatalf("parallel Identify(%s) = (%v, %v)", u.ID, rec.ID, err)
 		}
 	}
 	impRes := residues(line, f.probe(t, f.src.ImpostorReading()))
-	if _, err := s.identifyParallel(context.Background(), impRes, span, tt, s.tab.coarse.probe(impRes)); !errors.Is(err, ErrNotFound) {
+	var scratch Record
+	if err := s.identifyParallel(context.Background(), impRes, span, tt, s.tab.coarse.probe(impRes), &scratch); !errors.Is(err, ErrNotFound) {
 		t.Errorf("parallel impostor err = %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.identifyParallel(ctx, impRes, span, tt, s.tab.coarse.probe(impRes)); !errors.Is(err, context.Canceled) {
+	if err := s.identifyParallel(ctx, impRes, span, tt, s.tab.coarse.probe(impRes), &scratch); !errors.Is(err, context.Canceled) {
 		t.Errorf("parallel cancelled err = %v", err)
 	}
 }

@@ -1,13 +1,18 @@
-package store
+package store_test
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"fuzzyid/internal/core"
 	"fuzzyid/internal/numberline"
 	"fuzzyid/internal/sketch"
+	"fuzzyid/internal/store"
+	"fuzzyid/internal/wire"
 )
 
 // fuzzLines are the small number lines FuzzStoreOps draws from: every lane
@@ -32,14 +37,14 @@ var fuzzIDs = []string{"a", "b", "c", "d", "e", "f"}
 type opModel struct {
 	span, t int64
 	dim     int
-	adopted bool // a first Insert or Replace fixed the dimension
+	adopted bool // a successful Insert or Replace fixed the dimension
 	order   []string
-	recs    map[string]*Record
+	recs    map[string]*store.Record
 }
 
 func (m *opModel) matches(id string, probe []int64) bool {
 	for i, mv := range m.recs[id].Helper.Sketch.Sketch.Movements {
-		d := mod(mv-probe[i], m.span)
+		d := ((mv-probe[i])%m.span + m.span) % m.span
 		if min(d, m.span-d) > m.t {
 			return false
 		}
@@ -51,9 +56,9 @@ func (m *opModel) matches(id string, probe []int64) bool {
 func (m *opModel) identify(probe []int64) (map[string]bool, error) {
 	if len(probe) != m.dim {
 		if m.adopted {
-			return nil, ErrBadProbe
+			return nil, store.ErrBadProbe
 		}
-		return nil, ErrNotFound
+		return nil, store.ErrNotFound
 	}
 	set := map[string]bool{}
 	for _, id := range m.order {
@@ -62,7 +67,7 @@ func (m *opModel) identify(probe []int64) (map[string]bool, error) {
 		}
 	}
 	if len(set) == 0 {
-		return nil, ErrNotFound
+		return nil, store.ErrNotFound
 	}
 	return set, nil
 }
@@ -83,15 +88,38 @@ func (d *opDecoder) next() int {
 
 func (d *opDecoder) more() bool { return d.pos < len(d.data) }
 
-// vector draws dim residues from a decoded seed, lifted by random multiples
-// of the span so the store's own reduction is exercised.
+// vector draws dim movements from a decoded seed. One coordinate in eight is
+// ±ka/2, the boundary coin, whose two signs share a residue; the rest are
+// residues lifted by random multiples of the span, so the store's own
+// reduction and its record of out-of-range movements are both exercised.
 func (d *opDecoder) vector(m *opModel) []int64 {
 	rng := rand.New(rand.NewSource(int64(d.next())))
 	v := make([]int64, m.dim)
 	for i := range v {
-		v[i] = rng.Int63n(m.span) + m.span*(rng.Int63n(5)-2)
+		switch rng.Intn(16) {
+		case 0:
+			v[i] = m.span / 2
+		case 1:
+			v[i] = -m.span / 2
+		default:
+			v[i] = rng.Int63n(m.span) + m.span*(rng.Int63n(5)-2)
+		}
 	}
 	return v
+}
+
+// record builds the n-th record the fuzzer writes for id: the public key,
+// seed and digest all vary with n, so a row whose metadata drifted from its
+// movements is caught.
+func (d *opDecoder) record(m *opModel, id string, n int) *store.Record {
+	return &store.Record{
+		ID:        id,
+		PublicKey: []byte(fmt.Sprintf("pk-%s-%d", id, n)),
+		Helper: &core.HelperData{
+			Sketch: &sketch.RobustSketch{Sketch: &sketch.Sketch{Movements: d.vector(m)}, Digest: [32]byte{byte(n), 1}},
+			Seed:   bytes.Repeat([]byte{byte(n)}, n%3),
+		},
+	}
 }
 
 // probe decodes one probe: mostly an enrolled record moved by at most t per
@@ -118,12 +146,22 @@ func (d *opDecoder) probe(m *opModel) []int64 {
 	return p
 }
 
+// encodeRecord is the record's canonical bytes, as the WAL and snapshots
+// write them.
+func encodeRecord(rec *store.Record) []byte {
+	e := wire.NewEncoder(64)
+	wire.EncodeRecord(e, rec)
+	return e.Bytes()
+}
+
 // FuzzStoreOps is a differential fuzzer over the whole Scan store. It
 // decodes its input into Insert, Replace, Delete, Identify and
 // IdentifyBatch operations on a small line and dimension, applies each to
 // the store at 16- and 64-bit widths with the coarse filter on and off, and
 // to opModel. Any divergence fails: an error, a verdict, a matched ID
-// outside the model's match set (or a stale record for it), Len, or All.
+// outside the model's match set, Len, Get or All — and every record the
+// store returns must encode to exactly the bytes of the record the model
+// holds, so a lossy packed row fails too.
 func FuzzStoreOps(f *testing.F) {
 	for li := range fuzzLines {
 		for _, dim := range []int{3, 21, 33} {
@@ -142,13 +180,13 @@ func FuzzStoreOps(f *testing.F) {
 			span: line.IntervalSpan(),
 			t:    line.Threshold(),
 			dim:  1 + d.next()%40,
-			recs: map[string]*Record{},
+			recs: map[string]*store.Record{},
 		}
-		var stores []Store
+		var stores []store.Store
 		var names []string
-		for _, w := range []int{Width16, Width64} {
+		for _, w := range []int{store.Width16, store.Width64} {
 			for _, noCoarse := range []bool{false, true} {
-				s, err := NewScanTuned(line, 3, Tuning{ResidueWidth: w, NoCoarseFilter: noCoarse})
+				s, err := store.NewScanTuned(line, 3, store.Tuning{ResidueWidth: w, NoCoarseFilter: noCoarse})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -156,7 +194,17 @@ func FuzzStoreOps(f *testing.F) {
 				names = append(names, fmt.Sprintf("w%d-coarse%v", w, !noCoarse))
 			}
 		}
-		checkMatch := func(op string, si int, rec *Record, err error, set map[string]bool, want error) {
+		// scratch is one reused record per store: every lookup lands in a
+		// buffer an earlier, possibly longer or exception-laden record left.
+		scratch := make([]store.Record, len(stores))
+		checkRecord := func(op string, si int, rec *store.Record) {
+			t.Helper()
+			if want := m.recs[rec.ID]; !bytes.Equal(encodeRecord(rec), encodeRecord(want)) {
+				t.Fatalf("%s %s: record %q = %v, model %v", names[si], op, rec.ID,
+					rec.Helper.Sketch.Sketch.Movements, want.Helper.Sketch.Sketch.Movements)
+			}
+		}
+		checkMatch := func(op string, si int, rec *store.Record, err error, set map[string]bool, want error) {
 			t.Helper()
 			switch {
 			case want != nil:
@@ -165,21 +213,23 @@ func FuzzStoreOps(f *testing.F) {
 				}
 			case err != nil:
 				t.Fatalf("%s %s: err = %v, model matches %v", names[si], op, err, set)
-			case !set[rec.ID] || m.recs[rec.ID] != rec:
+			case !set[rec.ID]:
 				t.Fatalf("%s %s: matched %q, model matches %v", names[si], op, rec.ID, set)
+			default:
+				checkRecord(op, si, rec)
 			}
 		}
 		for ops := 0; d.more() && ops < 200; ops++ {
 			switch op := d.next() % 5; op {
 			case 0, 1: // Insert, Replace
 				id := fuzzIDs[d.next()%len(fuzzIDs)]
-				rec := rawRecord(id, d.vector(m))
+				rec := d.record(m, id, ops)
 				_, exists := m.recs[id]
 				var want error
 				if op == 0 && exists {
-					want = ErrDuplicateID
+					want = store.ErrDuplicateID
 				} else if op == 1 && !exists {
-					want = ErrUnknownID
+					want = store.ErrUnknownID
 				}
 				for si, s := range stores {
 					var err error
@@ -192,8 +242,8 @@ func FuzzStoreOps(f *testing.F) {
 						t.Fatalf("%s op %d on %q: err = %v, model %v", names[si], op, id, err, want)
 					}
 				}
-				m.adopted = true
 				if want == nil {
+					m.adopted = true
 					if !exists {
 						m.order = append(m.order, id)
 					}
@@ -203,7 +253,7 @@ func FuzzStoreOps(f *testing.F) {
 				id := fuzzIDs[d.next()%len(fuzzIDs)]
 				_, exists := m.recs[id]
 				for si, s := range stores {
-					if err := s.Delete(id); exists != (err == nil) || !exists && !errors.Is(err, ErrUnknownID) {
+					if err := s.Delete(id); exists != (err == nil) || !exists && !errors.Is(err, store.ErrUnknownID) {
 						t.Fatalf("%s Delete(%q): err = %v, enrolled %v", names[si], id, err, exists)
 					}
 				}
@@ -216,12 +266,12 @@ func FuzzStoreOps(f *testing.F) {
 						}
 					}
 				}
-			case 3: // Identify
+			case 3: // Identify, into the reused scratch record
 				p := d.probe(m)
 				set, want := m.identify(p)
 				for si, s := range stores {
-					rec, err := s.Identify(&sketch.Sketch{Movements: p})
-					checkMatch("Identify", si, rec, err, set, want)
+					err := s.IdentifyInto(context.Background(), &sketch.Sketch{Movements: p}, &scratch[si])
+					checkMatch("Identify", si, &scratch[si], err, set, want)
 				}
 			case 4: // IdentifyBatch
 				probes := make([]*sketch.Sketch, 1+d.next()%3)
@@ -231,8 +281,8 @@ func FuzzStoreOps(f *testing.F) {
 				for i := range probes {
 					probes[i] = &sketch.Sketch{Movements: d.probe(m)}
 					sets[i], wants[i] = m.identify(probes[i].Movements)
-					if errors.Is(wants[i], ErrBadProbe) {
-						batchErr = ErrBadProbe
+					if errors.Is(wants[i], store.ErrBadProbe) {
+						batchErr = store.ErrBadProbe
 					}
 				}
 				for si, s := range stores {
@@ -246,7 +296,7 @@ func FuzzStoreOps(f *testing.F) {
 					for i, rec := range recs {
 						var miss error
 						if rec == nil {
-							miss = ErrNotFound
+							miss = store.ErrNotFound
 						}
 						checkMatch(fmt.Sprintf("IdentifyBatch[%d]", i), si, rec, miss, sets[i], wants[i])
 					}
@@ -256,14 +306,24 @@ func FuzzStoreOps(f *testing.F) {
 				if s.Len() != len(m.order) {
 					t.Fatalf("%s Len = %d, model %d", names[si], s.Len(), len(m.order))
 				}
+				for _, id := range fuzzIDs {
+					_, enrolled := m.recs[id]
+					if s.Contains(id) != enrolled || s.GetInto(id, &scratch[si]) != enrolled {
+						t.Fatalf("%s Contains/GetInto(%q) disagree with model %v", names[si], id, enrolled)
+					}
+					if enrolled {
+						checkRecord("Get", si, &scratch[si])
+					}
+				}
 				all := s.All()
 				if len(all) != len(m.order) {
 					t.Fatalf("%s All has %d records, model %d", names[si], len(all), len(m.order))
 				}
 				for i, rec := range all {
-					if rec != m.recs[m.order[i]] {
+					if rec.ID != m.order[i] {
 						t.Fatalf("%s All[%d] = %q, model %q", names[si], i, rec.ID, m.order[i])
 					}
+					checkRecord("All", si, rec)
 				}
 			}
 		}

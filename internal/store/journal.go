@@ -407,7 +407,7 @@ func (s *Journaled) Insert(rec *Record) error { return s.insert(rec, true) }
 // the closing map flip, so gated inserts would refuse them. A record already
 // present is replaced, making chunk retries idempotent.
 func (s *Journaled) IngestHandoff(rec *Record) error {
-	if _, ok := s.Store.Get(rec.ID); ok {
+	if s.Store.Contains(rec.ID) {
 		return s.replace(rec, false)
 	}
 	err := s.insert(rec, false)
@@ -436,7 +436,7 @@ func (s *Journaled) insert(rec *Record, gated bool) error {
 		s.mu.Unlock()
 		return err
 	}
-	if _, ok := s.Store.Get(rec.ID); ok {
+	if s.Store.Contains(rec.ID) {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrDuplicateID, rec.ID)
 	}
@@ -492,7 +492,7 @@ func (s *Journaled) replace(rec *Record, gated bool) error {
 		s.mu.Unlock()
 		return err
 	}
-	if _, ok := s.Store.Get(rec.ID); !ok {
+	if !s.Store.Contains(rec.ID) {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownID, rec.ID)
 	}
@@ -558,7 +558,7 @@ func (s *Journaled) delete(id string, gated bool) error {
 			return err
 		}
 	}
-	if _, ok := s.Store.Get(id); !ok {
+	if !s.Store.Contains(id) {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownID, id)
 	}

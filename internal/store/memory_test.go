@@ -1,0 +1,119 @@
+package store
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"fuzzyid/internal/biometric"
+	"fuzzyid/internal/core"
+	"fuzzyid/internal/numberline"
+	"fuzzyid/internal/sketch"
+)
+
+// probeID is the enrolled user a population's probe reads.
+const probeID = "user-000000"
+
+// population is a default store filled with n generated users, plus a
+// genuine probe of user probeID.
+type population struct {
+	s         *Scan
+	probe     *sketch.Sketch
+	heapBytes float64 // live heap per record the store holds
+}
+
+// populate enrolls n users at the given dimension into a fresh default store
+// and measures the store's live heap per record the way the benchmark's
+// store probe does: HeapAlloc after runtime.GC(), over records that only the
+// store can reach once inserted.
+func populate(t *testing.T, dim, n int) *population {
+	t.Helper()
+	fe, err := core.New(core.Params{Line: numberline.PaperParams(), Dimension: dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := biometric.NewSource(fe.Line(), biometric.Paper(dim), int64(dim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := src.NewUser(probeID)
+	reading, err := src.GenuineReading(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := fe.SketchOnly(reading)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	s := NewScan(fe.Line())
+	for i := 0; i < n; i++ {
+		x := first.Template
+		if i > 0 {
+			x = src.NewUser("").Template
+		}
+		_, helper, err := fe.Gen(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Insert(&Record{ID: fmt.Sprintf("user-%06d", i), PublicKey: make([]byte, 32), Helper: helper}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	return &population{
+		s:         s,
+		probe:     probe,
+		heapBytes: (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / float64(n),
+	}
+}
+
+// TestStoreHeapPerRecord gates the bytes a store holds per enrolled user. The
+// packed residue row (2 B per coordinate at the paper's span) is the only
+// copy of the movements, so at n = 5000 a record costs about 10 KB plus
+// slice growth, against the 55 KB of a stored int64 movement vector beside
+// the row.
+func TestStoreHeapPerRecord(t *testing.T) {
+	for _, c := range []struct {
+		dim, n int
+		max    float64
+	}{
+		{dim: 5000, n: 300, max: 16000},
+		{dim: 64, n: 20000, max: 600},
+	} {
+		p := populate(t, c.dim, c.n)
+		t.Logf("dim %d, %d records: %.0f B/record", c.dim, c.n, p.heapBytes)
+		if p.heapBytes > c.max {
+			t.Errorf("dim %d: %.0f B/record, want <= %.0f", c.dim, p.heapBytes, c.max)
+		}
+		runtime.KeepAlive(p.s)
+	}
+}
+
+// TestSteadyStateLookupsAllocateNothing gates the server's lookup path: an
+// identify hit and a GetInto into a warm scratch record allocate nothing,
+// at the paper's dimension and at dim 64.
+func TestSteadyStateLookupsAllocateNothing(t *testing.T) {
+	for _, dim := range []int{5000, 64} {
+		p := populate(t, dim, 50)
+		var scratch Record
+		ctx := context.Background()
+		identify := testing.AllocsPerRun(100, func() {
+			if err := p.s.IdentifyInto(ctx, p.probe, &scratch); err != nil || scratch.ID != probeID {
+				t.Fatalf("IdentifyInto = (%q, %v), want %q", scratch.ID, err, probeID)
+			}
+		})
+		get := testing.AllocsPerRun(100, func() {
+			if !p.s.GetInto(probeID, &scratch) {
+				t.Fatalf("GetInto(%q) missed", probeID)
+			}
+		})
+		if identify != 0 || get != 0 {
+			t.Errorf("dim %d: IdentifyInto allocates %v per hit, GetInto %v; want 0", dim, identify, get)
+		}
+	}
+}

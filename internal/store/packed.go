@@ -136,6 +136,9 @@ type resMatrix interface {
 	setRow(row int, res []int64)
 	// truncate shrinks the matrix to the given row count.
 	truncate(rows, dim int)
+	// liftRow appends row's residues to dst, each lifted to its canonical
+	// movement: r if r <= span/2, else r - span.
+	liftRow(row, dim int, span int64, dst []int64) []int64
 	// scanRange checks the probe against rows [lo, hi), consulting the
 	// coarse summary first when cp is enabled, and returns the first
 	// matching row index or -1.
@@ -184,6 +187,18 @@ func (m *matrix[T]) setRow(row int, res []int64) {
 
 func (m *matrix[T]) truncate(rows, dim int) {
 	m.data = m.data[:rows*dim]
+}
+
+func (m *matrix[T]) liftRow(row, dim int, span int64, dst []int64) []int64 {
+	half := span / 2
+	for _, r := range m.data[row*dim : (row+1)*dim] {
+		v := int64(r)
+		if v > half {
+			v -= span
+		}
+		dst = append(dst, v)
+	}
+	return dst
 }
 
 func (m *matrix[T]) scanRange(lo, hi, dim int, probe []int64, span, t int64, coarse []uint64, cp coarseProbe) int {

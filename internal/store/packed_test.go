@@ -97,13 +97,13 @@ func tableMatches(tab *resTable, probe []int64) map[string]bool {
 	for si := range tab.shards {
 		sh := &tab.shards[si]
 		sh.mu.RLock()
-		n := len(sh.recs)
+		n := len(sh.rows)
 		for i := 0; i < n; {
 			j := sh.mat.scanRange(i, n, dim, probe, span, t, sh.coarse, cp)
 			if j < 0 {
 				break
 			}
-			out[sh.recs[j].ID] = true
+			out[sh.rows[j].id] = true
 			i = j + 1
 		}
 		sh.mu.RUnlock()
@@ -183,7 +183,7 @@ func TestPackedScanEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i := range rows {
-						if err := tab.insert(&Record{ID: fmt.Sprint(i)}, rows[i]); err != nil {
+						if err := tab.insert(rawRecord(fmt.Sprint(i), rows[i]), rows[i]); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -484,7 +484,8 @@ func TestResBufHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	if err := tab.insert(&Record{ID: "big"}, randRow(rng, 5000, line.IntervalSpan())); err != nil {
+	big := randRow(rng, 5000, line.IntervalSpan())
+	if err := tab.insert(rawRecord("big", big), big); err != nil {
 		t.Fatal(err)
 	}
 	if h := resBufHint.Load(); h < 5000 {

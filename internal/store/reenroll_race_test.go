@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -69,16 +71,26 @@ func (rf *reenrollFixture) seed(t *testing.T, s Store) {
 	}
 }
 
-// version classifies a record returned for flip; "" means torn.
+// version classifies a record returned for flip by its content — the store
+// returns copies, never the inserted pointers; "" means torn.
 func (rf *reenrollFixture) version(rec *Record) string {
 	switch {
-	case string(rec.PublicKey) == "pk-A" && rec.Helper == rf.recA.Helper:
+	case sameRecord(rec, rf.recA):
 		return "A"
-	case string(rec.PublicKey) == "pk-B" && rec.Helper == rf.recB.Helper:
+	case sameRecord(rec, rf.recB):
 		return "B"
 	default:
 		return ""
 	}
+}
+
+// sameRecord reports whether two records carry the same ID, public key and
+// helper data, field by field.
+func sameRecord(a, b *Record) bool {
+	ha, hb := a.Helper, b.Helper
+	return a.ID == b.ID && bytes.Equal(a.PublicKey, b.PublicKey) &&
+		bytes.Equal(ha.Seed, hb.Seed) && ha.Sketch.Digest == hb.Sketch.Digest &&
+		slices.Equal(ha.Sketch.Sketch.Movements, hb.Sketch.Sketch.Movements)
 }
 
 // raceVariants is the layout matrix the concurrency tests run against: the

@@ -25,11 +25,13 @@
 // layout would; a per-row coarse summary of the bucketed leading residues is
 // checked before each row, all of its fields in one lane-wise word
 // expression, so an open-set (no-match) probe rejects almost every row after
-// reading 8 bytes. Probe residue buffers are pooled — a
-// steady-state Identify performs zero heap allocations. Large scans fan out
-// across the shards with first-match cancellation (IdentifyCtx), and
-// IdentifyBatch amortises residue computation and lock acquisition across a
-// whole batch of probes.
+// reading 8 bytes. The packed row is the only copy of a record's movements
+// (table.go): a lookup materialises the matched record into a caller-owned
+// scratch *Record under the shard read lock, and with the probe residue
+// buffers pooled a steady-state IdentifyInto or GetInto performs zero heap
+// allocations. Large scans fan out across the shards with first-match
+// cancellation, and IdentifyBatch amortises residue computation and lock
+// acquisition across a whole batch of probes.
 //
 // Durability. Mutations are expressed as Mutation values behind the
 // journal seam of journal.go: the Journaled wrapper funnels every
@@ -73,11 +75,21 @@ type Record struct {
 
 // Store is the server database interface: Scan implements it, and the
 // Journaled wrapper layers durability over any implementation.
+//
+// A store keeps no reference to a record passed to Insert or Replace, and
+// every record it returns is the caller's own copy. The *Into lookups write
+// into a caller-owned scratch record, reusing its buffers; the allocating
+// forms are thin wrappers over them.
 type Store interface {
 	// Insert adds a record; the ID must be unused.
 	Insert(*Record) error
 	// Get returns the record for a claimed identity (verification mode).
 	Get(id string) (*Record, bool)
+	// GetInto is Get into dst: it reports whether id is enrolled and, if
+	// so, overwrites dst with its record.
+	GetInto(id string, dst *Record) bool
+	// Contains reports whether id is enrolled, materialising nothing.
+	Contains(id string) bool
 	// Delete removes an enrolled record (revocation / re-enrollment).
 	Delete(id string) error
 	// Replace atomically swaps the enrolled record for rec.ID with rec
@@ -91,9 +103,10 @@ type Store interface {
 	// of them may be returned; which one is layout- and
 	// scheduling-dependent.
 	Identify(probe *sketch.Sketch) (*Record, error)
-	// IdentifyCtx is Identify with cancellation: the lookup aborts with
-	// ctx.Err() once ctx is done.
-	IdentifyCtx(ctx context.Context, probe *sketch.Sketch) (*Record, error)
+	// IdentifyInto is Identify into dst, with cancellation: on a match it
+	// overwrites dst with the matched record and returns nil; otherwise dst
+	// is untouched. The lookup aborts with ctx.Err() once ctx is done.
+	IdentifyInto(ctx context.Context, probe *sketch.Sketch, dst *Record) error
 	// IdentifyBatch resolves many probes in one call, amortising probe
 	// validation, residue computation and lock acquisition across the
 	// batch. The result is aligned with probes; a nil element means no
@@ -101,7 +114,8 @@ type Store interface {
 	// probes.
 	IdentifyBatch(probes []*sketch.Sketch) ([]*Record, error)
 	// All returns a snapshot of every enrolled record in insertion-stable
-	// order. The normal-approach protocol of Fig. 2 iterates it.
+	// order, materialising the whole set. The normal-approach protocol of
+	// Fig. 2, snapshots and partition handoff iterate it.
 	All() []*Record
 	// Len returns the number of enrolled records.
 	Len() int
@@ -185,7 +199,19 @@ func (s *Scan) Insert(rec *Record) error {
 }
 
 // Get implements Store.
-func (s *Scan) Get(id string) (*Record, bool) { return s.tab.get(id) }
+func (s *Scan) Get(id string) (*Record, bool) {
+	rec := new(Record)
+	if !s.tab.getInto(id, rec) {
+		return nil, false
+	}
+	return rec, true
+}
+
+// GetInto implements Store.
+func (s *Scan) GetInto(id string, dst *Record) bool { return s.tab.getInto(id, dst) }
+
+// Contains implements Store.
+func (s *Scan) Contains(id string) bool { return s.tab.getInto(id, nil) }
 
 // Delete implements Store.
 func (s *Scan) Delete(id string) error { return s.tab.delete(id) }
@@ -210,21 +236,25 @@ func (s *Scan) All() []*Record { return s.tab.all() }
 
 // Identify implements Store.
 func (s *Scan) Identify(probe *sketch.Sketch) (*Record, error) {
-	return s.IdentifyCtx(context.Background(), probe)
+	rec := new(Record)
+	if err := s.IdentifyInto(context.Background(), probe, rec); err != nil {
+		return nil, err
+	}
+	return rec, nil
 }
 
-// IdentifyCtx implements Store.
-func (s *Scan) IdentifyCtx(ctx context.Context, probe *sketch.Sketch) (*Record, error) {
+// IdentifyInto implements Store.
+func (s *Scan) IdentifyInto(ctx context.Context, probe *sketch.Sketch, dst *Record) error {
 	// dim is read once: a first insert landing after validation must not
 	// leave the scan slicing rows at an unchecked probe length. While dim is
 	// 0 no row exists (insert adopts the dimension before storing the first
 	// row), so a miss is the linearizable answer.
 	dim := s.tab.dimension()
 	if err := validateProbe(probe, dim); err != nil {
-		return nil, err
+		return err
 	}
 	if dim == 0 {
-		return nil, ErrNotFound
+		return ErrNotFound
 	}
 	bufp := getResBuf()
 	defer putResBuf(bufp)
@@ -233,42 +263,45 @@ func (s *Scan) IdentifyCtx(ctx context.Context, probe *sketch.Sketch) (*Record, 
 	span, t := s.line.IntervalSpan(), s.line.Threshold()
 	cp := s.tab.coarse.probe(res) // published before the non-zero dim read above
 	if s.tab.size() >= scanParallelRows && s.tab.numShards() > 1 && runtime.GOMAXPROCS(0) > 1 {
-		return s.identifyParallel(ctx, res, span, t, cp)
+		return s.identifyParallel(ctx, res, span, t, cp, dst)
 	}
 	for si := range s.tab.shards {
 		sh := &s.tab.shards[si]
 		sh.mu.RLock()
-		rec, err := scanShardSeq(ctx, sh, res, span, t, cp)
+		row, err := scanShardSeq(ctx, sh, res, span, t, cp)
+		if row >= 0 {
+			s.tab.load(sh, row, dst)
+		}
 		sh.mu.RUnlock()
-		if rec != nil || err != nil {
-			return rec, err
+		if row >= 0 || err != nil {
+			return err
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	return nil, ErrNotFound
+	return ErrNotFound
 }
 
 // scanShardSeq walks one shard's packed matrix with per-block early exit,
-// checking for cancellation between blocks. The caller holds the shard read
-// lock.
-func scanShardSeq(ctx context.Context, sh *tableShard, probe []int64, span, t int64, cp coarseProbe) (*Record, error) {
+// checking for cancellation between blocks, and returns the first matching
+// row or -1. The caller holds the shard read lock.
+func scanShardSeq(ctx context.Context, sh *tableShard, probe []int64, span, t int64, cp coarseProbe) (int, error) {
 	dim := len(probe)
-	n := len(sh.recs)
+	n := len(sh.rows)
 	for base := 0; base < n; base += scanBlock {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return -1, err
 		}
 		end := base + scanBlock
 		if end > n {
 			end = n
 		}
 		if i := sh.mat.scanRange(base, end, dim, probe, span, t, sh.coarse, cp); i >= 0 {
-			return sh.recs[i], nil
+			return i, nil
 		}
 	}
-	return nil, nil
+	return -1, nil
 }
 
 // scanJob carries one fanned-out Identify across the shard workers. Jobs are
@@ -279,8 +312,9 @@ type scanJob struct {
 	span, t int64
 	cp      coarseProbe
 	ctx     context.Context
+	dst     *Record
 	stop    atomic.Bool
-	found   atomic.Pointer[Record]
+	found   atomic.Bool
 	wg      sync.WaitGroup
 }
 
@@ -288,27 +322,28 @@ var scanJobPool = sync.Pool{New: func() any { return new(scanJob) }}
 
 // identifyParallel fans the scan out with one worker per shard — a pool
 // bounded by the shard count — and cancels the stragglers on first match.
-func (s *Scan) identifyParallel(ctx context.Context, probe []int64, span, t int64, cp coarseProbe) (*Record, error) {
+// The first worker to match loads its row into dst under its shard lock.
+func (s *Scan) identifyParallel(ctx context.Context, probe []int64, span, t int64, cp coarseProbe, dst *Record) error {
 	job := scanJobPool.Get().(*scanJob)
-	job.tab, job.probe, job.span, job.t, job.ctx = s.tab, probe, span, t, ctx
+	job.tab, job.probe, job.span, job.t, job.ctx, job.dst = s.tab, probe, span, t, ctx, dst
 	job.cp = cp
 	job.stop.Store(false)
-	job.found.Store(nil)
+	job.found.Store(false)
 	for si := range s.tab.shards {
 		job.wg.Add(1)
 		go job.scanShard(si)
 	}
 	job.wg.Wait()
-	rec := job.found.Load()
-	job.tab, job.probe, job.ctx = nil, nil, nil
+	found := job.found.Load()
+	job.tab, job.probe, job.ctx, job.dst = nil, nil, nil, nil
 	scanJobPool.Put(job)
-	if rec != nil {
-		return rec, nil
+	if found {
+		return nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	return nil, ErrNotFound
+	return ErrNotFound
 }
 
 func (j *scanJob) scanShard(si int) {
@@ -317,7 +352,7 @@ func (j *scanJob) scanShard(si int) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	dim := len(j.probe)
-	n := len(sh.recs)
+	n := len(sh.rows)
 	for base := 0; base < n; base += scanBlock {
 		if j.stop.Load() || j.ctx.Err() != nil {
 			return
@@ -327,7 +362,9 @@ func (j *scanJob) scanShard(si int) {
 			end = n
 		}
 		if i := sh.mat.scanRange(base, end, dim, j.probe, j.span, j.t, sh.coarse, j.cp); i >= 0 {
-			j.found.CompareAndSwap(nil, sh.recs[i])
+			if j.found.CompareAndSwap(false, true) {
+				j.tab.load(sh, i, j.dst)
+			}
 			j.stop.Store(true)
 			return
 		}
@@ -335,7 +372,7 @@ func (j *scanJob) scanShard(si int) {
 }
 
 // IdentifyBatch implements Store. Residues are computed once per probe and
-// every shard lock is taken once for the whole batch. As in IdentifyCtx, the
+// every shard lock is taken once for the whole batch. As in IdentifyInto, the
 // dimension is read once and an empty store answers all-nil.
 func (s *Scan) IdentifyBatch(probes []*sketch.Sketch) ([]*Record, error) {
 	dim := s.tab.dimension()
@@ -364,9 +401,9 @@ func (s *Scan) IdentifyBatch(probes []*sketch.Sketch) ([]*Record, error) {
 				continue
 			}
 			probeRes := resAll[pi*dim : (pi+1)*dim]
-			rec, _ := scanShardSeq(context.Background(), sh, probeRes, span, t, cps[pi])
-			if rec != nil {
-				out[pi] = rec
+			if row, _ := scanShardSeq(context.Background(), sh, probeRes, span, t, cps[pi]); row >= 0 {
+				out[pi] = new(Record)
+				s.tab.load(sh, row, out[pi])
 				remaining--
 			}
 		}

@@ -322,6 +322,27 @@ func TestIdentifyEmptyStore(t *testing.T) {
 	}
 }
 
+// TestReplaceUnknownIDLeavesDimensionUnset pins the order of Replace's
+// checks: on an empty store an unknown ID is refused before the record's
+// dimension is adopted, so the store stays empty in every respect and a
+// first insert of any dimension still succeeds.
+func TestReplaceUnknownIDLeavesDimensionUnset(t *testing.T) {
+	for name, s := range newFixture(t, 16, 13).stores {
+		if err := s.Replace(rawRecord("ghost", make([]int64, 16))); !errors.Is(err, ErrUnknownID) {
+			t.Fatalf("%s Replace(unknown) = %v, want ErrUnknownID", name, err)
+		}
+		if d := s.Dimension(); d != 0 {
+			t.Fatalf("%s Dimension after a refused Replace = %d, want 0", name, d)
+		}
+		if err := s.Insert(rawRecord("first", make([]int64, 9))); err != nil {
+			t.Fatalf("%s first Insert after a refused Replace: %v", name, err)
+		}
+		if d := s.Dimension(); d != 9 {
+			t.Fatalf("%s Dimension = %d, want 9", name, d)
+		}
+	}
+}
+
 // TestStrategiesAgreeOnRandomWorkload checks every store layout against the
 // brute-force oracle on a mixed workload of genuine and impostor probes,
 // before and after deleting a third of the population.

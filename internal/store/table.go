@@ -3,10 +3,12 @@ package store
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"fuzzyid/internal/core"
 	"fuzzyid/internal/numberline"
 	"fuzzyid/internal/sketch"
 )
@@ -19,10 +21,19 @@ import (
 //
 // Within a shard the precomputed mod-ka residues live in one flat row-major
 // matrix packed to the narrowest width that holds the span (see packed.go),
-// with a parallel record slice and a parallel per-row coarse summary word,
-// so the early-exit scan of conditions (1)-(4) walks contiguous memory
-// instead of chasing a pointer per record. Deletion swap-removes the row
-// and re-points the moved record's ID at its new position.
+// with a parallel per-row coarse summary word and a parallel slice of row
+// metadata, so the early-exit scan of conditions (1)-(4) walks contiguous
+// memory instead of chasing a pointer per record. Deletion swap-removes the
+// row and re-points the moved record's ID at its new position.
+//
+// The packed row is the only copy of a record's movements. The store keeps
+// no caller *Record: a movement s_i is recovered from its residue r by the
+// canonical lift (r if r <= ka/2, else r - ka), and the few coordinates the
+// lift does not reproduce — the -ka/2 boundary coin, and any movement outside
+// (ka/2 - ka, ka/2] — are kept verbatim in the row's exception list, so the
+// encoding is lossless for every int64 input. A reader materialises a record
+// into a caller-owned scratch *Record under the shard read lock (load), which
+// is what makes a concurrent Replace appear wholly old or wholly new.
 
 // defaultShards picks the shard count for stores built without an explicit
 // one: the scheduler's parallelism, but at least 4 so sharding stays
@@ -58,11 +69,28 @@ type Tuning struct {
 // tableShard is one shard of the residue table.
 type tableShard struct {
 	mu     sync.RWMutex
-	mat    resMatrix // packed flat row-major residue matrix; nil until first insert
-	coarse []uint64  // per-row coarse summary keys, parallel to recs
-	recs   []*Record
-	seqs   []uint64       // insertion sequence numbers, for stable All()
-	byID   map[string]int // row of each record; byID[recs[i].ID] == i
+	mat    resMatrix      // packed flat row-major residue matrix; nil until first insert
+	coarse []uint64       // per-row coarse summary keys, parallel to rows
+	rows   []rowMeta      // everything but the residues, parallel to mat
+	byID   map[string]int // row of each record; byID[rows[i].id] == i
+}
+
+// rowMeta is what a row keeps beside its packed residues: the record minus
+// its movements, plus the exceptions to the canonical lift.
+type rowMeta struct {
+	id     string
+	pk     []byte // pk and seed share one store-owned allocation
+	seed   []byte
+	digest [sketch.DigestSize]byte
+	exc    []exception
+	seq    uint64 // insertion sequence number, for stable All()
+}
+
+// exception is one coordinate whose enrolled movement the canonical lift of
+// its residue does not reproduce.
+type exception struct {
+	coord int32
+	mv    int64
 }
 
 // resTable is the sharded flat residue store.
@@ -150,13 +178,63 @@ func (t *resTable) adoptDimension(n int) error {
 	return nil
 }
 
-// insert stores rec with its precomputed residues. res is copied; the caller
-// may reuse its buffer.
+// newRow builds rec's row metadata: copies of its public key and seed, and
+// the exceptions to the canonical lift of its residues. A movement m is
+// an exception unless it lies in (half-span, half], the lift's image; the
+// test is written on the movement, not through the lift, so the two are
+// independent statements of the same range that the store fuzzer checks
+// against each other.
+func (t *resTable) newRow(rec *Record) rowMeta {
+	span := t.line.IntervalSpan()
+	half := span / 2
+	h := rec.Helper
+	var exc []exception
+	for j, m := range h.Sketch.Sketch.Movements {
+		if m <= half-span || m > half {
+			exc = append(exc, exception{coord: int32(j), mv: m})
+		}
+	}
+	buf := make([]byte, len(rec.PublicKey)+len(h.Seed))
+	n := copy(buf, rec.PublicKey)
+	copy(buf[n:], h.Seed)
+	return rowMeta{id: rec.ID, pk: buf[:n:n], seed: buf[n:], digest: h.Sketch.Digest, exc: exc}
+}
+
+// load materialises row's record into dst, reusing dst's buffers; nothing of
+// dst aliases the store afterwards. The caller holds the shard's read lock,
+// so a concurrent replace is seen wholly old or wholly new.
+func (t *resTable) load(sh *tableShard, row int, dst *Record) {
+	r := &sh.rows[row]
+	dst.ID = r.id
+	dst.PublicKey = append(dst.PublicKey[:0], r.pk...)
+	if dst.Helper == nil {
+		dst.Helper = &core.HelperData{}
+	}
+	h := dst.Helper
+	if h.Sketch == nil {
+		h.Sketch = &sketch.RobustSketch{}
+	}
+	if h.Sketch.Sketch == nil {
+		h.Sketch.Sketch = &sketch.Sketch{}
+	}
+	h.Seed = append(h.Seed[:0], r.seed...)
+	h.Sketch.Digest = r.digest
+	s := h.Sketch.Sketch
+	dim := t.dimension()
+	s.Movements = sh.mat.liftRow(row, dim, t.line.IntervalSpan(), slices.Grow(s.Movements[:0], dim))
+	for _, e := range r.exc {
+		s.Movements[e.coord] = e.mv
+	}
+}
+
+// insert stores rec with its precomputed residues. Nothing of rec is
+// retained; the caller may reuse res.
 func (t *resTable) insert(rec *Record, res []int64) error {
 	if err := t.adoptDimension(len(res)); err != nil {
 		return err
 	}
 	key := t.coarse.keyOf(res)
+	meta := t.newRow(rec)
 	sh := &t.shards[t.shardFor(rec.ID)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -166,35 +244,36 @@ func (t *resTable) insert(rec *Record, res []int64) error {
 	if sh.mat == nil {
 		sh.mat = newMatrix(t.width)
 	}
-	sh.byID[rec.ID] = len(sh.recs)
+	sh.byID[rec.ID] = len(sh.rows)
 	sh.mat.appendRow(res)
 	sh.coarse = append(sh.coarse, key)
-	sh.recs = append(sh.recs, rec)
-	sh.seqs = append(sh.seqs, t.seq.Add(1))
+	meta.seq = t.seq.Add(1)
+	sh.rows = append(sh.rows, meta)
 	t.count.Add(1)
 	return nil
 }
 
-func (t *resTable) get(id string) (*Record, bool) {
+// getInto reports whether id is enrolled and, when dst is non-nil, loads its
+// record into dst.
+func (t *resTable) getInto(id string, dst *Record) bool {
 	sh := &t.shards[t.shardFor(id)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	row, ok := sh.byID[id]
-	if !ok {
-		return nil, false
+	if ok && dst != nil {
+		t.load(sh, row, dst)
 	}
-	return sh.recs[row], true
+	return ok
 }
 
-// replace overwrites id's record and residues in place under the owning
-// shard's write lock, keeping the row's position and insertion sequence.
-// Readers therefore always observe a consistent (residues, record) pair —
-// entirely the old template or entirely the new one, never a mix.
+// replace overwrites id's row in place under the owning shard's write lock,
+// keeping the row's position and insertion sequence. Readers therefore
+// always observe a consistent (residues, metadata) pair — entirely the old
+// template or entirely the new one, never a mix. The ID is checked before
+// the dimension: an enrolled ID implies an adopted dimension, and a replace
+// of an unknown ID must leave an empty store's dimension unset.
 func (t *resTable) replace(rec *Record, res []int64) error {
-	if err := t.adoptDimension(len(res)); err != nil {
-		return err
-	}
-	key := t.coarse.keyOf(res)
+	meta := t.newRow(rec)
 	sh := &t.shards[t.shardFor(rec.ID)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -202,9 +281,13 @@ func (t *resTable) replace(rec *Record, res []int64) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownID, rec.ID)
 	}
+	if d := t.dimension(); len(res) != d {
+		return fmt.Errorf("%w: got %d, want %d", ErrBadDimension, len(res), d)
+	}
+	meta.seq = sh.rows[row].seq
 	sh.mat.setRow(row, res)
-	sh.coarse[row] = key
-	sh.recs[row] = rec
+	sh.coarse[row] = t.coarse.keyOf(res)
+	sh.rows[row] = meta
 	return nil
 }
 
@@ -218,25 +301,23 @@ func (t *resTable) delete(id string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownID, id)
 	}
 	dim := int(t.dim.Load())
-	last := len(sh.recs) - 1
+	last := len(sh.rows) - 1
 	if row != last {
 		sh.mat.moveRow(row, last, dim)
 		sh.coarse[row] = sh.coarse[last]
-		sh.recs[row] = sh.recs[last]
-		sh.seqs[row] = sh.seqs[last]
-		sh.byID[sh.recs[row].ID] = row
+		sh.rows[row] = sh.rows[last]
+		sh.byID[sh.rows[row].id] = row
 	}
 	sh.mat.truncate(last, dim)
 	sh.coarse = sh.coarse[:last]
-	sh.recs[last] = nil
-	sh.recs = sh.recs[:last]
-	sh.seqs = sh.seqs[:last]
+	sh.rows[last] = rowMeta{}
+	sh.rows = sh.rows[:last]
 	delete(sh.byID, id)
 	t.count.Add(-1)
 	return nil
 }
 
-// all snapshots every record in insertion order (by sequence number).
+// all materialises every record in insertion order (by sequence number).
 func (t *resTable) all() []*Record {
 	type seqRec struct {
 		seq uint64
@@ -246,8 +327,10 @@ func (t *resTable) all() []*Record {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.RLock()
-		for j, rec := range sh.recs {
-			rows = append(rows, seqRec{seq: sh.seqs[j], rec: rec})
+		for j := range sh.rows {
+			rec := new(Record)
+			t.load(sh, j, rec)
+			rows = append(rows, seqRec{seq: sh.rows[j].seq, rec: rec})
 		}
 		sh.mu.RUnlock()
 	}

@@ -252,7 +252,11 @@ func WriteFrame(w io.Writer, payload []byte) error {
 }
 
 // ReadFrame reads one length-prefixed frame.
-func ReadFrame(r io.Reader) ([]byte, error) {
+func ReadFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
+
+// readFrameInto reads one length-prefixed frame into buf, reusing its
+// capacity, and returns the payload.
+func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -264,7 +268,10 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFrameLen {
 		return nil, fmt.Errorf("%w: frame %d bytes", ErrTooLarge, n)
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("%w: frame body: %v", ErrTruncated, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"fuzzyid/internal/core"
 	"fuzzyid/internal/sketch"
@@ -751,11 +752,25 @@ func Send(w io.Writer, m Message) error {
 	return WriteFrame(w, buf)
 }
 
+// maxPooledFrame bounds the frame buffers Receive recycles; a larger frame
+// (a snapshot chunk, a normal-approach batch) is read into a one-off buffer.
+const maxPooledFrame = 1 << 20
+
+// frameBufs recycles Receive's frame buffers. Recycling is safe because
+// every decoder copies what it keeps (VarBytes, String, Bytes32,
+// Int64Slice): no decoded message aliases its frame.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Receive reads one frame and unmarshals the message.
 func Receive(r io.Reader) (Message, error) {
-	buf, err := ReadFrame(r)
+	bp := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(bp)
+	buf, err := readFrameInto(r, *bp)
 	if err != nil {
 		return nil, err
+	}
+	if cap(buf) <= maxPooledFrame {
+		*bp = buf[:0]
 	}
 	return Unmarshal(buf)
 }

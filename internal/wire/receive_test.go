@@ -1,0 +1,126 @@
+package wire
+
+import (
+	"bytes"
+	"testing"
+
+	"fuzzyid/internal/sketch"
+	"fuzzyid/internal/store"
+)
+
+// everyMessage returns one populated message of every type, the helpers
+// taken from the golden paper-dimension Gen.
+func everyMessage(t *testing.T) []Message {
+	t.Helper()
+	_, _, _, helper := goldenGen(t)
+	probe := &sketch.Sketch{Movements: helper.Sketch.Sketch.Movements}
+	rec := &store.Record{ID: "golden", PublicKey: []byte("golden-public-key"), Helper: helper}
+	m := testClusterMap(9)
+	return []Message{
+		&EnrollRequest{ID: "alice", PublicKey: []byte{1, 2, 3}, Helper: helper, Tenant: "acme"},
+		&EnrollOK{ID: "alice"},
+		&VerifyRequest{ID: "bob", Tenant: "acme"},
+		&IdentifyRequest{Probe: probe},
+		&Challenge{Helper: helper, Challenge: []byte("golden-challenge")},
+		&ChallengeBatch{Entries: []ChallengeEntry{{Helper: helper, Challenge: []byte("c0")}}},
+		&Signature{Signature: []byte("sig"), Nonce: []byte("nonce")},
+		&BatchSignature{Index: 7, Signature: []byte("sig"), Nonce: []byte("a")},
+		&Accept{ID: "alice"},
+		&Reject{Reason: "no matching record"},
+		&RevokeRequest{ID: "alice"},
+		&IdentifyBatchRequest{Probes: []*sketch.Sketch{probe, probe}},
+		&IdentifyBatchChallenge{Entries: []IndexedChallenge{{Probe: 3, Helper: helper, Challenge: []byte("c3")}}},
+		&IdentifyBatchSignature{Entries: []IndexedSignature{{Probe: 3, Signature: []byte("sig"), Nonce: []byte("n")}}},
+		&IdentifyBatchResult{IDs: []string{"alice", "", "carol"}},
+		&StatsRequest{},
+		&StatsResponse{JSON: []byte(`{"store.len":1}`)},
+		&NotPrimary{Primary: "10.0.0.1:7700"},
+		&ReplSubscribe{Epoch: 0xdead, From: 42},
+		&ReplSnapshot{Epoch: 1, Next: 10, First: true, Done: true, Records: []*store.Record{rec}},
+		&ReplFrame{Epoch: 2, Offset: 9, Mut: store.ReplaceMutation(rec)},
+		&ReplAck{Offset: 8},
+		&ReplHeartbeat{Epoch: 2, Latest: 9},
+		&ReplStatus{},
+		&ReplStatusInfo{Role: "replica", Primary: "10.0.0.1:7700", Epoch: 2, Applied: 8, Latest: 9, Connected: true},
+		&UnknownTenant{Tenant: "ghost"},
+		&TenantAdmin{Action: TenantActionSetLimits, Tenant: "acme",
+			Limits: &LimitsSpec{RateMilli: 1500, Burst: 10, MaxConcurrent: 8, Weight: 3}},
+		&TenantInfo{Tenants: []string{"default", "acme"}},
+		&Overloaded{RetryAfterMS: 120, Reason: "rate"},
+		&TenantLimits{Tenant: "acme", Spec: LimitsSpec{RateMilli: 250, Weight: 1}, Overridden: true},
+		&ReEnrollRequest{ID: "alice", PublicKey: []byte{7}, Helper: helper, Tenant: "acme"},
+		&ClusterMapRequest{},
+		&ClusterMapInfo{Map: m},
+		&WrongPartition{Map: m},
+		&PartitionAdmin{Action: PartitionSplit, Slots: []uint32{0, 2, 4}, Target: "10.0.0.9:7700", TargetReplicas: []string{"10.0.0.10:7700"}},
+		&PartitionIngest{Tenant: "acme", Records: []*store.Record{rec}},
+		&PartitionOK{Version: 9},
+	}
+}
+
+// TestDecodedMessagesOwnTheirBytes is what makes Receive's frame-buffer
+// pool safe: for every message type, a decoded message must survive its
+// frame being overwritten, re-marshalling to exactly the original bytes.
+// A decoder that kept a slice of the frame would re-marshal 0xFF bytes.
+func TestDecodedMessagesOwnTheirBytes(t *testing.T) {
+	seen := map[MsgType]bool{}
+	for _, msg := range everyMessage(t) {
+		seen[msg.Type()] = true
+		orig, err := Marshal(msg)
+		if err != nil {
+			t.Fatalf("marshal %T: %v", msg, err)
+		}
+		frame := bytes.Clone(orig)
+		got, err := Unmarshal(frame)
+		if err != nil {
+			t.Fatalf("unmarshal %T: %v", msg, err)
+		}
+		for i := range frame {
+			frame[i] = 0xFF
+		}
+		again, err := Marshal(got)
+		if err != nil {
+			t.Fatalf("re-marshal %T: %v", msg, err)
+		}
+		if !bytes.Equal(again, orig) {
+			t.Errorf("%T aliases its frame: re-marshalled bytes changed when the frame was overwritten", msg)
+		}
+	}
+	for typ := TypeEnrollRequest; typ <= TypePartitionOK; typ++ {
+		if !seen[typ] {
+			t.Errorf("message type %d has no sample", typ)
+		}
+	}
+}
+
+// TestReceiveReusesFrameBuffer pins the allocation cost of reading a frame:
+// receiving an n = 5000 Challenge allocates exactly what decoding it does
+// plus the 4-byte frame header, because the 40 KB payload is read into a
+// pooled buffer.
+func TestReceiveReusesFrameBuffer(t *testing.T) {
+	_, _, _, helper := goldenGen(t)
+	payload, err := Marshal(&Challenge{Helper: helper, Challenge: []byte("golden-challenge")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, payload); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	r := bytes.NewReader(frame)
+	receive := testing.AllocsPerRun(100, func() {
+		r.Reset(frame)
+		if _, err := Receive(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	decode := testing.AllocsPerRun(100, func() {
+		if _, err := Unmarshal(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if receive != decode+1 {
+		t.Fatalf("Receive allocates %v per Challenge, Unmarshal %v: want exactly one more (the frame header)", receive, decode)
+	}
+}
