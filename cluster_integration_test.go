@@ -10,7 +10,9 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fuzzyid/internal/biometric"
 	"fuzzyid/internal/cluster"
@@ -19,9 +21,10 @@ import (
 
 const clusterTestDim = 64
 
-// reserveAddrs grabs n listen addresses so a cluster spec can name every
-// node before any of them is started. The listeners are closed immediately;
-// the tiny reuse race is acceptable in tests.
+// reserveAddrs grabs n distinct listen addresses so a cluster spec can name
+// every node before any of them is started. The listeners stay open until
+// all n are taken, so no two share a port; the tiny reuse race between
+// closing them and the nodes listening is acceptable in tests.
 func reserveAddrs(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
@@ -30,17 +33,17 @@ func reserveAddrs(t *testing.T, n int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer ln.Close()
 		addrs[i] = ln.Addr().String()
-		ln.Close()
 	}
 	return addrs
 }
 
 // startClusterNode builds and listens one partition primary.
-func startClusterNode(t *testing.T, advertise, spec string) (*System, *Server) {
+func startClusterNode(t *testing.T, advertise, spec string, opts ...Option) (*System, *Server) {
 	t.Helper()
-	sys, err := NewSystem(Params{Line: PaperLine(), Dimension: clusterTestDim},
-		WithClusterNode(advertise, spec), WithTelemetry())
+	opts = append([]Option{WithClusterNode(advertise, spec), WithTelemetry()}, opts...)
+	sys, err := NewSystem(Params{Line: PaperLine(), Dimension: clusterTestDim}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +104,8 @@ func TestClusterEndToEnd(t *testing.T) {
 	if total != len(pop) {
 		t.Fatalf("cluster holds %d records, want %d", total, len(pop))
 	}
-	if populated < 2 {
-		t.Fatalf("population landed on %d partition(s); the hash should spread it", populated)
+	if populated != len(systems) {
+		t.Fatalf("population landed on %d of %d partitions; the hash should spread it", populated, len(systems))
 	}
 
 	// Every user identifies cluster-wide, zero misses, and verification
@@ -174,10 +177,11 @@ func TestClusterEndToEnd(t *testing.T) {
 }
 
 // TestClusterLiveSplit: a joining node receives half of partition 0's slots
-// via a live handoff while enrollment traffic flows. No acked write is
-// lost, the moved identities stay identifiable cluster-wide (the client
-// refreshes its map on a miss), and a stale client converges in one
-// redirect round.
+// via a live handoff while enrollment and identification traffic flow. No
+// acked write is lost, identification held open across the split never
+// misses (the client refreshes its map on a miss), a stale client converges
+// in one redirect round, partition 0's follower replicates the handoff
+// purge, and a fresh population routes cleanly on the new topology.
 func TestClusterLiveSplit(t *testing.T) {
 	addrs := reserveAddrs(t, 4)
 	spec := strings.Join(addrs[:3], ";")
@@ -185,8 +189,14 @@ func TestClusterLiveSplit(t *testing.T) {
 	for i, addr := range addrs {
 		// Node 3 starts with the same spec but is absent from it: it joins
 		// owning nothing, the target posture for a split.
-		systems[i], _ = startClusterNode(t, addr, spec)
+		var opts []Option
+		if i == 0 {
+			opts = append(opts, WithReplication())
+		}
+		systems[i], _ = startClusterNode(t, addr, spec, opts...)
 	}
+	follower, folSrv := startFollower(t, addrs[0])
+	t.Cleanup(func() { folSrv.Close(); follower.Close() })
 
 	client, err := systems[0].Dial(addrs[0], WithCluster(), WithOverloadRetry(8))
 	if err != nil {
@@ -228,6 +238,43 @@ func TestClusterLiveSplit(t *testing.T) {
 		}
 	}()
 
+	// Identification held open across the split: a second cluster client,
+	// seeded at a node that takes no part in the handoff, cycles through
+	// the population until it has identified everyone again after the
+	// handoff. Any miss or error fails the test.
+	readings := make([]Vector, len(pop))
+	for i, u := range pop {
+		readings[i] = mustReading(t, src, u)
+	}
+	var (
+		idOps        atomic.Uint64
+		stop, done   = make(chan struct{}), make(chan struct{})
+		stopIdentify = sync.OnceFunc(func() { close(stop); <-done })
+	)
+	defer stopIdentify()
+	go func() {
+		defer close(done)
+		ic, err := systems[0].Dial(addrs[2], WithCluster(), WithOverloadRetry(8))
+		if err != nil {
+			t.Errorf("identify dial: %v", err)
+			return
+		}
+		defer ic.Close()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := i % len(pop)
+			if got, err := ic.Identify(readings[k]); err != nil || got != pop[k].ID {
+				t.Errorf("identify across the split: %s = %q, %v", pop[k].ID, got, err)
+			}
+			idOps.Add(1)
+		}
+	}()
+	waitFor(t, 10*time.Second, "identifies before the split", func() bool { return idOps.Load() > 0 })
+
 	// A client that caches the pre-split map now, and routes with it after
 	// the split, must converge through one WrongPartition redirect round.
 	stale, err := systems[0].Dial(addrs[1], WithCluster())
@@ -260,6 +307,12 @@ func TestClusterLiveSplit(t *testing.T) {
 		t.Fatalf("split installed map version %d, want %d", version, m.Version+1)
 	}
 	wg.Wait()
+	opsAtSplit := idOps.Load()
+	waitFor(t, 30*time.Second, "identifies after the split", func() bool {
+		return idOps.Load() >= opsAtSplit+uint64(len(pop))
+	})
+	stopIdentify()
+	t.Logf("identify across the split: %d ops, %d before the handoff returned", idOps.Load(), opsAtSplit)
 
 	// The joining node now owns the moved slots and some records landed.
 	_, slots, ok := systems[3].ClusterSelf()
@@ -321,6 +374,32 @@ func TestClusterLiveSplit(t *testing.T) {
 	}
 	if err := stale.Verify(movedUser.ID, mustReading(t, src, movedUser)); err != nil {
 		t.Fatalf("stale-map verify of moved user: %v", err)
+	}
+
+	// Partition 0's follower replicated the handoff purge: its lag drains
+	// to 0 and it holds exactly what its primary kept.
+	waitFor(t, 10*time.Second, "partition 0 follower catch-up", func() bool {
+		_, lag, connected := follower.ReplicaStatus()
+		return connected && lag == 0 && follower.Enrolled() == systems[0].Enrolled()
+	})
+
+	// A fresh population, seeded at the joining node, enrolls and
+	// identifies cleanly on the four-partition topology.
+	joined, err := systems[0].Dial(addrs[3], WithCluster(), WithOverloadRetry(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer joined.Close()
+	freshSrc, fresh := clusterPopulation(t, systems[0].Extractor().Line(), 20, 76)
+	for _, u := range fresh {
+		if err := joined.Enroll(u.ID, u.Template); err != nil {
+			t.Fatalf("post-split enroll %s: %v", u.ID, err)
+		}
+	}
+	for _, u := range fresh {
+		if got, err := joined.Identify(mustReading(t, freshSrc, u)); err != nil || got != u.ID {
+			t.Fatalf("post-split identify %s = %q, %v", u.ID, got, err)
+		}
 	}
 }
 

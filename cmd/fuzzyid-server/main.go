@@ -13,7 +13,7 @@
 //
 // Telemetry is on by default (lock-free counters and histograms; see
 // DESIGN.md §7). -stats-addr additionally serves the JSON snapshot over
-// HTTP for scrapers and the load harness:
+// HTTP for scrapers:
 //
 //	fuzzyid-server -addr 127.0.0.1:7700 -stats-addr 127.0.0.1:7701
 //	curl http://127.0.0.1:7701/stats
@@ -40,10 +40,9 @@
 //
 // Clustering (DESIGN.md §14, OPERATIONS.md): -cluster shards the user
 // keyspace across several partition primaries; every node of the cluster is
-// started with the same spec and -advertise names this node within it.
-// Keyed sessions for other partitions are redirected with a versioned
-// cluster map; fuzzyid-client/fuzzyid-load route automatically with
-// -cluster.
+// started with the same spec, and -advertise names this node within it
+// (default -addr). Keyed sessions for other partitions are redirected with a
+// versioned cluster map; fuzzyid-client routes automatically with -cluster.
 //
 //	fuzzyid-server -addr 127.0.0.1:7700 -cluster '127.0.0.1:7700;127.0.0.1:7710'
 //	fuzzyid-server -addr 127.0.0.1:7710 -cluster '127.0.0.1:7700;127.0.0.1:7710'
@@ -177,7 +176,7 @@ func setup(args []string) (*proc, error) {
 		statsAddr = fs.String("stats-addr", "", "serve the telemetry JSON snapshot over HTTP on this address (requires -telemetry)")
 		serveRepl = fs.Bool("serve-replication", false, "act as a replication primary: stream the mutation log to followers")
 		replicaOf = fs.String("replica-of", "", "act as a read-only follower of the primary at this address")
-		clSpec    = fs.String("cluster", "", "keyspace-sharded cluster spec: partition groups separated by ';', each 'primary,replica,...' (requires -advertise)")
+		clSpec    = fs.String("cluster", "", "keyspace-sharded cluster spec: partition groups separated by ';', each 'primary,replica,...'; this node is named by -advertise")
 		advertise = fs.String("advertise", "", "this node's address as it appears in -cluster (defaults to -addr)")
 
 		qosOn     = fs.Bool("qos", true, "per-tenant admission control: fair scan scheduling, bounded queues, typed retryable overload sheds")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"path/filepath"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"fuzzyid"
 	"fuzzyid/internal/biometric"
+	"fuzzyid/internal/cluster"
 	"fuzzyid/internal/vecfile"
 )
 
@@ -48,6 +50,23 @@ func TestSetupAndServe(t *testing.T) {
 	// Exercise vecfile interop: dump the template the way the CLI would.
 	if err := vecfile.WriteFile(filepath.Join(t.TempDir(), "a.vec"), u.Template); err != nil {
 		t.Fatal(err)
+	}
+
+	// -cluster without -advertise names this node by -addr: it leads the
+	// one-partition cluster and owns every slot.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	cp, err := setup([]string{"-addr", addr, "-dim", "32", "-cluster", addr})
+	if err != nil {
+		t.Fatalf("setup -cluster without -advertise: %v", err)
+	}
+	defer cp.Close()
+	if self, slots, ok := cp.sys.ClusterSelf(); !ok || self != addr || len(slots) != cluster.NumSlots {
+		t.Fatalf("cluster self = (%q, %d slots, %v), want (%q, %d, true)", self, len(slots), ok, addr, cluster.NumSlots)
 	}
 }
 

@@ -127,7 +127,7 @@ func TestMultiTenantSIGKILLRecoveryViaFollower(t *testing.T) {
 	if err := alphaCli.Enroll("alice", aliceA.Template); err != nil {
 		t.Fatal(err)
 	}
-	alphaCli.Close()
+	defer alphaCli.Close()
 	betaCli := dialTenant(priAddr, "beta")
 	if err := betaCli.Enroll("alice", aliceB.Template); err != nil {
 		t.Fatal(err)
@@ -166,6 +166,48 @@ func TestMultiTenantSIGKILLRecoveryViaFollower(t *testing.T) {
 		t.Fatalf("follower beta identified alpha's biometric as %q", id)
 	} else if !fuzzyid.IsRejected(err) && !errors.Is(err, protocol.ErrNoMatch) {
 		t.Fatalf("follower cross-tenant identify: %v", err)
+	}
+
+	// SIGKILL the follower, enroll more while it is down, and restart it:
+	// it must converge on the primary's latest offset with its stream live,
+	// and serve what it missed.
+	follower.Process.Kill()
+	follower.Wait()
+	var missed []*biometric.User
+	for i := 0; i < 20; i++ {
+		u := srcA.NewUser(fmt.Sprintf("alpha-%03d", i))
+		if err := alphaCli.Enroll(u.ID, u.Template); err != nil {
+			t.Fatalf("enroll %s with the follower down: %v", u.ID, err)
+		}
+		missed = append(missed, u)
+	}
+	follower, folAddr = startServerProc(t, bin, "-replica-of", priAddr)
+	priStatus, folStatus := dialTenant(priAddr, ""), dialTenant(folAddr, "")
+	defer priStatus.Close()
+	defer folStatus.Close()
+	deadline = time.Now().Add(20 * time.Second)
+	for {
+		pst, perr := priStatus.ReplStatus()
+		fst, ferr := folStatus.ReplStatus()
+		if perr == nil && ferr == nil && fst.Connected && fst.Applied == pst.Latest && fst.Lag == 0 {
+			t.Logf("restarted follower applied %d = primary latest", fst.Applied)
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted follower never converged: primary %+v (%v), follower %+v (%v)", pst, perr, fst, ferr)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	folAlpha2 := dialTenant(folAddr, "alpha")
+	defer folAlpha2.Close()
+	for _, u := range missed {
+		reading, err := srcA.GenuineReading(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id, err := folAlpha2.Identify(reading); err != nil || id != u.ID {
+			t.Fatalf("restarted follower identify %s = (%q, %v)", u.ID, id, err)
+		}
 	}
 
 	// SIGKILL the primary mid-enrollment: a stream of beta enrollments is

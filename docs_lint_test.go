@@ -14,7 +14,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -174,4 +176,47 @@ func countsAsImporter(dir string) bool {
 		}
 	}
 	return false
+}
+
+// namedDocs are the documents whose cmd/…, internal/… and fuzzyid-<tool>
+// names must resolve. CHANGES.md and ROADMAP.md are history and may name
+// what is gone.
+var namedDocs = []string{
+	"README.md", "DESIGN.md", "OPERATIONS.md", "EXPERIMENTS.md",
+	"benchmark/README.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md",
+}
+
+var (
+	// repoPathRE matches a cmd/ or internal/ path at the start of a word,
+	// after "./" or inside a fuzzyid/ import path — not inside another
+	// module's path such as golang.org/x/vuln/cmd/govulncheck.
+	repoPathRE = regexp.MustCompile(`(?:^|[^\w./-]|\./|fuzzyid/)((?:cmd|internal)/[\w-]+(?:/[\w-]+)*(?:\.go)?)`)
+	// toolRE matches a command name; each lives in cmd/<name>.
+	toolRE = regexp.MustCompile(`\bfuzzyid-[a-z]+\b`)
+)
+
+// TestDocsNameExistingPaths fails when a document names a package, file or
+// command that does not exist, so deleting one cannot leave a runbook
+// pointing at it.
+func TestDocsNameExistingPaths(t *testing.T) {
+	for _, doc := range namedDocs {
+		buf, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(buf), "\n") {
+			var named []string
+			for _, m := range repoPathRE.FindAllStringSubmatch(line, -1) {
+				named = append(named, m[1])
+			}
+			for _, tool := range toolRE.FindAllString(line, -1) {
+				named = append(named, "cmd/"+tool)
+			}
+			for _, p := range named {
+				if _, err := os.Stat(p); err != nil {
+					t.Errorf("%s:%d names %s, which does not exist", doc, i+1, p)
+				}
+			}
+		}
+	}
 }

@@ -1,11 +1,13 @@
 package fuzzyid
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"fuzzyid/internal/biometric"
+	"fuzzyid/internal/protocol"
 )
 
 // TestSystemSoakPaperDimension runs the full stack at the paper's working
@@ -195,5 +197,33 @@ func TestLifecycleOverTCP(t *testing.T) {
 	}
 	if id, err := client.Identify(reading3); err != nil || id != u.ID {
 		t.Fatalf("identify after re-enroll = (%q, %v)", id, err)
+	}
+
+	// Imposters: every ordered pair of an enrolled population — one user's
+	// genuine reading claiming another's ID — is refused; verify never
+	// accepts.
+	pop := src.Population(24)
+	readings := make([]Vector, len(pop))
+	for i, p := range pop {
+		if err := client.Enroll(p.ID, p.Template); err != nil {
+			t.Fatalf("enroll %s: %v", p.ID, err)
+		}
+		if readings[i], err = src.GenuineReading(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, claimed := range pop {
+		for j := range pop {
+			if i == j {
+				continue
+			}
+			err := client.Verify(claimed.ID, readings[j])
+			if err == nil {
+				t.Fatalf("imposter accepted: %s's reading verified as %s", pop[j].ID, claimed.ID)
+			}
+			if !IsRejected(err) && !errors.Is(err, protocol.ErrNoMatch) {
+				t.Fatalf("imposter verify %s as %s: %v", pop[j].ID, claimed.ID, err)
+			}
+		}
 	}
 }

@@ -266,10 +266,18 @@ func (s *Server) handlePartitionAdmin(rw io.ReadWriter, m *wire.PartitionAdmin) 
 	}
 
 	// The target owns the records and serves the new map. Flip locally —
-	// from here on this node redirects the moved slots — then purge the
+	// from here on this node redirects the moved slots — and tell the
+	// primaries that took no part in the handoff, so any node answers
+	// `cluster map` with the current layout. The gossip must precede the
+	// purge: a client seeded at a non-participant re-checks its map there
+	// after a scan miss, and an old map once the records are gone would
+	// turn every moved identity into a false reject. Best-effort by
+	// design: an unreachable peer keeps its old map and its clients
+	// converge through WrongPartition redirects instead. Then purge the
 	// shipped records (keeping the slots gated until the purge is staged,
 	// so no client mutation interleaves) and unfreeze.
 	node.Install(next)
+	s.gossipMap(next, m.Target)
 	var purgeErrs []error
 	for _, tc := range moved {
 		db, err := s.tenants.Tenant(tc.tenant)
@@ -295,11 +303,6 @@ func (s *Server) handlePartitionAdmin(rw io.ReadWriter, m *wire.PartitionAdmin) 
 		}
 	}
 	node.Unfreeze(m.Slots)
-	// Tell the primaries that took no part in the handoff about the new
-	// topology, so any node answers `cluster map` with the current layout.
-	// Best-effort by design: an unreachable peer keeps its old map and its
-	// clients converge through WrongPartition redirects instead.
-	s.gossipMap(next, m.Target)
 	if len(purgeErrs) > 0 {
 		// The handoff itself committed (map flipped, target serving); a
 		// failed purge leaves stale source copies that only scatter reads

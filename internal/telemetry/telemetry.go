@@ -439,7 +439,7 @@ type RuntimeStats struct {
 }
 
 // Counter returns the named counter total (0 when absent), a convenience
-// for tests and the load harness's count cross-check.
+// for tests and callers cross-checking request counts.
 func (s Snapshot) Counter(name string) uint64 { return s.Counters[name] }
 
 // Snapshot exports every instrument. Safe to call while observations

@@ -116,7 +116,7 @@ func enrollPopulation(t *testing.T, sys *System, addr string, n int, seed int64)
 	return pop
 }
 
-// TestReplicationEndToEnd covers the CI smoke's contract in-process: enroll
+// TestReplicationEndToEnd covers the replication contract in-process: enroll
 // on the primary, identify everyone on a follower with zero misses, watch
 // the lag gauge drain to zero, and check the read-only redirect.
 func TestReplicationEndToEnd(t *testing.T) {
@@ -334,13 +334,23 @@ func TestReplicaFanOut(t *testing.T) {
 	}
 	identifyAll("fan-out")
 
-	served := c.followers[0].Stats().Counter("protocol.identify.requests") +
-		c.followers[1].Stats().Counter("protocol.identify.requests")
-	if served == 0 {
-		t.Fatal("no identify traffic reached the followers")
+	// Exact counts, per the router's policy: read i starts at replica
+	// i mod 3, and the unsynced replica's turns pass to the next one, so
+	// follower 0 serves the reads with i mod 3 in {0, 2}, follower 1 those
+	// with i mod 3 = 1, and the primary none.
+	served := func(sys *System) uint64 { return sys.Stats().Counter("protocol.identify.requests") }
+	var want [2]uint64
+	for i := range pop {
+		if i%3 == 1 {
+			want[1]++
+		} else {
+			want[0]++
+		}
 	}
-	if n := dead.Stats().Counter("protocol.identify.requests"); n != 0 {
-		t.Fatalf("unsynced replica served %d identifies, want 0", n)
+	got := [2]uint64{served(c.followers[0]), served(c.followers[1])}
+	if got != want || served(c.primary) != 0 || served(dead) != 0 {
+		t.Fatalf("identifies served: followers %v, primary %d, unsynced replica %d; want %v, 0, 0 of %d issued",
+			got, served(c.primary), served(dead), want, len(pop))
 	}
 	if lag := reg.Snapshot().Gauges["client.replica.0.lag"]; lag != 0 {
 		t.Fatalf("client lag gauge for follower 0 = %d", lag)
@@ -350,6 +360,9 @@ func TestReplicaFanOut(t *testing.T) {
 	// and the primary.
 	c.folSrvs[1].Close()
 	identifyAll("after follower kill")
+	if n, p := served(c.followers[0])+served(c.followers[1]), served(c.primary); n != uint64(2*len(pop)) || p != 0 {
+		t.Fatalf("after follower kill: followers served %d, primary %d; want %d, 0", n, p, 2*len(pop))
+	}
 
 	// Mutations keep landing on the primary even with replicas configured.
 	u := src.NewUser("fanout-enroll")

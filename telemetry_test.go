@@ -108,7 +108,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		}
 		// The group-commit instruments are part of the wire contract: every
 		// durable append lands in a commit group (size >= 1), and every
-		// group fsync records its latency. Operators and the load harness
+		// group fsync records its latency. Operators and the benchmark
 		// read these by name — see OPERATIONS.md.
 		gs, ok := snap.Histograms["persist.wal.group_size"]
 		if !ok || gs.Count < 4 {
