@@ -116,6 +116,30 @@ func BenchmarkTable2Sketch(b *testing.B) {
 	}
 }
 
+// BenchmarkIdentifySession is one proposed BioIden (Fig. 3) session at
+// n = 5000, device and server over net.Pipe. The allocations it reports are
+// both ends' together.
+func BenchmarkIdentifySession(b *testing.B) {
+	env := newBenchEnv(b, 5000, 8)
+	defer env.stop()
+	readings := make([]numberline.Vector, 4*len(env.users))
+	for i := range readings {
+		r, err := env.src.GenuineReading(env.users[i%len(env.users)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		readings[i] = r
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, err := env.client.Identify(readings[i%len(readings)])
+		if err != nil || id != env.users[i%len(env.users)].ID {
+			b.Fatalf("identify %d: %q, %v", i, id, err)
+		}
+	}
+}
+
 // --- §VII verification mode: protocol latency vs dimension n -------------
 
 func BenchmarkFig4Verification(b *testing.B) {

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
 	"fuzzyid/internal/extract"
 	"fuzzyid/internal/numberline"
@@ -240,7 +242,7 @@ func (fe *FuzzyExtractor) Gen(x numberline.Vector) (key []byte, helper *HelperDa
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: gen seed: %w", err)
 	}
-	key, err = fe.ext.Extract(seed, encodeVector(x), fe.keyLen)
+	key, err = fe.extract(seed, x)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: gen extract: %w", err)
 	}
@@ -258,11 +260,14 @@ func (fe *FuzzyExtractor) Rep(y numberline.Vector, helper *HelperData) ([]byte, 
 	if err := fe.checkDimension(len(y)); err != nil {
 		return nil, err
 	}
-	x, err := fe.robust.Recover(y, helper.Sketch)
+	xp := recovered.Get().(*numberline.Vector)
+	defer putCleared(&recovered, xp)
+	x, err := fe.robust.RecoverInto(*xp, y, helper.Sketch)
 	if err != nil {
 		return nil, fmt.Errorf("core: rep recover: %w", err)
 	}
-	key, err := fe.ext.Extract(helper.Seed, encodeVector(x), fe.keyLen)
+	*xp = x
+	key, err := fe.extract(helper.Seed, x)
 	if err != nil {
 		return nil, fmt.Errorf("core: rep extract: %w", err)
 	}
@@ -273,10 +278,20 @@ func (fe *FuzzyExtractor) Rep(y numberline.Vector, helper *HelperData) ([]byte, 
 // identification protocol's probe message is such a sketch: it must not be
 // robust because the server never learns x.
 func (fe *FuzzyExtractor) SketchOnly(x numberline.Vector) (*sketch.Sketch, error) {
+	movements, err := fe.SketchOnlyInto(nil, x)
+	if err != nil {
+		return nil, err
+	}
+	return &sketch.Sketch{Movements: movements}, nil
+}
+
+// SketchOnlyInto is SketchOnly writing the probe's movements into dst's
+// capacity; it returns them, and allocates only when dst is shorter than x.
+func (fe *FuzzyExtractor) SketchOnlyInto(dst []int64, x numberline.Vector) ([]int64, error) {
 	if err := fe.checkDimension(len(x)); err != nil {
 		return nil, err
 	}
-	return fe.robust.Inner().Sketch(x)
+	return fe.robust.Inner().SketchInto(dst, x)
 }
 
 func (fe *FuzzyExtractor) checkDimension(n int) error {
@@ -286,10 +301,32 @@ func (fe *FuzzyExtractor) checkDimension(n int) error {
 	return nil
 }
 
+// Rep's recovered x and the extractor input of Gen and Rep are 40 KB each
+// at n = 5000 and die with the call: neither is handed on (Extractor.Extract
+// must not retain its input). Both are recycled, and cleared first because
+// they hold the biometric.
+var (
+	recovered = sync.Pool{New: func() any { return new(numberline.Vector) }}
+	encoded   = sync.Pool{New: func() any { return new([]byte) }}
+)
+
+func putCleared[S ~[]E, E any](p *sync.Pool, buf *S) {
+	clear(*buf)
+	p.Put(buf)
+}
+
+// extract runs the extractor on the canonical encoding of x.
+func (fe *FuzzyExtractor) extract(seed []byte, x numberline.Vector) ([]byte, error) {
+	bp := encoded.Get().(*[]byte)
+	defer putCleared(&encoded, bp)
+	*bp = encodeVector((*bp)[:0], x)
+	return fe.ext.Extract(seed, *bp, fe.keyLen)
+}
+
 // encodeVector renders a vector into canonical bytes for extraction:
-// length-prefixed big-endian int64s.
-func encodeVector(x numberline.Vector) []byte {
-	buf := make([]byte, 8*(1+len(x)))
+// length-prefixed big-endian int64s, written into dst's capacity.
+func encodeVector(dst []byte, x numberline.Vector) []byte {
+	buf := slices.Grow(dst[:0], 8*(1+len(x)))[:8*(1+len(x))]
 	binary.BigEndian.PutUint64(buf, uint64(len(x)))
 	for i, xi := range x {
 		binary.BigEndian.PutUint64(buf[8*(i+1):], uint64(xi))

@@ -42,7 +42,9 @@ type Extractor interface {
 	// experiment output).
 	Name() string
 	// Extract derives outLen bytes from input x under public seed r.
-	// The same (seed, x, outLen) always yields the same output.
+	// The same (seed, x, outLen) always yields the same output. Extract
+	// must not retain x after it returns: core reuses that buffer for the
+	// next call.
 	Extract(seed, x []byte, outLen int) ([]byte, error)
 }
 

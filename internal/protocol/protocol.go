@@ -267,11 +267,16 @@ func (d *Device) ReEnroll(rw io.ReadWriter, id string, oldBio, newBio numberline
 // Identify runs the proposed BioIden (Fig. 3) and returns the identity the
 // server established.
 func (d *Device) Identify(rw io.ReadWriter, bio numberline.Vector) (string, error) {
-	probe, err := d.fe.SketchOnly(bio)
+	sp := movementBufs.Get().(*[]int64)
+	probe, err := d.fe.SketchOnlyInto(*sp, bio)
 	if err != nil {
+		putMovements(sp)
 		return "", fmt.Errorf("protocol: identify sketch: %w", err)
 	}
-	if err := wire.Send(rw, &wire.IdentifyRequest{Probe: probe, Tenant: d.tenant}); err != nil {
+	*sp = probe
+	err = wire.Send(rw, &wire.IdentifyRequest{Probe: &sketch.Sketch{Movements: probe}, Tenant: d.tenant})
+	putMovements(sp)
+	if err != nil {
 		return "", err
 	}
 	return d.finishChallenge(rw, bio)
@@ -575,7 +580,9 @@ func (d *Device) answerChallenge(rw io.ReadWriter, bio numberline.Vector, wantID
 }
 
 func (d *Device) finishChallenge(rw io.ReadWriter, bio numberline.Vector) (string, error) {
-	msg, err := wire.Receive(rw)
+	sp := movementBufs.Get().(*[]int64)
+	defer putMovements(sp) // the Challenge's helper aliases it until Rep is done
+	msg, err := wire.ReceiveInto(rw, sp)
 	if err != nil {
 		return "", err
 	}
@@ -663,6 +670,22 @@ func expectBatch(msg wire.Message) (*wire.ChallengeBatch, error) {
 		return nil, &WrongPartitionError{Map: m.Map}
 	default:
 		return nil, fmt.Errorf("%w: %T awaiting challenge batch", ErrProtocol, msg)
+	}
+}
+
+// movementBufs recycles the movement vectors of a session: the device's
+// probe and decoded Challenge, and the server's decoded probe (40 KB each
+// at n = 5000). They are per call, never engine fields: one Device or
+// Server runs many sessions at once.
+var movementBufs = sync.Pool{New: func() any { return new([]int64) }}
+
+// maxPooledMovements keeps a hostile peer's oversized vector out of the
+// pool, as wire keeps its frame buffers to 1 MiB.
+const maxPooledMovements = 1 << 17
+
+func putMovements(p *[]int64) {
+	if cap(*p) <= maxPooledMovements {
+		movementBufs.Put(p)
 	}
 }
 
@@ -852,9 +875,17 @@ func (s *Server) Telemetry() *telemetry.Registry { return s.m.reg }
 // before a request, nil after a completed run (including rejections, which
 // are normal protocol outcomes), and an error on malformed traffic.
 func (s *Server) HandleSession(rw io.ReadWriter) error {
-	msg, err := wire.Receive(rw)
+	sp := movementBufs.Get().(*[]int64)
+	msg, err := wire.ReceiveInto(rw, sp)
 	if err != nil {
+		putMovements(sp)
 		return err
+	}
+	// Only an identify's probe dies with the session. An enroll or
+	// re-enroll helper decoded into the scratch is owned by the store's
+	// journal and the replication ring from now on.
+	if _, ok := msg.(*wire.IdentifyRequest); ok {
+		defer putMovements(sp)
 	}
 	var om *opStats
 	var run func() error

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"fuzzyid/internal/numberline"
 )
@@ -87,10 +88,20 @@ func (c *Chebyshev) Line() *numberline.Line { return c.line }
 // Sketch implements SS(x): every coordinate is moved to the identifier of
 // its interval; boundary points are moved left or right by a fair coin.
 func (c *Chebyshev) Sketch(x numberline.Vector) (*Sketch, error) {
+	movements, err := c.SketchInto(nil, x)
+	if err != nil {
+		return nil, err
+	}
+	return &Sketch{Movements: movements}, nil
+}
+
+// SketchInto is Sketch writing the movements into dst's capacity; it
+// returns them, and allocates only when dst is shorter than x.
+func (c *Chebyshev) SketchInto(dst []int64, x numberline.Vector) ([]int64, error) {
 	if err := c.line.ValidateVector(x); err != nil {
 		return nil, fmt.Errorf("sketch input: %w", err)
 	}
-	movements := make([]int64, len(x))
+	movements := slices.Grow(dst[:0], len(x))[:len(x)]
 	for i, xi := range x {
 		u := c.line.EdgeOffset(xi)
 		coin := false
@@ -103,37 +114,61 @@ func (c *Chebyshev) Sketch(x numberline.Vector) (*Sketch, error) {
 		}
 		movements[i] = c.line.Movement(u, coin)
 	}
-	return &Sketch{Movements: movements}, nil
+	return movements, nil
 }
 
 // Recover implements Rec(y, s): shift y by the recorded movements, locate
 // the containing interval identifiers, reject if any coordinate lands more
 // than t away from its identifier, and undo the movements.
-//
-// Per coordinate this is one reduction. With w = y + s and offset =
-// EdgeOffset(w) - ka/2 the signed offset of w from its identifier id, the
-// paper's output id - s equals w - offset - s = y - offset on the ring.
 func (c *Chebyshev) Recover(y numberline.Vector, s *Sketch) (numberline.Vector, error) {
-	if err := c.line.ValidateVector(y); err != nil {
-		return nil, fmt.Errorf("recover input: %w", err)
+	return c.RecoverInto(nil, y, s)
+}
+
+// RecoverInto is Recover writing the recovered vector into dst's capacity;
+// it allocates only when dst is shorter than y.
+//
+// Per coordinate this is one pass and one reduction: y_i on the line, s_i
+// in range, and the distance. With w = y + s and offset = EdgeOffset(w) -
+// ka/2 the signed offset of w from its identifier id, the paper's output
+// id - s equals w - offset - s = y - offset on the ring.
+func (c *Chebyshev) RecoverInto(dst, y numberline.Vector, s *Sketch) (numberline.Vector, error) {
+	if s == nil || len(y) == 0 || len(y) != len(s.Movements) {
+		return nil, c.recoverError(y, s, 0, 0)
 	}
-	if err := c.ValidateSketch(s); err != nil {
-		return nil, err
-	}
-	if len(y) != len(s.Movements) {
-		return nil, fmt.Errorf("%w: vector %d vs sketch %d", ErrDimensionMismatch, len(y), len(s.Movements))
-	}
-	t := c.line.Threshold()
-	half := c.line.IntervalSpan() / 2
-	z := make(numberline.Vector, len(y))
+	l := c.line
+	t := l.Threshold()
+	half := l.IntervalSpan() / 2
+	lo, hi := l.MovementRange()
+	z := slices.Grow(dst[:0], len(y))[:len(y)]
 	for i, yi := range y {
-		offset := c.line.EdgeOffset(c.line.Add(yi, s.Movements[i])) - half
-		if offset > t || offset < -t {
-			return nil, fmt.Errorf("coordinate %d: distance %d > t=%d: %w", i, abs64(offset), t, ErrNotClose)
+		m := s.Movements[i]
+		if !l.Contains(yi) || m < lo || m > hi {
+			return nil, c.recoverError(y, s, 0, 0)
 		}
-		z[i] = c.line.Add(yi, -offset)
+		offset := l.EdgeOffset(l.Add(yi, m)) - half
+		if offset > t || offset < -t {
+			return nil, c.recoverError(y, s, i, offset)
+		}
+		z[i] = l.Add(yi, -offset)
 	}
 	return z, nil
+}
+
+// recoverError names why Rec(y, s) failed, keeping the precedence of the
+// checks RecoverInto folds into one pass: an off-line y anywhere, then an
+// invalid sketch anywhere, then a dimension mismatch, and only then
+// coordinate i's distance.
+func (c *Chebyshev) recoverError(y numberline.Vector, s *Sketch, i int, offset int64) error {
+	if err := c.line.ValidateVector(y); err != nil {
+		return fmt.Errorf("recover input: %w", err)
+	}
+	if err := c.ValidateSketch(s); err != nil {
+		return err
+	}
+	if len(y) != len(s.Movements) {
+		return fmt.Errorf("%w: vector %d vs sketch %d", ErrDimensionMismatch, len(y), len(s.Movements))
+	}
+	return fmt.Errorf("coordinate %d: distance %d > t=%d: %w", i, abs64(offset), c.line.Threshold(), ErrNotClose)
 }
 
 // ValidateSketch checks structural validity: non-empty and every movement

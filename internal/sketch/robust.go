@@ -78,10 +78,16 @@ func digest(x numberline.Vector, s *Sketch) [DigestSize]byte {
 // Recover implements the robust Rec: x' <- Rec'(y, s'); reject unless
 // H(x', s') equals the published digest.
 func (r *Robust) Recover(y numberline.Vector, rs *RobustSketch) (numberline.Vector, error) {
+	return r.RecoverInto(nil, y, rs)
+}
+
+// RecoverInto is Recover writing the recovered vector into dst's capacity
+// (see Chebyshev.RecoverInto).
+func (r *Robust) RecoverInto(dst, y numberline.Vector, rs *RobustSketch) (numberline.Vector, error) {
 	if rs == nil || rs.Sketch == nil {
 		return nil, fmt.Errorf("%w: nil robust sketch", ErrInvalidSketch)
 	}
-	x, err := r.inner.Recover(y, rs.Sketch)
+	x, err := r.inner.RecoverInto(dst, y, rs.Sketch)
 	if err != nil {
 		return nil, err
 	}

@@ -108,6 +108,8 @@ func (e *Encoder) Int64Slice(v []int64) {
 type Decoder struct {
 	buf []byte
 	off int
+	// scratch, when set, receives the next Int64Slice (see ReceiveInto).
+	scratch *[]int64
 }
 
 // NewDecoder wraps buf for decoding.
@@ -228,27 +230,17 @@ func (d *Decoder) Int64Slice(max int) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, n)
+	var out []int64
+	if d.scratch != nil {
+		out = slices.Grow((*d.scratch)[:0], int(n))[:n]
+		*d.scratch, d.scratch = out, nil
+	} else {
+		out = make([]int64, n)
+	}
 	for i := range out {
 		out[i] = int64(binary.BigEndian.Uint64(b[8*i:]))
 	}
 	return out, nil
-}
-
-// WriteFrame writes a length-prefixed frame containing payload.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameLen {
-		return fmt.Errorf("%w: frame %d bytes", ErrTooLarge, len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("wire: write frame payload: %w", err)
-	}
-	return nil
 }
 
 // ReadFrame reads one length-prefixed frame.

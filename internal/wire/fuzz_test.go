@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"fuzzyid/internal/core"
@@ -11,7 +12,9 @@ import (
 
 // FuzzUnmarshal feeds arbitrary bytes to the message decoder: it must never
 // panic, and anything it accepts must re-encode to a decodable message of
-// the same type (decode/encode/decode stability).
+// the same type (decode/encode/decode stability). Every accepted input is
+// also decoded through ReceiveInto, into scratch of capacity scratchCap
+// pre-filled with garbage, and must re-marshal to Unmarshal's bytes.
 func FuzzUnmarshal(f *testing.F) {
 	// Seed with every message type plus structural edge cases.
 	seeds := []Message{
@@ -43,17 +46,21 @@ func FuzzUnmarshal(f *testing.F) {
 		&TenantAdmin{Action: TenantActionGetLimits, Tenant: "acme"},
 		&TenantLimits{Tenant: "acme", Spec: LimitsSpec{Weight: 1}},
 		&Overloaded{RetryAfterMS: 50, Reason: "scan"},
+		&IdentifyRequest{Probe: fuzzHelper().Sketch.Sketch, Tenant: "acme"},
+		&Challenge{Helper: fuzzHelper(), Challenge: []byte("c")},
+		&EnrollRequest{ID: "h", PublicKey: []byte{1}, Helper: fuzzHelper()},
+		&IdentifyBatchRequest{Probes: []*sketch.Sketch{fuzzHelper().Sketch.Sketch, {Movements: []int64{1}}}},
 	}
-	for _, m := range seeds {
+	for i, m := range seeds {
 		buf, err := Marshal(m)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf)
+		f.Add(buf, uint16(i%5))
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint16(3))
+	f.Fuzz(func(t *testing.T, data []byte, scratchCap uint16) {
 		msg, err := Unmarshal(data)
 		if err != nil {
 			return // rejection is fine; panics are not
@@ -68,6 +75,22 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if again.Type() != msg.Type() {
 			t.Fatalf("type changed across round trip: %d -> %d", msg.Type(), again.Type())
+		}
+
+		scratch := make([]int64, scratchCap%512)
+		for i := range scratch {
+			scratch[i] = -0x5A5A5A5A5A5A5A5A ^ int64(i)
+		}
+		into, err := ReceiveInto(bytes.NewReader(frame(data)), &scratch)
+		if err != nil {
+			t.Fatalf("ReceiveInto rejected what Unmarshal accepted: %v", err)
+		}
+		viaScratch, err := Marshal(into)
+		if err != nil {
+			t.Fatalf("ReceiveInto's message failed to re-marshal: %v", err)
+		}
+		if !bytes.Equal(viaScratch, re) {
+			t.Fatalf("ReceiveInto decoded differently from Unmarshal:\n%x\n%x", viaScratch, re)
 		}
 	})
 }
@@ -155,11 +178,15 @@ func FuzzDecodeMutation(f *testing.F) {
 	})
 }
 
+// frame prefixes payload with its big-endian length, the framing Send
+// writes.
+func frame(payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
 // FuzzReadFrame feeds arbitrary streams to the frame reader.
 func FuzzReadFrame(f *testing.F) {
-	var buf bytes.Buffer
-	_ = WriteFrame(&buf, []byte("payload"))
-	f.Add(buf.Bytes())
+	f.Add(frame([]byte("payload")))
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -168,11 +195,7 @@ func FuzzReadFrame(f *testing.F) {
 			return
 		}
 		// An accepted frame must re-serialise to a readable frame.
-		var out bytes.Buffer
-		if err := WriteFrame(&out, payload); err != nil {
-			t.Fatalf("accepted payload failed to write: %v", err)
-		}
-		back, err := ReadFrame(&out)
+		back, err := ReadFrame(bytes.NewReader(frame(payload)))
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -715,7 +716,7 @@ func (m *Reject) decode(d *Decoder) error {
 // Marshal encodes a message with its type tag.
 func Marshal(m Message) ([]byte, error) {
 	if m == nil {
-		return nil, errors.New("wire: marshal nil message")
+		return nil, errNilMessage
 	}
 	e := NewEncoder(256)
 	e.Byte(byte(m.Type()))
@@ -723,9 +724,12 @@ func Marshal(m Message) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
+var errNilMessage = errors.New("wire: marshal nil message")
+
 // Unmarshal decodes a tagged message.
-func Unmarshal(buf []byte) (Message, error) {
-	d := NewDecoder(buf)
+func Unmarshal(buf []byte) (Message, error) { return unmarshal(NewDecoder(buf)) }
+
+func unmarshal(d *Decoder) (Message, error) {
 	tag, err := d.Byte()
 	if err != nil {
 		return nil, err
@@ -743,26 +747,54 @@ func Unmarshal(buf []byte) (Message, error) {
 	return m, nil
 }
 
-// Send marshals m and writes it as one frame.
-func Send(w io.Writer, m Message) error {
-	buf, err := Marshal(m)
-	if err != nil {
-		return err
-	}
-	return WriteFrame(w, buf)
-}
-
-// maxPooledFrame bounds the frame buffers Receive recycles; a larger frame
-// (a snapshot chunk, a normal-approach batch) is read into a one-off buffer.
+// maxPooledFrame bounds the frame buffers Send and Receive recycle; a larger
+// frame (a snapshot chunk, a normal-approach batch) uses a one-off buffer.
 const maxPooledFrame = 1 << 20
 
-// frameBufs recycles Receive's frame buffers. Recycling is safe because
-// every decoder copies what it keeps (VarBytes, String, Bytes32,
-// Int64Slice): no decoded message aliases its frame.
+// frameBufs recycles Send's and Receive's frame buffers. Recycling a
+// received frame is safe because every decoder copies what it keeps
+// (VarBytes, String, Bytes32, Int64Slice): no decoded message aliases its
+// frame. A sent frame is done with once Write returns (io.Writer must not
+// retain it).
 var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// Receive reads one frame and unmarshals the message.
-func Receive(r io.Reader) (Message, error) {
+// Send marshals m and writes it as one frame — header, tag and body in
+// one buffer, so one Write.
+func Send(w io.Writer, m Message) error {
+	if m == nil {
+		return errNilMessage
+	}
+	bp := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(bp)
+	e := Encoder{buf: append((*bp)[:0], 0, 0, 0, 0, byte(m.Type()))}
+	m.encode(&e)
+	frame := e.buf
+	if cap(frame) <= maxPooledFrame {
+		*bp = frame[:0]
+	}
+	if len(frame)-4 > MaxFrameLen {
+		return fmt.Errorf("%w: frame %d bytes", ErrTooLarge, len(frame)-4)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("wire: write frame: %w", err)
+	}
+	return nil
+}
+
+// Receive reads one frame and unmarshals the message. The message owns
+// every byte it holds.
+func Receive(r io.Reader) (Message, error) { return ReceiveInto(r, nil) }
+
+// ReceiveInto is Receive decoding the message's first movement vector —
+// an IdentifyRequest's probe, the helper movements of a Challenge,
+// EnrollRequest or ReEnrollRequest — into scratch's capacity, and setting
+// *scratch to it. The decoded message aliases *scratch from then on: the
+// caller may reuse the scratch (pass it to ReceiveInto again, or return it
+// to a pool) only once it is done with the message, and never when the
+// message is handed on — an enrolled helper lives in the store's journal
+// and the replication ring. A nil scratch is Receive.
+func ReceiveInto(r io.Reader, scratch *[]int64) (Message, error) {
 	bp := frameBufs.Get().(*[]byte)
 	defer frameBufs.Put(bp)
 	buf, err := readFrameInto(r, *bp)
@@ -772,7 +804,9 @@ func Receive(r io.Reader) (Message, error) {
 	if cap(buf) <= maxPooledFrame {
 		*bp = buf[:0]
 	}
-	return Unmarshal(buf)
+	d := NewDecoder(buf)
+	d.scratch = scratch
+	return unmarshal(d)
 }
 
 func newMessage(t MsgType) (Message, error) {

@@ -99,12 +99,13 @@ func TestDecodedMessagesOwnTheirBytes(t *testing.T) {
 // pooled buffer.
 func TestReceiveReusesFrameBuffer(t *testing.T) {
 	_, _, _, helper := goldenGen(t)
-	payload, err := Marshal(&Challenge{Helper: helper, Challenge: []byte("golden-challenge")})
+	ch := &Challenge{Helper: helper, Challenge: []byte("golden-challenge")}
+	payload, err := Marshal(ch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, payload); err != nil {
+	if err := Send(&buf, ch); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
@@ -122,5 +123,74 @@ func TestReceiveReusesFrameBuffer(t *testing.T) {
 	})
 	if receive != decode+1 {
 		t.Fatalf("Receive allocates %v per Challenge, Unmarshal %v: want exactly one more (the frame header)", receive, decode)
+	}
+}
+
+// writeCounter records every Write call.
+type writeCounter struct {
+	writes int
+	bytes.Buffer
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestSendWritesOneFrame pins Send's output for every message type: one
+// Write carrying exactly the length header and the marshalled message.
+func TestSendWritesOneFrame(t *testing.T) {
+	for _, msg := range everyMessage(t) {
+		payload, err := Marshal(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 { // the second Send reuses the pooled buffer
+			var w writeCounter
+			if err := Send(&w, msg); err != nil {
+				t.Fatalf("send %T: %v", msg, err)
+			}
+			if w.writes != 1 || !bytes.Equal(w.Bytes(), frame(payload)) {
+				t.Fatalf("%T: %d writes of %d bytes, want one write of the %d-byte frame",
+					msg, w.writes, w.Len(), len(payload)+4)
+			}
+		}
+	}
+}
+
+// TestReceiveIntoDecodesIntoScratch checks the aliasing ReceiveInto
+// documents: the Challenge's movements are the scratch's array, so a
+// warmed scratch takes the 40 KB vector out of the decode.
+func TestReceiveIntoDecodesIntoScratch(t *testing.T) {
+	_, _, _, helper := goldenGen(t)
+	var buf bytes.Buffer
+	if err := Send(&buf, &Challenge{Helper: helper, Challenge: []byte("c")}); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	scratch := make([]int64, 0, helper.Dimension())
+	msg, err := ReceiveInto(bytes.NewReader(frame), &scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := msg.(*Challenge).Helper.Sketch.Sketch.Movements
+	if len(scratch) != helper.Dimension() || &got[0] != &scratch[0] {
+		t.Fatal("decoded movements do not alias the scratch")
+	}
+	r := bytes.NewReader(frame)
+	into := testing.AllocsPerRun(50, func() {
+		r.Reset(frame)
+		if _, err := ReceiveInto(r, &scratch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	plain := testing.AllocsPerRun(50, func() {
+		r.Reset(frame)
+		if _, err := Receive(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if into != plain-1 {
+		t.Fatalf("ReceiveInto allocates %v, Receive %v: want exactly the movement vector fewer", into, plain)
 	}
 }

@@ -246,9 +246,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{[]byte("first"), {}, []byte("third message")}
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
-		}
+		buf.Write(frame(p))
 	}
 	for _, want := range payloads {
 		got, err := ReadFrame(&buf)
@@ -273,11 +271,8 @@ func TestReadFrameRejectsOversizedHeader(t *testing.T) {
 }
 
 func TestReadFrameTruncatedBody(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	short := buf.Bytes()[:buf.Len()-2]
+	whole := frame([]byte("hello"))
+	short := whole[:len(whole)-2]
 	if _, err := ReadFrame(bytes.NewReader(short)); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated body err = %v", err)
 	}

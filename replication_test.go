@@ -6,12 +6,14 @@ package fuzzyid
 // runbooks in OPERATIONS.md.
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"fuzzyid/internal/biometric"
+	"fuzzyid/internal/wire"
 )
 
 const replTestDim = 64
@@ -197,10 +199,17 @@ func TestReplicationEndToEnd(t *testing.T) {
 // enrollments continue, and checks the follower resumes from its last
 // acked offset — no snapshot re-bootstrap — and converges with zero lost
 // enrollments.
+//
+// The last arm checks the retention ring keeps what an enroll session
+// handed it: while the follower is cut off, a population enrolls and then
+// identifies on one connection, and the records the follower replays from
+// the ring must encode to exactly the primary's bytes. A server that
+// recycled an enroll's decode scratch into the next session would ship
+// movements overwritten by later probes.
 func TestFollowerResumesMidStream(t *testing.T) {
 	c := newReplCluster(t, 1)
 	follower := c.followers[0]
-	enrollPopulation(t, c.primary, c.priSrv.Addr().String(), 10, 7)
+	pop1 := enrollPopulation(t, c.primary, c.priSrv.Addr().String(), 10, 7)
 	waitCaughtUp(t, c.primary, follower)
 	resyncsBefore := follower.Stats().Counters["repl.follower.resyncs"]
 
@@ -227,6 +236,80 @@ func TestFollowerResumesMidStream(t *testing.T) {
 	// Same epoch, valid offset: the follower tailed, it did not re-snapshot.
 	if after := follower.Stats().Counters["repl.follower.resyncs"]; after != resyncsBefore {
 		t.Fatalf("follower re-bootstrapped (resyncs %d -> %d), want offset resume", resyncsBefore, after)
+	}
+
+	// Cut the follower off again and serve the next sessions on a second
+	// listener, which the follower does not know, so it cannot resume
+	// before they are all done.
+	if err := srv2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	side, err := c.primary.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { side.Close() })
+	src, err := biometric.NewSource(c.primary.Extractor().Line(), biometric.Paper(replTestDim), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop3 := make([]*biometric.User, 10)
+	client, err := c.primary.Dial(side.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pop3 {
+		pop3[i] = src.NewUser(fmt.Sprintf("user-9-%03d", i))
+		if err := client.Enroll(pop3[i].ID, pop3[i].Template); err != nil {
+			t.Fatalf("enroll %s: %v", pop3[i].ID, err)
+		}
+	}
+	for i := 0; i < 120; i++ {
+		u := pop3[i%len(pop3)]
+		reading, err := src.GenuineReading(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := client.Identify(reading); err != nil || got != u.ID {
+			t.Fatalf("identify %d: %q, %v; want %q", i, got, err, u.ID)
+		}
+	}
+	client.Close()
+	if _, _, connected := follower.ReplicaStatus(); connected {
+		t.Fatal("follower reconnected while its primary address was down")
+	}
+	// Listen re-instruments the system's protocol server, so no other
+	// listener of it may still be serving.
+	if err := side.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv3, err := c.primary.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv3.Close() })
+	waitCaughtUp(t, c.primary, follower)
+	if after := follower.Stats().Counters["repl.follower.resyncs"]; after != resyncsBefore {
+		t.Fatalf("follower re-bootstrapped (resyncs %d -> %d), want a resume from the retention ring", resyncsBefore, after)
+	}
+	for _, pop := range [][]*biometric.User{pop1, pop2, pop3} {
+		for _, u := range pop {
+			want, ok := c.primary.StoreRecord(u.ID)
+			if !ok {
+				t.Fatalf("primary missing %s", u.ID)
+			}
+			got, ok := follower.StoreRecord(u.ID)
+			if !ok {
+				t.Fatalf("follower missing %s", u.ID)
+			}
+			we, ge := wire.NewEncoder(0), wire.NewEncoder(0)
+			wire.EncodeRecord(we, want)
+			wire.EncodeRecord(ge, got)
+			if !bytes.Equal(ge.Bytes(), we.Bytes()) {
+				t.Fatalf("follower's %s differs from the primary's: the retention ring shipped a changed record", u.ID)
+			}
+		}
 	}
 }
 
