@@ -2,8 +2,9 @@ package fuzzyid
 
 // This lint test enforces the public-API documentation contract promised in
 // OPERATIONS.md: every exported symbol of the facade (fuzzyid.go), the wire
-// codec (internal/wire) and the persistence layer (internal/persist)
-// carries a doc comment stating its contract. It runs under plain `go
+// codec (internal/wire), the persistence and replication layers
+// (internal/persist, internal/replica) and the protocol engines
+// (internal/protocol) carries a doc comment stating its contract. It runs under plain `go
 // test`, so the check gates CI and local work identically — no external
 // linter needed (CI additionally runs staticcheck's ST1000/ST1020/ST1022
 // over the same packages, which this mirrors). TestNoOrphanPackages guards
@@ -23,7 +24,7 @@ import (
 )
 
 // lintedDirs are the packages whose exported API must be fully documented.
-var lintedDirs = []string{".", "internal/wire", "internal/persist", "internal/replica"}
+var lintedDirs = []string{".", "internal/wire", "internal/persist", "internal/replica", "internal/protocol"}
 
 func TestExportedSymbolsDocumented(t *testing.T) {
 	for _, dir := range lintedDirs {

@@ -76,20 +76,6 @@ func (s *Server) SetCluster(node *cluster.Node, dial ClusterDialer) {
 	}
 }
 
-// clusterRefusal maps a write-gate verdict to its wire answer: frozen slots
-// shed with a retryable Overloaded, foreign slots redirect with
-// WrongPartition. handled=false means err was no gate verdict and the
-// caller's normal error path applies.
-func (s *Server) clusterRefusal(rw io.ReadWriter, err error) (handled bool, sendErr error) {
-	switch {
-	case errors.Is(err, cluster.ErrSlotFrozen):
-		return true, wire.Send(rw, &wire.Overloaded{RetryAfterMS: handoffRetryMS, Reason: "handoff"})
-	case errors.Is(err, cluster.ErrSlotNotOwned) && s.cl != nil:
-		return true, wire.Send(rw, &wire.WrongPartition{Map: s.cl.node.Map()})
-	}
-	return false, nil
-}
-
 // handleClusterMap answers a map fetch. Non-cluster servers reject it, so a
 // client configured for cluster routing against a standalone server fails
 // loudly instead of guessing.
@@ -135,10 +121,8 @@ func (s *Server) pushMap(addr string, m *cluster.Map) error {
 		return err
 	}
 	defer conn.Close()
-	if err := wire.Send(conn, &wire.ClusterMapInfo{Map: m}); err != nil {
-		return err
-	}
-	return awaitPartitionOK(conn)
+	_, err = await[*wire.PartitionOK](conn, &wire.ClusterMapInfo{Map: m}, "partition ack")
+	return err
 }
 
 // handlePartitionAdmin executes a split/move of this primary's slots to a
@@ -243,7 +227,7 @@ func (s *Server) handlePartitionAdmin(rw io.ReadWriter, m *wire.PartitionAdmin) 
 	if err := wire.Send(conn, &wire.PartitionIngest{First: true}); err != nil {
 		return abort("open ingest stream: %v", err)
 	}
-	if err := awaitPartitionOK(conn); err != nil {
+	if _, err := await[*wire.PartitionOK](conn, nil, "partition ack"); err != nil {
 		return abort("handoff target refused the stream: %v", err)
 	}
 	for _, tc := range moved {
@@ -253,7 +237,7 @@ func (s *Server) handlePartitionAdmin(rw io.ReadWriter, m *wire.PartitionAdmin) 
 			if err := wire.Send(conn, chunk); err != nil {
 				return abort("ship records: %v", err)
 			}
-			if err := awaitPartitionOK(conn); err != nil {
+			if _, err := await[*wire.PartitionOK](conn, nil, "partition ack"); err != nil {
 				return abort("handoff target refused records: %v", err)
 			}
 		}
@@ -261,7 +245,7 @@ func (s *Server) handlePartitionAdmin(rw io.ReadWriter, m *wire.PartitionAdmin) 
 	if err := wire.Send(conn, &wire.PartitionIngest{Done: true, NewMap: next}); err != nil {
 		return abort("close ingest stream: %v", err)
 	}
-	if err := awaitPartitionOK(conn); err != nil {
+	if _, err := await[*wire.PartitionOK](conn, nil, "partition ack"); err != nil {
 		return abort("handoff target refused the map flip: %v", err)
 	}
 
@@ -288,15 +272,10 @@ func (s *Server) handlePartitionAdmin(rw io.ReadWriter, m *wire.PartitionAdmin) 
 		for i, rec := range tc.recs {
 			ids[i] = rec.ID
 		}
-		if p, ok := db.(interface{ PurgeMoved([]string) error }); ok {
-			err = p.PurgeMoved(ids)
+		if jdb, ok := db.(*store.Journaled); ok {
+			err = jdb.PurgeMoved(ids)
 		} else {
-			for _, id := range ids {
-				if derr := db.Delete(id); derr != nil && !errors.Is(derr, store.ErrUnknownID) {
-					err = derr
-					break
-				}
-			}
+			err = errNotJournaled
 		}
 		if err != nil {
 			purgeErrs = append(purgeErrs, fmt.Errorf("purge tenant %q: %w", tc.tenant, err))
@@ -329,18 +308,10 @@ func (s *Server) handlePartitionIngest(rw io.ReadWriter, first *wire.PartitionIn
 	if s.tenants == nil {
 		return wire.Send(rw, &wire.Reject{Reason: "cluster handoff requires a tenant registry"})
 	}
-	if err := wire.Send(rw, &wire.PartitionOK{Version: s.cl.node.Map().Version}); err != nil {
-		return err
-	}
 	for {
-		msg, err := wire.Receive(rw)
+		m, err := expect[*wire.PartitionIngest](rw, &wire.PartitionOK{Version: s.cl.node.Map().Version}, "unexpected message in ingest stream")
 		if err != nil {
 			return fmt.Errorf("protocol: ingest stream: %w", err)
-		}
-		m, ok := msg.(*wire.PartitionIngest)
-		if !ok {
-			_ = wire.Send(rw, &wire.Reject{Reason: "unexpected message in ingest stream"})
-			return fmt.Errorf("%w: %T in ingest stream", ErrProtocol, msg)
 		}
 		if m.Done {
 			// Install before acking: once the source sees the ack it
@@ -354,64 +325,35 @@ func (s *Server) handlePartitionIngest(rw io.ReadWriter, first *wire.PartitionIn
 			return wire.Send(rw, &wire.PartitionOK{Version: m.NewMap.Version})
 		}
 		db, err := s.tenants.Ensure(m.Tenant)
+		jdb, ok := db.(*store.Journaled)
+		if err == nil && !ok {
+			err = errNotJournaled
+		}
 		if err != nil {
 			_ = wire.Send(rw, &wire.Reject{Reason: fmt.Sprintf("ingest tenant: %v", err)})
 			return err
 		}
 		for _, rec := range m.Records {
-			if ing, ok := db.(interface{ IngestHandoff(*store.Record) error }); ok {
-				err = ing.IngestHandoff(rec)
-			} else if db.Contains(rec.ID) {
-				err = db.Replace(rec)
-			} else {
-				err = db.Insert(rec)
-			}
-			if err != nil {
+			if err := jdb.IngestHandoff(rec); err != nil {
 				_ = wire.Send(rw, &wire.Reject{Reason: fmt.Sprintf("ingest record %q: %v", rec.ID, err)})
 				return err
 			}
 		}
-		if err := wire.Send(rw, &wire.PartitionOK{Version: s.cl.node.Map().Version}); err != nil {
-			return err
-		}
 	}
 }
 
-// awaitPartitionOK reads one handoff ack, mapping a Reject to an error.
-func awaitPartitionOK(rw io.ReadWriter) error {
-	msg, err := wire.Receive(rw)
-	if err != nil {
-		return err
-	}
-	switch m := msg.(type) {
-	case *wire.PartitionOK:
-		return nil
-	case *wire.Reject:
-		return &RejectedError{Reason: m.Reason}
-	case *wire.NotPrimary:
-		return &NotPrimaryError{Primary: m.Primary}
-	default:
-		return fmt.Errorf("%w: %T awaiting partition ack", ErrProtocol, msg)
-	}
-}
+// errNotJournaled refuses a handoff through a tenant store outside the
+// journal seam. NewSystem wraps every tenant store of a cluster node in
+// *store.Journaled, whose write gate makes the handoff freeze authoritative.
+var errNotJournaled = errors.New("protocol: cluster handoff needs a journaled tenant store")
 
 // ClusterMap fetches the server's current cluster map.
 func (d *Device) ClusterMap(rw io.ReadWriter) (*cluster.Map, error) {
-	if err := wire.Send(rw, &wire.ClusterMapRequest{}); err != nil {
-		return nil, err
-	}
-	msg, err := wire.Receive(rw)
+	m, err := await[*wire.ClusterMapInfo](rw, &wire.ClusterMapRequest{}, "cluster map")
 	if err != nil {
 		return nil, err
 	}
-	switch m := msg.(type) {
-	case *wire.ClusterMapInfo:
-		return m.Map, nil
-	case *wire.Reject:
-		return nil, &RejectedError{Reason: m.Reason}
-	default:
-		return nil, fmt.Errorf("%w: %T awaiting cluster map", ErrProtocol, msg)
-	}
+	return m.Map, nil
 }
 
 // PartitionHandoff runs a partition admin session against the source
@@ -419,23 +361,11 @@ func (d *Device) ClusterMap(rw io.ReadWriter) (*cluster.Map, error) {
 // wire.PartitionMove). It returns the cluster map version in force after
 // the handoff.
 func (d *Device) PartitionHandoff(rw io.ReadWriter, action byte, slots []uint32, target string, targetReplicas []string) (uint64, error) {
-	if err := wire.Send(rw, &wire.PartitionAdmin{
+	ok, err := await[*wire.PartitionOK](rw, &wire.PartitionAdmin{
 		Action: action, Slots: slots, Target: target, TargetReplicas: targetReplicas,
-	}); err != nil {
-		return 0, err
-	}
-	msg, err := wire.Receive(rw)
+	}, "handoff verdict")
 	if err != nil {
 		return 0, err
 	}
-	switch m := msg.(type) {
-	case *wire.PartitionOK:
-		return m.Version, nil
-	case *wire.Reject:
-		return 0, &RejectedError{Reason: m.Reason}
-	case *wire.NotPrimary:
-		return 0, &NotPrimaryError{Primary: m.Primary}
-	default:
-		return 0, fmt.Errorf("%w: %T awaiting handoff verdict", ErrProtocol, msg)
-	}
+	return ok.Version, nil
 }

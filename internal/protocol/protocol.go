@@ -146,15 +146,6 @@ func IsOverloaded(err error) (time.Duration, bool) {
 	return 0, false
 }
 
-// overloadedError maps the wire form of a shed to the typed client error.
-func overloadedError(m *wire.Overloaded) *OverloadedError {
-	retry := time.Duration(m.RetryAfterMS) * time.Millisecond
-	if retry <= 0 {
-		retry = time.Millisecond
-	}
-	return &OverloadedError{RetryAfter: retry, Reason: m.Reason}
-}
-
 // Device is the biometric device (BioD) engine. It is safe for concurrent
 // use; every method call runs one complete protocol session on rw. A device
 // addresses the default tenant unless rebound with ForTenant.
@@ -182,49 +173,24 @@ func (d *Device) ForTenant(name string) *Device {
 // Enroll runs UserEnro (Fig. 1): Gen(Bio) -> (R, P), KeyGen(R) -> (sk, pk),
 // send (ID, pk, P). The private key and biometric are not retained.
 func (d *Device) Enroll(rw io.ReadWriter, id string, bio numberline.Vector) error {
-	key, helper, err := d.fe.Gen(bio)
-	if err != nil {
-		return fmt.Errorf("protocol: enroll gen: %w", err)
-	}
-	_, pub, err := d.scheme.DeriveKeyPair(key)
-	if err != nil {
-		return fmt.Errorf("protocol: enroll keygen: %w", err)
-	}
-	if err := wire.Send(rw, &wire.EnrollRequest{ID: id, PublicKey: pub, Helper: helper, Tenant: d.tenant}); err != nil {
-		return err
-	}
-	msg, err := wire.Receive(rw)
+	pub, helper, err := d.gen(bio)
 	if err != nil {
 		return err
 	}
-	switch m := msg.(type) {
-	case *wire.EnrollOK:
-		if m.ID != id {
-			return fmt.Errorf("%w: enroll ack for %q", ErrProtocol, m.ID)
-		}
-		return nil
-	case *wire.Reject:
-		return &RejectedError{Reason: m.Reason}
-	case *wire.NotPrimary:
-		return &NotPrimaryError{Primary: m.Primary}
-	case *wire.UnknownTenant:
-		return &UnknownTenantError{Tenant: m.Tenant}
-	case *wire.Overloaded:
-		return overloadedError(m)
-	case *wire.WrongPartition:
-		return &WrongPartitionError{Map: m.Map}
-	default:
-		return fmt.Errorf("%w: %T during enroll", ErrProtocol, msg)
+	ack, err := await[*wire.EnrollOK](rw, &wire.EnrollRequest{ID: id, PublicKey: pub, Helper: helper, Tenant: d.tenant}, "enroll ack")
+	if err != nil {
+		return err
 	}
+	if ack.ID != id {
+		return fmt.Errorf("%w: enroll ack for %q", ErrProtocol, ack.ID)
+	}
+	return nil
 }
 
 // Verify runs verification mode: the user claims id and proves possession
 // of the enrolled biometric via challenge-response.
 func (d *Device) Verify(rw io.ReadWriter, id string, bio numberline.Vector) error {
-	if err := wire.Send(rw, &wire.VerifyRequest{ID: id, Tenant: d.tenant}); err != nil {
-		return err
-	}
-	return d.answerChallenge(rw, bio, id)
+	return d.answerChallenge(rw, &wire.VerifyRequest{ID: id, Tenant: d.tenant}, bio, id)
 }
 
 // Revoke removes the enrollment for id after proving possession of the
@@ -232,10 +198,7 @@ func (d *Device) Verify(rw io.ReadWriter, id string, bio numberline.Vector) erro
 // re-enroll with fresh helper data, giving the scheme the revocability that
 // raw biometric storage lacks (§I).
 func (d *Device) Revoke(rw io.ReadWriter, id string, bio numberline.Vector) error {
-	if err := wire.Send(rw, &wire.RevokeRequest{ID: id, Tenant: d.tenant}); err != nil {
-		return err
-	}
-	return d.answerChallenge(rw, bio, id)
+	return d.answerChallenge(rw, &wire.RevokeRequest{ID: id, Tenant: d.tenant}, bio, id)
 }
 
 // ReEnroll replaces the enrollment for id with fresh helper data and a
@@ -248,38 +211,40 @@ func (d *Device) Revoke(rw io.ReadWriter, id string, bio numberline.Vector) erro
 // This is the online answer to template aging (a drifting biometric is
 // re-anchored at its current reading) and to helper-data rotation.
 func (d *Device) ReEnroll(rw io.ReadWriter, id string, oldBio, newBio numberline.Vector) error {
-	key, helper, err := d.fe.Gen(newBio)
+	pub, helper, err := d.gen(newBio)
 	if err != nil {
-		return fmt.Errorf("protocol: re-enroll gen: %w", err)
-	}
-	_, pub, err := d.scheme.DeriveKeyPair(key)
-	if err != nil {
-		return fmt.Errorf("protocol: re-enroll keygen: %w", err)
-	}
-	if err := wire.Send(rw, &wire.ReEnrollRequest{ID: id, PublicKey: pub, Helper: helper, Tenant: d.tenant}); err != nil {
 		return err
 	}
 	// The challenge is built from the *old* helper data: possession of the
 	// currently enrolled biometric authorises the replacement.
-	return d.answerChallenge(rw, oldBio, id)
+	return d.answerChallenge(rw, &wire.ReEnrollRequest{ID: id, PublicKey: pub, Helper: helper, Tenant: d.tenant}, oldBio, id)
+}
+
+// gen runs the enrollment half of the scheme for Enroll and ReEnroll:
+// Gen(bio) -> (R, P), KeyGen(R) -> (sk, pk). Only pk and P leave it.
+func (d *Device) gen(bio numberline.Vector) ([]byte, *core.HelperData, error) {
+	key, helper, err := d.fe.Gen(bio)
+	if err != nil {
+		return nil, nil, fmt.Errorf("protocol: gen: %w", err)
+	}
+	_, pub, err := d.scheme.DeriveKeyPair(key)
+	if err != nil {
+		return nil, nil, fmt.Errorf("protocol: keygen: %w", err)
+	}
+	return pub, helper, nil
 }
 
 // Identify runs the proposed BioIden (Fig. 3) and returns the identity the
 // server established.
 func (d *Device) Identify(rw io.ReadWriter, bio numberline.Vector) (string, error) {
 	sp := movementBufs.Get().(*[]int64)
+	defer putMovements(sp)
 	probe, err := d.fe.SketchOnlyInto(*sp, bio)
 	if err != nil {
-		putMovements(sp)
 		return "", fmt.Errorf("protocol: identify sketch: %w", err)
 	}
 	*sp = probe
-	err = wire.Send(rw, &wire.IdentifyRequest{Probe: &sketch.Sketch{Movements: probe}, Tenant: d.tenant})
-	putMovements(sp)
-	if err != nil {
-		return "", err
-	}
-	return d.finishChallenge(rw, bio)
+	return d.finishChallenge(rw, sp, &wire.IdentifyRequest{Probe: &sketch.Sketch{Movements: probe}, Tenant: d.tenant}, bio)
 }
 
 // IdentifyBatch runs the proposed BioIden for several readings in one
@@ -296,27 +261,9 @@ func (d *Device) IdentifyBatch(rw io.ReadWriter, bios []numberline.Vector) ([]st
 		}
 		probes[i] = p
 	}
-	if err := wire.Send(rw, &wire.IdentifyBatchRequest{Probes: probes, Tenant: d.tenant}); err != nil {
-		return nil, err
-	}
-	msg, err := wire.Receive(rw)
+	ch, err := await[*wire.IdentifyBatchChallenge](rw, &wire.IdentifyBatchRequest{Probes: probes, Tenant: d.tenant}, "batch challenge")
 	if err != nil {
 		return nil, err
-	}
-	var ch *wire.IdentifyBatchChallenge
-	switch m := msg.(type) {
-	case *wire.IdentifyBatchChallenge:
-		ch = m
-	case *wire.Reject:
-		return nil, &RejectedError{Reason: m.Reason}
-	case *wire.UnknownTenant:
-		return nil, &UnknownTenantError{Tenant: m.Tenant}
-	case *wire.Overloaded:
-		return nil, overloadedError(m)
-	case *wire.WrongPartition:
-		return nil, &WrongPartitionError{Map: m.Map}
-	default:
-		return nil, fmt.Errorf("%w: %T awaiting batch challenge", ErrProtocol, msg)
 	}
 	resp := &wire.IdentifyBatchSignature{}
 	for i := range ch.Entries {
@@ -326,91 +273,47 @@ func (d *Device) IdentifyBatch(rw io.ReadWriter, bios []numberline.Vector) ([]st
 		if uint64(entry.Probe) >= uint64(len(bios)) {
 			return nil, fmt.Errorf("%w: challenge for probe %d of %d", ErrProtocol, entry.Probe, len(bios))
 		}
-		key, repErr := d.fe.Rep(bios[entry.Probe], entry.Helper)
-		if repErr != nil {
-			continue // server will report this probe as unidentified
-		}
-		priv, _, err := d.scheme.DeriveKeyPair(key)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: batch keygen: %w", err)
-		}
-		nonce, err := newChallenge()
+		sig, nonce, repErr, err := d.respond(bios[entry.Probe], entry.Helper, entry.Challenge)
 		if err != nil {
 			return nil, err
 		}
-		sig, err := d.scheme.Sign(priv, sigscheme.ChallengeMessage(entry.Challenge, nonce))
-		if err != nil {
-			return nil, fmt.Errorf("protocol: batch sign: %w", err)
+		if repErr == nil { // otherwise the server reports the probe unidentified
+			resp.Entries = append(resp.Entries, wire.IndexedSignature{Probe: entry.Probe, Signature: sig, Nonce: nonce})
 		}
-		resp.Entries = append(resp.Entries, wire.IndexedSignature{Probe: entry.Probe, Signature: sig, Nonce: nonce})
 	}
-	if err := wire.Send(rw, resp); err != nil {
-		return nil, err
-	}
-	msg, err = wire.Receive(rw)
+	res, err := await[*wire.IdentifyBatchResult](rw, resp, "batch verdict")
 	if err != nil {
 		return nil, err
 	}
-	switch m := msg.(type) {
-	case *wire.IdentifyBatchResult:
-		if len(m.IDs) != len(bios) {
-			return nil, fmt.Errorf("%w: %d verdicts for %d probes", ErrProtocol, len(m.IDs), len(bios))
-		}
-		return m.IDs, nil
-	case *wire.Reject:
-		return nil, &RejectedError{Reason: m.Reason}
-	default:
-		return nil, fmt.Errorf("%w: %T awaiting batch verdict", ErrProtocol, msg)
+	if len(res.IDs) != len(bios) {
+		return nil, fmt.Errorf("%w: %d verdicts for %d probes", ErrProtocol, len(res.IDs), len(bios))
 	}
+	return res.IDs, nil
 }
 
 // IdentifyNormal runs the O(N) normal approach (Fig. 2): receive every
 // (P_i, c_i), attempt Rep against each, sign the challenge of the first
 // entry that reproduces a key.
 func (d *Device) IdentifyNormal(rw io.ReadWriter, bio numberline.Vector) (string, error) {
-	if err := wire.Send(rw, &wire.IdentifyRequest{Normal: true, Tenant: d.tenant}); err != nil {
-		return "", err
-	}
-	msg, err := wire.Receive(rw)
-	if err != nil {
-		return "", err
-	}
-	batch, err := expectBatch(msg)
+	batch, err := await[*wire.ChallengeBatch](rw, &wire.IdentifyRequest{Normal: true, Tenant: d.tenant}, "challenge batch")
 	if err != nil {
 		return "", err
 	}
 	for i := range batch.Entries {
 		entry := &batch.Entries[i]
-		key, repErr := d.fe.Rep(bio, entry.Helper)
-		if repErr != nil {
-			continue
-		}
-		priv, _, err := d.scheme.DeriveKeyPair(key)
-		if err != nil {
-			return "", fmt.Errorf("protocol: normal keygen: %w", err)
-		}
-		nonce, err := newChallenge()
+		sig, nonce, repErr, err := d.respond(bio, entry.Helper, entry.Challenge)
 		if err != nil {
 			return "", err
 		}
-		sig, err := d.scheme.Sign(priv, sigscheme.ChallengeMessage(entry.Challenge, nonce))
-		if err != nil {
-			return "", fmt.Errorf("protocol: normal sign: %w", err)
+		if repErr == nil {
+			return awaitAccept(rw, &wire.BatchSignature{Index: uint32(i), Signature: sig, Nonce: nonce})
 		}
-		resp := &wire.BatchSignature{Index: uint32(i), Signature: sig, Nonce: nonce}
-		if err := wire.Send(rw, resp); err != nil {
-			return "", err
-		}
-		return awaitAccept(rw)
 	}
 	// Nothing matched; tell the server so it can close the session. The
 	// server answers that terminal report with a Reject — the expected
 	// close of a no-match run, not a failure of its own — so it maps to
 	// the ErrNoMatch sentinel rather than surfacing as a RejectedError.
-	if err := wire.Send(rw, &wire.BatchSignature{Index: uint32(len(batch.Entries))}); err != nil {
-		return "", err
-	}
-	if _, err := awaitAccept(rw); err != nil && !IsRejected(err) {
+	if _, err := awaitAccept(rw, &wire.BatchSignature{Index: uint32(len(batch.Entries))}); err != nil && !IsRejected(err) {
 		return "", err
 	}
 	return "", ErrNoMatch
@@ -420,62 +323,34 @@ func (d *Device) IdentifyNormal(rw io.ReadWriter, bio numberline.Vector) (string
 // and returns the raw JSON document (see internal/telemetry.ParseSnapshot
 // for the typed view). Servers without telemetry reject the request.
 func (d *Device) Stats(rw io.ReadWriter) ([]byte, error) {
-	if err := wire.Send(rw, &wire.StatsRequest{}); err != nil {
-		return nil, err
-	}
-	msg, err := wire.Receive(rw)
+	m, err := await[*wire.StatsResponse](rw, &wire.StatsRequest{}, "stats")
 	if err != nil {
 		return nil, err
 	}
-	switch m := msg.(type) {
-	case *wire.StatsResponse:
-		return m.JSON, nil
-	case *wire.Reject:
-		return nil, &RejectedError{Reason: m.Reason}
-	default:
-		return nil, fmt.Errorf("%w: %T awaiting stats", ErrProtocol, msg)
-	}
+	return m.JSON, nil
 }
 
 // Tenants runs a tenant administration session asking for the hosted
 // namespace names.
 func (d *Device) Tenants(rw io.ReadWriter) ([]string, error) {
-	if err := wire.Send(rw, &wire.TenantAdmin{Action: wire.TenantActionList}); err != nil {
-		return nil, err
-	}
-	msg, err := wire.Receive(rw)
+	m, err := await[*wire.TenantInfo](rw, &wire.TenantAdmin{Action: wire.TenantActionList}, "tenant list")
 	if err != nil {
 		return nil, err
 	}
-	switch m := msg.(type) {
-	case *wire.TenantInfo:
-		return m.Tenants, nil
-	case *wire.Reject:
-		return nil, &RejectedError{Reason: m.Reason}
-	default:
-		return nil, fmt.Errorf("%w: %T awaiting tenant list", ErrProtocol, msg)
-	}
+	return m.Tenants, nil
 }
 
 // CreateTenant runs a tenant administration session creating the named
 // namespace.
 func (d *Device) CreateTenant(rw io.ReadWriter, name string) error {
-	return d.tenantAdmin(rw, wire.TenantActionCreate, name)
+	_, err := awaitAccept(rw, &wire.TenantAdmin{Action: wire.TenantActionCreate, Tenant: name})
+	return err
 }
 
 // DropTenant runs a tenant administration session removing the named
 // namespace and every record in it. Irreversible.
 func (d *Device) DropTenant(rw io.ReadWriter, name string) error {
-	return d.tenantAdmin(rw, wire.TenantActionDrop, name)
-}
-
-// tenantAdmin runs one mutating tenant admin session and interprets the
-// verdict.
-func (d *Device) tenantAdmin(rw io.ReadWriter, action wire.TenantAction, name string) error {
-	if err := wire.Send(rw, &wire.TenantAdmin{Action: action, Tenant: name}); err != nil {
-		return err
-	}
-	_, err := awaitAccept(rw)
+	_, err := awaitAccept(rw, &wire.TenantAdmin{Action: wire.TenantActionDrop, Tenant: name})
 	return err
 }
 
@@ -484,37 +359,18 @@ func (d *Device) tenantAdmin(rw io.ReadWriter, action wire.TenantAction, name st
 // runtime-only: set them on each node, and again after a restart.
 func (d *Device) SetTenantLimits(rw io.ReadWriter, name string, l qos.Limits) error {
 	spec := SpecFromLimits(l)
-	if err := wire.Send(rw, &wire.TenantAdmin{
-		Action: wire.TenantActionSetLimits, Tenant: name, Limits: &spec,
-	}); err != nil {
-		return err
-	}
-	_, err := awaitAccept(rw)
+	_, err := awaitAccept(rw, &wire.TenantAdmin{Action: wire.TenantActionSetLimits, Tenant: name, Limits: &spec})
 	return err
 }
 
 // TenantLimits runs a tenant administration session asking for the named
 // namespace's effective QoS envelope.
 func (d *Device) TenantLimits(rw io.ReadWriter, name string) (qos.Limits, bool, error) {
-	if err := wire.Send(rw, &wire.TenantAdmin{
-		Action: wire.TenantActionGetLimits, Tenant: name,
-	}); err != nil {
-		return qos.Limits{}, false, err
-	}
-	msg, err := wire.Receive(rw)
+	m, err := await[*wire.TenantLimits](rw, &wire.TenantAdmin{Action: wire.TenantActionGetLimits, Tenant: name}, "tenant limits")
 	if err != nil {
 		return qos.Limits{}, false, err
 	}
-	switch m := msg.(type) {
-	case *wire.TenantLimits:
-		return LimitsFromSpec(m.Spec), m.Overridden, nil
-	case *wire.Reject:
-		return qos.Limits{}, false, &RejectedError{Reason: m.Reason}
-	case *wire.UnknownTenant:
-		return qos.Limits{}, false, &UnknownTenantError{Tenant: m.Tenant}
-	default:
-		return qos.Limits{}, false, fmt.Errorf("%w: %T awaiting tenant limits", ErrProtocol, msg)
-	}
+	return LimitsFromSpec(m.Spec), m.Overridden, nil
 }
 
 // SpecFromLimits converts a QoS envelope to its wire form.
@@ -549,128 +405,118 @@ func LimitsFromSpec(s wire.LimitsSpec) qos.Limits {
 // role (primary / replica / standalone) and log progress. The client's
 // replica fan-out uses it as a cheap health and lag check.
 func (d *Device) ReplStatus(rw io.ReadWriter) (*wire.ReplStatusInfo, error) {
-	if err := wire.Send(rw, &wire.ReplStatus{}); err != nil {
-		return nil, err
-	}
-	msg, err := wire.Receive(rw)
-	if err != nil {
-		return nil, err
-	}
-	switch m := msg.(type) {
-	case *wire.ReplStatusInfo:
-		return m, nil
-	case *wire.Reject:
-		return nil, &RejectedError{Reason: m.Reason}
-	default:
-		return nil, fmt.Errorf("%w: %T awaiting replication status", ErrProtocol, msg)
-	}
+	return await[*wire.ReplStatusInfo](rw, &wire.ReplStatus{}, "replication status")
 }
 
-// answerChallenge receives (P, c), recovers the key, signs and awaits the
-// verdict, checking the accepted identity equals wantID when non-empty.
-func (d *Device) answerChallenge(rw io.ReadWriter, bio numberline.Vector, wantID string) error {
-	id, err := d.finishChallenge(rw, bio)
+// answerChallenge runs a session keyed by a claimed ID (verify, revoke,
+// re-enroll) and checks that the server accepted wantID.
+func (d *Device) answerChallenge(rw io.ReadWriter, req wire.Message, bio numberline.Vector, wantID string) error {
+	sp := movementBufs.Get().(*[]int64)
+	defer putMovements(sp)
+	id, err := d.finishChallenge(rw, sp, req, bio)
 	if err != nil {
 		return err
 	}
-	if wantID != "" && id != wantID {
+	if id != wantID {
 		return fmt.Errorf("%w: accepted as %q, want %q", ErrProtocol, id, wantID)
 	}
 	return nil
 }
 
-func (d *Device) finishChallenge(rw io.ReadWriter, bio numberline.Vector) (string, error) {
-	sp := movementBufs.Get().(*[]int64)
-	defer putMovements(sp) // the Challenge's helper aliases it until Rep is done
-	msg, err := wire.ReceiveInto(rw, sp)
+// finishChallenge sends req, receives (P, c) into the scratch sp, answers it
+// through respond and returns the identity the server accepted. sp may hold
+// req's probe: the reply is decoded only after req is sent.
+func (d *Device) finishChallenge(rw io.ReadWriter, sp *[]int64, req wire.Message, bio numberline.Vector) (string, error) {
+	ch, err := awaitInto[*wire.Challenge](rw, req, sp, "challenge")
 	if err != nil {
 		return "", err
 	}
-	var ch *wire.Challenge
-	switch m := msg.(type) {
-	case *wire.Challenge:
-		ch = m
-	case *wire.Reject:
-		return "", &RejectedError{Reason: m.Reason}
-	case *wire.NotPrimary:
-		return "", &NotPrimaryError{Primary: m.Primary}
-	case *wire.UnknownTenant:
-		return "", &UnknownTenantError{Tenant: m.Tenant}
-	case *wire.Overloaded:
-		return "", overloadedError(m)
-	case *wire.WrongPartition:
-		return "", &WrongPartitionError{Map: m.Map}
-	default:
-		return "", fmt.Errorf("%w: %T awaiting challenge", ErrProtocol, msg)
-	}
-	key, err := d.fe.Rep(bio, ch.Helper)
+	// A Rep failure leaves sig and nonce empty: the empty signature lets the
+	// server complete the session with a rejection.
+	sig, nonce, repErr, err := d.respond(bio, ch.Helper, ch.Challenge)
 	if err != nil {
-		// Cannot reproduce the key; answer with an empty signature so the
-		// server completes the session with a rejection.
-		if sendErr := wire.Send(rw, &wire.Signature{}); sendErr != nil {
-			return "", sendErr
-		}
-		if _, acceptErr := awaitAccept(rw); acceptErr != nil {
-			return "", fmt.Errorf("protocol: rep failed (%v): %w", err, acceptErr)
-		}
-		return "", fmt.Errorf("protocol: rep failed: %w", err)
+		return "", err
+	}
+	id, err := awaitAccept(rw, &wire.Signature{Signature: sig, Nonce: nonce})
+	switch {
+	case repErr != nil && err != nil:
+		return "", fmt.Errorf("protocol: rep failed (%v): %w", repErr, err)
+	case repErr != nil:
+		return "", fmt.Errorf("protocol: rep failed: %w", repErr)
+	}
+	return id, err
+}
+
+// respond is the device side of the step every protocol ends in:
+// Rep(bio, P) -> R, KeyGen(R) -> sk, a fresh nonce a, and
+// sigma = Sign(sk, ChallengeMessage(c, a)). repErr reports that bio does not
+// reproduce R from P; err is any other failure.
+func (d *Device) respond(bio numberline.Vector, p *core.HelperData, c []byte) (sig, nonce []byte, repErr, err error) {
+	key, repErr := d.fe.Rep(bio, p)
+	if repErr != nil {
+		return nil, nil, repErr, nil
 	}
 	priv, _, err := d.scheme.DeriveKeyPair(key)
 	if err != nil {
-		return "", fmt.Errorf("protocol: keygen: %w", err)
+		return nil, nil, nil, fmt.Errorf("protocol: keygen: %w", err)
 	}
-	nonce, err := newChallenge()
-	if err != nil {
-		return "", err
+	if nonce, err = newChallenge(); err != nil {
+		return nil, nil, nil, err
 	}
-	sig, err := d.scheme.Sign(priv, sigscheme.ChallengeMessage(ch.Challenge, nonce))
-	if err != nil {
-		return "", fmt.Errorf("protocol: sign: %w", err)
+	if sig, err = d.scheme.Sign(priv, sigscheme.ChallengeMessage(c, nonce)); err != nil {
+		return nil, nil, nil, fmt.Errorf("protocol: sign: %w", err)
 	}
-	if err := wire.Send(rw, &wire.Signature{Signature: sig, Nonce: nonce}); err != nil {
-		return "", err
-	}
-	return awaitAccept(rw)
+	return sig, nonce, nil, nil
 }
 
-func awaitAccept(rw io.ReadWriter) (string, error) {
-	msg, err := wire.Receive(rw)
+// awaitAccept sends req and returns the identity of the server's Accept.
+func awaitAccept(rw io.ReadWriter, req wire.Message) (string, error) {
+	a, err := await[*wire.Accept](rw, req, "verdict")
 	if err != nil {
 		return "", err
 	}
-	switch m := msg.(type) {
-	case *wire.Accept:
-		return m.ID, nil
-	case *wire.Reject:
-		return "", &RejectedError{Reason: m.Reason}
-	case *wire.NotPrimary:
-		return "", &NotPrimaryError{Primary: m.Primary}
-	case *wire.UnknownTenant:
-		return "", &UnknownTenantError{Tenant: m.Tenant}
-	case *wire.Overloaded:
-		return "", overloadedError(m)
-	case *wire.WrongPartition:
-		return "", &WrongPartitionError{Map: m.Map}
-	default:
-		return "", fmt.Errorf("%w: %T awaiting verdict", ErrProtocol, msg)
-	}
+	return a.ID, nil
 }
 
-func expectBatch(msg wire.Message) (*wire.ChallengeBatch, error) {
-	switch m := msg.(type) {
-	case *wire.ChallengeBatch:
+// await sends req (unless nil) and decodes the peer's reply as T. It is the
+// one reply decoder of every device session step: a refusal is returned as
+// its typed error whatever the step (RejectedError, NotPrimaryError,
+// UnknownTenantError, OverloadedError, WrongPartitionError), and any other
+// message as ErrProtocol naming step.
+func await[T wire.Message](rw io.ReadWriter, req wire.Message, step string) (T, error) {
+	return awaitInto[T](rw, req, nil, step)
+}
+
+// awaitInto is await decoding the reply's movement vector into the scratch
+// sp (see wire.ReceiveInto).
+func awaitInto[T wire.Message](rw io.ReadWriter, req wire.Message, sp *[]int64, step string) (T, error) {
+	var zero T
+	if req != nil {
+		if err := wire.Send(rw, req); err != nil {
+			return zero, err
+		}
+	}
+	msg, err := wire.ReceiveInto(rw, sp)
+	if err != nil {
+		return zero, err
+	}
+	if m, ok := msg.(T); ok {
 		return m, nil
-	case *wire.Reject:
-		return nil, &RejectedError{Reason: m.Reason}
-	case *wire.UnknownTenant:
-		return nil, &UnknownTenantError{Tenant: m.Tenant}
-	case *wire.Overloaded:
-		return nil, overloadedError(m)
-	case *wire.WrongPartition:
-		return nil, &WrongPartitionError{Map: m.Map}
-	default:
-		return nil, fmt.Errorf("%w: %T awaiting challenge batch", ErrProtocol, msg)
 	}
+	switch m := msg.(type) {
+	case *wire.Reject:
+		return zero, &RejectedError{Reason: m.Reason}
+	case *wire.NotPrimary:
+		return zero, &NotPrimaryError{Primary: m.Primary}
+	case *wire.UnknownTenant:
+		return zero, &UnknownTenantError{Tenant: m.Tenant}
+	case *wire.Overloaded:
+		retry := max(time.Duration(m.RetryAfterMS)*time.Millisecond, time.Millisecond)
+		return zero, &OverloadedError{RetryAfter: retry, Reason: m.Reason}
+	case *wire.WrongPartition:
+		return zero, &WrongPartitionError{Map: m.Map}
+	}
+	return zero, fmt.Errorf("%w: %T awaiting %s", ErrProtocol, msg, step)
 }
 
 // movementBufs recycles the movement vectors of a session: the device's
@@ -789,9 +635,6 @@ func (s *Server) refuseTenant(rw io.ReadWriter, name string) error {
 // admission control. Call before serving traffic.
 func (s *Server) SetQoS(ctl *qos.Controller) { s.qos = ctl }
 
-// QoS returns the installed admission controller (nil when disabled).
-func (s *Server) QoS() *qos.Controller { return s.qos }
-
 // SetReadOnly puts the server in replica mode: enroll and revoke sessions
 // are refused with a NotPrimary message naming primary, so clients can
 // redirect their mutations; identification, verification and stats keep
@@ -865,10 +708,6 @@ func (s *Server) countTenant(name string, failed bool) {
 		s.m.tenantErrs.Get(name).Inc()
 	}
 }
-
-// Telemetry returns the registry bound by Instrument (nil when
-// uninstrumented).
-func (s *Server) Telemetry() *telemetry.Registry { return s.m.reg }
 
 // HandleSession serves exactly one protocol run (one request message and its
 // follow-ups) on rw. It returns io.EOF when the peer closed the stream
@@ -1150,18 +989,27 @@ func (s *Server) handleTenantLimits(rw io.ReadWriter, m *wire.TenantAdmin) error
 }
 
 func (s *Server) handleEnroll(rw io.ReadWriter, db store.Store, m *wire.EnrollRequest) error {
-	rec := &store.Record{ID: m.ID, PublicKey: m.PublicKey, Helper: m.Helper}
-	if err := db.Insert(rec); err != nil {
-		if errors.Is(err, store.ErrUnknownTenant) {
-			// The tenant was dropped between resolution and the insert.
-			return s.refuseTenant(rw, store.CanonicalTenant(m.Tenant))
-		}
-		if handled, sendErr := s.clusterRefusal(rw, err); handled {
-			return sendErr
-		}
-		return wire.Send(rw, &wire.Reject{Reason: fmt.Sprintf("enroll: %v", err)})
+	err := db.Insert(&store.Record{ID: m.ID, PublicKey: m.PublicKey, Helper: m.Helper})
+	return s.commit(rw, m.Tenant, "enroll", err, &wire.EnrollOK{ID: m.ID})
+}
+
+// commit answers a mutating session after its store write: ok when err is
+// nil. Otherwise a tenant dropped since the session resolved it is answered
+// with UnknownTenant, a cluster write-gate verdict with its shed (frozen
+// slot) or redirect (foreign slot), and any other failure with a Reject
+// naming op.
+func (s *Server) commit(rw io.ReadWriter, tenant, op string, err error, ok wire.Message) error {
+	switch {
+	case err == nil:
+		return wire.Send(rw, ok)
+	case errors.Is(err, store.ErrUnknownTenant):
+		return s.refuseTenant(rw, store.CanonicalTenant(tenant))
+	case errors.Is(err, cluster.ErrSlotFrozen):
+		return wire.Send(rw, &wire.Overloaded{RetryAfterMS: handoffRetryMS, Reason: "handoff"})
+	case errors.Is(err, cluster.ErrSlotNotOwned) && s.cl != nil:
+		return wire.Send(rw, &wire.WrongPartition{Map: s.cl.node.Map()})
 	}
-	return wire.Send(rw, &wire.EnrollOK{ID: m.ID})
+	return wire.Send(rw, &wire.Reject{Reason: fmt.Sprintf("%s: %v", op, err)})
 }
 
 // scratchRecords recycles the record a verify, identify, revoke or re-enroll
@@ -1170,12 +1018,40 @@ func (s *Server) handleEnroll(rw io.ReadWriter, db store.Store, m *wire.EnrollRe
 var scratchRecords = sync.Pool{New: func() any { return new(store.Record) }}
 
 func (s *Server) handleVerify(rw io.ReadWriter, db store.Store, m *wire.VerifyRequest) error {
+	return s.claimed(rw, db, m.ID, nil)
+}
+
+// handleRevoke deletes an enrollment after the device proves possession of
+// the enrolled biometric.
+func (s *Server) handleRevoke(rw io.ReadWriter, db store.Store, m *wire.RevokeRequest) error {
+	return s.claimed(rw, db, m.ID, func() error {
+		return s.commit(rw, m.Tenant, "revoke", db.Delete(m.ID), &wire.Accept{ID: m.ID})
+	})
+}
+
+// handleReEnroll replaces an enrollment's template after the device proves
+// possession of the *currently enrolled* biometric. The swap goes through
+// Store.Replace — one journalled mutation — so concurrent identify/verify
+// sessions observe either the old template or the new one in full.
+func (s *Server) handleReEnroll(rw io.ReadWriter, db store.Store, m *wire.ReEnrollRequest) error {
+	return s.claimed(rw, db, m.ID, func() error {
+		err := db.Replace(&store.Record{ID: m.ID, PublicKey: m.PublicKey, Helper: m.Helper})
+		return s.commit(rw, m.Tenant, "re-enroll", err, &wire.Accept{ID: m.ID})
+	})
+}
+
+// claimed serves a session keyed by a claimed ID: it loads the enrolled
+// record and runs challengeResponse against it. A revoke or re-enroll is
+// thus exactly as strongly authenticated as a verification: its challenge
+// is built from the enrolled helper data and verified against the enrolled
+// public key before commit runs.
+func (s *Server) claimed(rw io.ReadWriter, db store.Store, id string, commit func() error) error {
 	rec := scratchRecords.Get().(*store.Record)
 	defer scratchRecords.Put(rec)
-	if !db.GetInto(m.ID, rec) {
+	if !db.GetInto(id, rec) {
 		return wire.Send(rw, &wire.Reject{Reason: "unknown identity"})
 	}
-	return s.challengeResponse(rw, rec)
+	return s.challengeResponse(rw, rec, commit)
 }
 
 func (s *Server) handleIdentify(rw io.ReadWriter, db store.Store, name string, m *wire.IdentifyRequest) error {
@@ -1195,106 +1071,56 @@ func (s *Server) handleIdentify(rw io.ReadWriter, db store.Store, name string, m
 	if err != nil {
 		return wire.Send(rw, &wire.Reject{Reason: "no matching record"})
 	}
-	return s.challengeResponse(rw, rec)
+	return s.challengeResponse(rw, rec, nil)
 }
 
-// challengeResponse issues (P, c), awaits (sigma, a), verifies and reports
-// the verdict to the peer.
-func (s *Server) challengeResponse(rw io.ReadWriter, rec *store.Record) error {
-	ok, err := s.runChallenge(rw, rec)
+// challengeResponse runs the server side of the step every protocol ends
+// in: issue (P, c) for rec, await (sigma, a) and verify it. A verified
+// session is accepted as rec.ID, or handed to commit, which applies an
+// authenticated mutation and sends the verdict itself.
+func (s *Server) challengeResponse(rw io.ReadWriter, rec *store.Record, commit func() error) error {
+	challenge, err := newChallenge()
 	if err != nil {
 		return err
 	}
-	if !ok {
+	sig, err := expect[*wire.Signature](rw, &wire.Challenge{Helper: rec.Helper, Challenge: challenge}, "expected signature")
+	if err != nil {
+		return err
+	}
+	switch {
+	case !s.verified(rec.PublicKey, challenge, sig.Nonce, sig.Signature):
 		return wire.Send(rw, &wire.Reject{Reason: "signature verification failed"})
+	case commit != nil:
+		return commit()
 	}
 	return wire.Send(rw, &wire.Accept{ID: rec.ID})
 }
 
-// runChallenge performs the challenge-response exchange without sending the
-// verdict, so callers can attach side effects (revocation) to success.
-func (s *Server) runChallenge(rw io.ReadWriter, rec *store.Record) (bool, error) {
-	challenge, err := newChallenge()
-	if err != nil {
-		return false, err
-	}
-	if err := wire.Send(rw, &wire.Challenge{Helper: rec.Helper, Challenge: challenge}); err != nil {
-		return false, err
+// verified is the one signature check of every protocol: sig must sign
+// ChallengeMessage(c, nonce) under pk. An empty signature — the device's
+// answer when Rep failed — never verifies.
+func (s *Server) verified(pk, c, nonce, sig []byte) bool {
+	return len(sig) > 0 && s.scheme.Verify(pk, sigscheme.ChallengeMessage(c, nonce), sig)
+}
+
+// expect sends out and reads the peer's reply on a server session as T.
+// Any other message is answered with a Reject carrying reason and fails
+// the session with ErrProtocol.
+func expect[T wire.Message](rw io.ReadWriter, out wire.Message, reason string) (T, error) {
+	var zero T
+	if err := wire.Send(rw, out); err != nil {
+		return zero, err
 	}
 	msg, err := wire.Receive(rw)
 	if err != nil {
-		return false, err
+		return zero, err
 	}
-	sig, ok := msg.(*wire.Signature)
+	m, ok := msg.(T)
 	if !ok {
-		_ = wire.Send(rw, &wire.Reject{Reason: "expected signature"})
-		return false, fmt.Errorf("%w: %T awaiting signature", ErrProtocol, msg)
+		_ = wire.Send(rw, &wire.Reject{Reason: reason})
+		return zero, fmt.Errorf("%w: %T (%s)", ErrProtocol, msg, reason)
 	}
-	if len(sig.Signature) == 0 ||
-		!s.scheme.Verify(rec.PublicKey, sigscheme.ChallengeMessage(challenge, sig.Nonce), sig.Signature) {
-		return false, nil
-	}
-	return true, nil
-}
-
-// handleRevoke deletes an enrollment after the device proves possession of
-// the enrolled biometric — deletion is as strongly authenticated as
-// verification itself.
-func (s *Server) handleRevoke(rw io.ReadWriter, db store.Store, m *wire.RevokeRequest) error {
-	rec := scratchRecords.Get().(*store.Record)
-	defer scratchRecords.Put(rec)
-	if !db.GetInto(m.ID, rec) {
-		return wire.Send(rw, &wire.Reject{Reason: "unknown identity"})
-	}
-	passed, err := s.runChallenge(rw, rec)
-	if err != nil {
-		return err
-	}
-	if !passed {
-		return wire.Send(rw, &wire.Reject{Reason: "signature verification failed"})
-	}
-	if err := db.Delete(m.ID); err != nil {
-		if errors.Is(err, store.ErrUnknownTenant) {
-			return s.refuseTenant(rw, store.CanonicalTenant(m.Tenant))
-		}
-		if handled, sendErr := s.clusterRefusal(rw, err); handled {
-			return sendErr
-		}
-		return wire.Send(rw, &wire.Reject{Reason: fmt.Sprintf("revoke: %v", err)})
-	}
-	return wire.Send(rw, &wire.Accept{ID: rec.ID})
-}
-
-// handleReEnroll replaces an enrollment's template after the device proves
-// possession of the *currently enrolled* biometric: the challenge is built
-// from the old record's helper data and verified against the old public
-// key, so installing fresh helper data is as strongly authenticated as
-// verification itself. The swap goes through Store.Replace — one journalled
-// mutation — so concurrent identify/verify sessions observe either the old
-// template or the new one in full.
-func (s *Server) handleReEnroll(rw io.ReadWriter, db store.Store, m *wire.ReEnrollRequest) error {
-	rec := scratchRecords.Get().(*store.Record)
-	defer scratchRecords.Put(rec)
-	if !db.GetInto(m.ID, rec) {
-		return wire.Send(rw, &wire.Reject{Reason: "unknown identity"})
-	}
-	passed, err := s.runChallenge(rw, rec)
-	if err != nil {
-		return err
-	}
-	if !passed {
-		return wire.Send(rw, &wire.Reject{Reason: "signature verification failed"})
-	}
-	if err := db.Replace(&store.Record{ID: m.ID, PublicKey: m.PublicKey, Helper: m.Helper}); err != nil {
-		if errors.Is(err, store.ErrUnknownTenant) {
-			return s.refuseTenant(rw, store.CanonicalTenant(m.Tenant))
-		}
-		if handled, sendErr := s.clusterRefusal(rw, err); handled {
-			return sendErr
-		}
-		return wire.Send(rw, &wire.Reject{Reason: fmt.Sprintf("re-enroll: %v", err)})
-	}
-	return wire.Send(rw, &wire.Accept{ID: rec.ID})
+	return m, nil
 }
 
 // handleIdentifyBatch serves a batched identification run: one
@@ -1335,36 +1161,22 @@ func (s *Server) handleIdentifyBatch(rw io.ReadWriter, db store.Store, name stri
 		challenges[i] = c
 		ch.Entries = append(ch.Entries, wire.IndexedChallenge{Probe: uint32(i), Helper: rec.Helper, Challenge: c})
 	}
-	if err := wire.Send(rw, ch); err != nil {
-		return err
-	}
-	msg, err := wire.Receive(rw)
+	resp, err := expect[*wire.IdentifyBatchSignature](rw, ch, "expected batch signature")
 	if err != nil {
 		return err
-	}
-	resp, ok := msg.(*wire.IdentifyBatchSignature)
-	if !ok {
-		_ = wire.Send(rw, &wire.Reject{Reason: "expected batch signature"})
-		return fmt.Errorf("%w: %T awaiting batch signature", ErrProtocol, msg)
 	}
 	result := &wire.IdentifyBatchResult{IDs: make([]string, len(recs))}
 	for i := range resp.Entries {
 		e := &resp.Entries[i]
 		// Compare in uint64: int(e.Probe) can go negative on 32-bit
-		// platforms and would dodge the bounds check.
-		if uint64(e.Probe) >= uint64(len(recs)) {
+		// platforms and would dodge the bounds check. A nil challenge marks
+		// an unmatched probe, or one already answered.
+		if uint64(e.Probe) >= uint64(len(recs)) || challenges[e.Probe] == nil ||
+			!s.verified(recs[e.Probe].PublicKey, challenges[e.Probe], e.Nonce, e.Signature) {
 			continue
 		}
-		idx := int(e.Probe)
-		if recs[idx] == nil || challenges[idx] == nil {
-			continue
-		}
-		if len(e.Signature) == 0 ||
-			!s.scheme.Verify(recs[idx].PublicKey, sigscheme.ChallengeMessage(challenges[idx], e.Nonce), e.Signature) {
-			continue
-		}
-		result.IDs[idx] = recs[idx].ID
-		challenges[idx] = nil // a challenge may be answered once
+		result.IDs[e.Probe] = recs[e.Probe].ID
+		challenges[e.Probe] = nil // a challenge may be answered once
 	}
 	return wire.Send(rw, result)
 }
@@ -1390,17 +1202,9 @@ func (s *Server) handleIdentifyNormal(rw io.ReadWriter, db store.Store, name str
 		challenges[i] = c
 		batch.Entries[i] = wire.ChallengeEntry{Helper: rec.Helper, Challenge: c}
 	}
-	if err := wire.Send(rw, batch); err != nil {
-		return err
-	}
-	msg, err := wire.Receive(rw)
+	resp, err := expect[*wire.BatchSignature](rw, batch, "expected batch signature")
 	if err != nil {
 		return err
-	}
-	resp, ok := msg.(*wire.BatchSignature)
-	if !ok {
-		_ = wire.Send(rw, &wire.Reject{Reason: "expected batch signature"})
-		return fmt.Errorf("%w: %T awaiting batch signature", ErrProtocol, msg)
 	}
 	// Compare in uint64: int(resp.Index) can go negative on 32-bit
 	// platforms and would dodge the bounds check.
@@ -1408,8 +1212,7 @@ func (s *Server) handleIdentifyNormal(rw io.ReadWriter, db store.Store, name str
 		return wire.Send(rw, &wire.Reject{Reason: "no matching record"})
 	}
 	rec := records[resp.Index]
-	if len(resp.Signature) == 0 ||
-		!s.scheme.Verify(rec.PublicKey, sigscheme.ChallengeMessage(challenges[resp.Index], resp.Nonce), resp.Signature) {
+	if !s.verified(rec.PublicKey, challenges[resp.Index], resp.Nonce, resp.Signature) {
 		return wire.Send(rw, &wire.Reject{Reason: "signature verification failed"})
 	}
 	return wire.Send(rw, &wire.Accept{ID: rec.ID})

@@ -24,7 +24,7 @@ type env struct {
 	device *Device
 }
 
-func newEnv(t *testing.T, dim int, seed int64) *env {
+func newEnv(t testing.TB, dim int, seed int64) *env {
 	t.Helper()
 	fe, err := core.New(core.Params{Line: numberline.PaperParams(), Dimension: dim})
 	if err != nil {

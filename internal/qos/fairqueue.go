@@ -45,9 +45,6 @@ func NewFairQueue(capacity int) *FairQueue {
 	return &FairQueue{capacity: capacity, tenants: make(map[string]*fqTenant)}
 }
 
-// Capacity returns the permit capacity.
-func (q *FairQueue) Capacity() int { return q.capacity }
-
 // Acquire takes one permit for tenant with the given weight, queueing up
 // to timeout. ok reports whether the permit was granted (the caller must
 // Release it); waited reports whether the caller queued at all.

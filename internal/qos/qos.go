@@ -133,17 +133,6 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// Budget returns the controller's queueing latency budget.
-func (c *Controller) Budget() time.Duration { return c.budget }
-
-// ScanSlots returns the scan-pool size (0 when scan scheduling is off).
-func (c *Controller) ScanSlots() int {
-	if c.scan == nil {
-		return 0
-	}
-	return c.scan.Capacity()
-}
-
 // Instrument binds the controller's decision counters to reg. The counters
 // live in the same per-tenant family the protocol layer uses
 // ("tenant.<name>.shed" / ".throttled" / ".queued"), plus one histogram

@@ -149,14 +149,13 @@ func WithCloser(c io.Closer) ServerOption {
 }
 
 // WithTelemetry binds the server's transport-layer instruments (connections
-// accepted/active/rejected, bytes in/out) to reg and instruments the
-// protocol engine against the same registry, so one snapshot covers both
-// layers. A nil reg leaves the server uninstrumented.
+// accepted/active/rejected, bytes in/out) to reg. It leaves the protocol
+// engine alone: one engine may serve several listeners at once, so it is
+// instrumented once, before serving (protocol.Server.Instrument), and
+// rebinding it here would race the sessions already running on it. A nil
+// reg leaves the server uninstrumented.
 func WithTelemetry(reg *telemetry.Registry) ServerOption {
-	return serverOptionFunc(func(s *Server) {
-		s.m.bind(reg)
-		s.proto.Instrument(reg)
-	})
+	return serverOptionFunc(func(s *Server) { s.m.bind(reg) })
 }
 
 // Listen starts a TCP server for proto on addr (e.g. "127.0.0.1:0").

@@ -278,12 +278,6 @@ func TestFollowerResumesMidStream(t *testing.T) {
 	if _, _, connected := follower.ReplicaStatus(); connected {
 		t.Fatal("follower reconnected while its primary address was down")
 	}
-	// Listen re-instruments the system's protocol server, so no other
-	// listener of it may still be serving.
-	if err := side.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	srv3, err := c.primary.Listen(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package fuzzyid_test
 
 import (
+	"fmt"
 	"testing"
 
 	"fuzzyid"
@@ -159,5 +160,79 @@ func TestStatsRejectedWithoutTelemetry(t *testing.T) {
 	}
 	if !protocol.IsRejected(err) {
 		t.Fatalf("stats error = %v, want a rejection", err)
+	}
+}
+
+// TestSecondListenerWhileServing opens a second listener on a telemetry
+// system while identify sessions run on the first. Both listeners serve the
+// one protocol engine, so opening one must not rebind that engine's
+// instruments under the other's sessions (run it with -race), and every
+// session of both lands in the one snapshot.
+func TestSecondListenerWhileServing(t *testing.T) {
+	sys, err := fuzzyid.NewSystem(fuzzyid.Params{Line: fuzzyid.PaperLine(), Dimension: 32}, fuzzyid.WithTelemetry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := sys.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	src, err := biometric.NewSource(sys.Extractor().Line(), biometric.Paper(32), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := src.NewUser("alice")
+	readings := make([]fuzzyid.Vector, 41)
+	for i := range readings {
+		if readings[i], err = src.GenuineReading(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client, err := sys.Dial(first.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.Enroll(u.ID, u.Template); err != nil {
+		t.Fatal(err)
+	}
+
+	serving, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for i, r := range readings[1:] {
+			if id, err := client.Identify(r); err != nil || id != u.ID {
+				done <- fmt.Errorf("identify %d on the first listener = (%q, %v)", i, id, err)
+				return
+			}
+			if i == 0 {
+				close(serving)
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case <-serving:
+	case err := <-done:
+		t.Fatal(err)
+	}
+	second, err := sys.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	other, err := sys.Dial(second.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if id, err := other.Identify(readings[0]); err != nil || id != u.ID {
+		t.Fatalf("identify on the second listener = (%q, %v)", id, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sys.Stats().Counter("protocol.identify.requests"), uint64(len(readings)); got != want {
+		t.Errorf("protocol.identify.requests = %d, want %d", got, want)
 	}
 }
