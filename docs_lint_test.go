@@ -2,12 +2,15 @@ package fuzzyid
 
 // This lint test enforces the public-API documentation contract promised in
 // OPERATIONS.md: every exported symbol of the facade (fuzzyid.go), the wire
-// codec (internal/wire), the persistence and replication layers
-// (internal/persist, internal/replica) and the protocol engines
-// (internal/protocol) carries a doc comment stating its contract. It runs under plain `go
-// test`, so the check gates CI and local work identically — no external
-// linter needed (CI additionally runs staticcheck's ST1000/ST1020/ST1022
-// over the same packages, which this mirrors). TestNoOrphanPackages guards
+// codec (internal/wire), the record store and its journal seam
+// (internal/store), the persistence and replication layers
+// (internal/persist, internal/replica), the protocol engines
+// (internal/protocol), the cluster map (internal/cluster) and admission
+// control (internal/qos) carries a doc comment stating its contract. It
+// runs under plain `go test`, so the check gates CI and local work
+// identically — no external linter needed (CI additionally runs
+// staticcheck's ST1000/ST1020/ST1022 over the same packages, which this
+// mirrors). TestNoOrphanPackages guards
 // the other direction: no internal package survives that nothing runs.
 
 import (
@@ -24,7 +27,10 @@ import (
 )
 
 // lintedDirs are the packages whose exported API must be fully documented.
-var lintedDirs = []string{".", "internal/wire", "internal/persist", "internal/replica", "internal/protocol"}
+var lintedDirs = []string{
+	".", "internal/wire", "internal/store", "internal/persist", "internal/replica",
+	"internal/protocol", "internal/cluster", "internal/qos",
+}
 
 func TestExportedSymbolsDocumented(t *testing.T) {
 	for _, dir := range lintedDirs {

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"fuzzyid/internal/cluster"
@@ -250,11 +249,9 @@ type System struct {
 	// Telemetry registry; nil unless WithTelemetry was configured.
 	metrics *telemetry.Registry
 
-	// Persistence state: the data dir and one WAL per tenant; empty unless
-	// WithPersistence was configured.
+	// Persistence data dir (one WAL partition per tenant under it); empty
+	// unless WithPersistence was configured.
 	dataDir string
-	logMu   sync.Mutex
-	logs    map[string]*persist.Log
 
 	// Replication state: hub is non-nil on a primary built
 	// WithReplication, follower on a replica built WithReplicaOf.
@@ -509,11 +506,7 @@ func NewSystem(p Params, opts ...Option) (*System, error) {
 			return nil, fmt.Errorf("fuzzyid: cluster node: %w", err)
 		}
 	}
-	sys := &System{
-		extractor: fe, scheme: scheme,
-		dataDir: cfg.dataDir,
-		logs:    make(map[string]*persist.Log),
-	}
+	sys := &System{extractor: fe, scheme: scheme, dataDir: cfg.dataDir}
 	if cfg.telemetry {
 		sys.metrics = telemetry.NewRegistry()
 	}
@@ -529,52 +522,42 @@ func NewSystem(p Params, opts ...Option) (*System, error) {
 	if cfg.hasGroupWin {
 		popts = append(popts, persist.WithGroupWindow(cfg.groupWindow))
 	}
-	// The factory builds one tenant's full backing: the in-memory scan
-	// store, recovered from and journaled into its own WAL partition
-	// (sharing the data dir and fsync policy), with the replication hub
-	// appended after the WAL so durability precedes shipping.
-	factory := func(name string) (store.Store, func() error, error) {
-		db := store.NewScanShards(fe.Line(), cfg.shards)
-		var journals store.MultiJournal
-		var closer func() error
-		var log *persist.Log
-		var err error
-		if cfg.dataDir != "" {
-			log, err = persist.Open(persist.TenantDir(cfg.dataDir, name), popts...)
-			if err != nil {
-				return nil, nil, err
-			}
-			// Recovery replays the snapshot chain and WAL tail through the
-			// store's normal mutation path, then live mutations flow
-			// through the journal before being acknowledged.
-			if err := store.Replay(db, log.Replay); err != nil {
-				log.Close()
-				return nil, nil, err
-			}
-			sys.trackLog(name, log)
-			journals = append(journals, log)
-			closer = func() error {
-				sys.untrackLog(name)
-				return log.Close()
-			}
+	// The factory builds one tenant's store: the in-memory scan store behind
+	// the journal seam — recovered from and journaled into its own WAL
+	// partition (sharing the data dir and fsync policy), with the
+	// replication hub after the WAL so staging precedes shipping. Without
+	// either the journal is nil; the wrapper still carries the drop fence
+	// and the partition write gate.
+	var hub store.Journal
+	if sys.hub != nil {
+		hub = sys.hub
+	}
+	factory := func(name string) (*store.Journaled, func() error, error) {
+		if cfg.dataDir == "" {
+			return store.NewJournaledTenant(store.NewScanShards(fe.Line(), cfg.shards), hub, nil, name), nil, nil
 		}
-		if sys.hub != nil {
-			journals = append(journals, sys.hub)
+		log, err := persist.Open(persist.TenantDir(cfg.dataDir, name), popts...)
+		if err != nil {
+			return nil, nil, err
 		}
-		// A cluster node wraps even journal-less stores: the Journaled
-		// layer's mutex is where the partition write gate runs, making a
-		// handoff freeze authoritative against in-flight sessions.
-		if len(journals) > 0 || node != nil {
-			jdb := store.NewJournaledTenant(db, journals, name)
-			if log != nil {
-				// The WAL-tail mutations are the distance between the store
-				// and its snapshot chain: seeding their buckets arms
-				// incremental compaction from the first post-boot cut.
-				jdb.SeedDirty(log.TailDirty())
-			}
-			return jdb, closer, nil
+		// Recovery replays the snapshot chain and WAL tail through the
+		// store's normal mutation path, then live mutations flow through
+		// the journal before being acknowledged.
+		db, err := store.Open(fe.Line(), cfg.shards, log.Replay)
+		if err != nil {
+			log.Close()
+			return nil, nil, err
 		}
-		return db, closer, nil
+		var j store.Journal = log
+		if hub != nil {
+			j = store.MultiJournal{log, hub}
+		}
+		jdb := store.NewJournaledTenant(db, j, log, name)
+		// The WAL-tail mutations are the distance between the store and its
+		// snapshot chain: seeding their buckets arms incremental compaction
+		// from the first post-boot cut.
+		jdb.SeedDirty(log.TailDirty())
+		return jdb, log.Close, nil
 	}
 	reg, err := store.NewTenantRegistry(factory)
 	if err != nil {
@@ -618,8 +601,7 @@ func NewSystem(p Params, opts ...Option) (*System, error) {
 			return nil
 		})
 	}
-	sys.server = protocol.NewServer(fe, scheme, reg.Default())
-	sys.server.SetTenants(reg)
+	sys.server = protocol.NewServer(fe, scheme, reg)
 	if sys.qos != nil {
 		sys.server.SetQoS(sys.qos)
 	}
@@ -669,31 +651,6 @@ func (s *System) ClusterMap() (m *ClusterMap, ok bool) {
 		return nil, false
 	}
 	return s.node.Map(), true
-}
-
-// trackLog records a tenant's WAL for the snapshot and shutdown paths.
-func (s *System) trackLog(name string, log *persist.Log) {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	s.logs[store.CanonicalTenant(name)] = log
-}
-
-// untrackLog forgets a dropped tenant's WAL.
-func (s *System) untrackLog(name string) {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	delete(s.logs, store.CanonicalTenant(name))
-}
-
-// snapshotLogs returns a stable view of the per-tenant WALs.
-func (s *System) snapshotLogs() map[string]*persist.Log {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	out := make(map[string]*persist.Log, len(s.logs))
-	for name, log := range s.logs {
-		out[name] = log
-	}
-	return out
 }
 
 // Metrics returns the system's telemetry registry, or nil when the system
@@ -789,56 +746,14 @@ func (s *System) ReplicaStatus() (applied, lag uint64, connected bool) {
 // segments the cut subsumes are deleted, bounding both disk usage and the
 // next boot's recovery time. Tenants compact in parallel — each partition is
 // an independent Log, so one huge tenant does not serialize the rest.
-// Snapshot is cheap to call when nothing changed (tenants with no appends
+// Snapshot is cheap to call when nothing changed (tenants with no mutations
 // since their last compaction are skipped) and a no-op without persistence.
-func (s *System) Snapshot() error {
-	var (
-		wg    sync.WaitGroup
-		errMu sync.Mutex
-		errs  []error
-	)
-	for name, log := range s.snapshotLogs() {
-		if log.AppendsSinceRotate() == 0 {
-			continue // nothing new since the last snapshot
-		}
-		wg.Add(1)
-		go func(name string, log *persist.Log) {
-			defer wg.Done()
-			if err := s.snapshotTenant(name, log); err != nil {
-				errMu.Lock()
-				errs = append(errs, err)
-				errMu.Unlock()
-			}
-		}(name, log)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// snapshotTenant compacts one tenant's log; a tenant dropped concurrently
-// (its store gone or its log closed) is skipped, not an error.
-func (s *System) snapshotTenant(name string, log *persist.Log) error {
-	st, err := s.tenants.Tenant(name)
-	if err != nil {
-		return nil // dropped while iterating
-	}
-	jdb, ok := st.(*store.Journaled)
-	if !ok {
-		return nil
-	}
-	if err := jdb.Snapshot(log); err != nil {
-		if errors.Is(err, persist.ErrClosed) {
-			return nil // dropped while iterating
-		}
-		return fmt.Errorf("fuzzyid: snapshot tenant %q: %w", name, err)
-	}
-	return nil
-}
+func (s *System) Snapshot() error { return s.tenants.Snapshot() }
 
 // Close releases the system's background resources: a follower's
 // replication stream is stopped (the stores keep their replicated state),
 // and every tenant's persistence log is flushed and closed, taking a final
-// snapshot when mutations were appended since the last one so the next boot
+// snapshot when mutations landed since the last one so the next boot
 // recovers from a compact state. Close is idempotent for the persistence
 // layer and a no-op for systems with neither persistence nor a replication
 // stream; after it, mutations fail.
@@ -849,17 +764,7 @@ func (s *System) Close() error {
 			errs = append(errs, err)
 		}
 	}
-	for name, log := range s.snapshotLogs() {
-		if log.AppendsSinceRotate() > 0 {
-			if err := s.snapshotTenant(name, log); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		if err := log.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
+	return errors.Join(append(errs, s.tenants.Close())...)
 }
 
 // Extractor returns the underlying fuzzy extractor.

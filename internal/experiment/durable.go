@@ -97,17 +97,23 @@ func measureDurableEnroll(cfg Config, dim, nw, perWriter int, group bool) (float
 	if err != nil {
 		return 0, err
 	}
-	db := store.NewScan(fe.Line())
 	log, err := persist.Open(dir, persist.WithGroupCommit(group))
 	if err != nil {
 		return 0, err
 	}
-	if err := store.Replay(db, log.Replay); err != nil {
+	// The registry hosts only the default tenant, journaled into log.
+	reg, err := store.NewTenantRegistry(func(string) (*store.Journaled, func() error, error) {
+		db, err := store.Open(fe.Line(), 0, log.Replay)
+		if err != nil {
+			return nil, nil, err
+		}
+		return store.NewJournaled(db, log), nil, nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	jdb := store.NewJournaled(db, log)
 	scheme := sigscheme.Default()
-	proto := protocol.NewServer(fe, scheme, jdb)
+	proto := protocol.NewServer(fe, scheme, reg)
 	device := protocol.NewDevice(fe, scheme)
 
 	// Every writer gets its own client pipe and its own pre-generated user

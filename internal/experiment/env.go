@@ -14,7 +14,7 @@ import (
 )
 
 // env is a complete in-memory deployment: fuzzy extractor, biometric
-// source, protocol server over a scan store, and a device client wired
+// source, protocol server over a registry of in-memory tenants, and a device client wired
 // through an in-memory pipe.
 type env struct {
 	src    *biometric.Source
@@ -32,8 +32,14 @@ func newEnv(dim int, seed int64) (*env, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg, err := store.NewTenantRegistry(func(name string) (*store.Journaled, func() error, error) {
+		return store.NewJournaledTenant(store.NewScan(fe.Line()), nil, nil, name), nil, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	scheme := sigscheme.Default()
-	proto := protocol.NewServer(fe, scheme, store.NewScan(fe.Line()))
+	proto := protocol.NewServer(fe, scheme, reg)
 	device := protocol.NewDevice(fe, scheme)
 	client, stop := transport.LocalPair(proto, device)
 	return &env{src: src, client: client, stop: stop}, nil

@@ -71,7 +71,7 @@ type groupCommit struct {
 // Wait implements store.Commit.
 func (c groupCommit) Wait() error { return c.l.waitDurable(c.seq) }
 
-// Begin implements store.GroupJournal: it writes the mutation's frame into
+// Begin implements store.Journal: it writes the mutation's frame into
 // the active segment and flushes it to the kernel, but — under SyncAlways
 // with group commit enabled — defers the fsync to the returned commit
 // handle, so concurrent writers share one sync. A nil commit (with nil

@@ -124,9 +124,9 @@ func (m *logMetrics) bind(reg *telemetry.Registry) {
 
 // Log is a durable mutation journal over one directory. It implements
 // store.Journal and store.Snapshotter. The lifecycle is Open -> Replay ->
-// (Append | Rotate/WriteSnapshot)* -> Close; Append and Rotate are safe for
-// concurrent use, WriteSnapshot runs concurrently with appends but not with
-// itself.
+// (Begin/Append | Rotate/WriteSnapshot)* -> Close; appends and Rotate are
+// safe for concurrent use, WriteSnapshot runs concurrently with appends but
+// not with itself.
 type Log struct {
 	dir         string
 	sync        SyncPolicy
@@ -166,7 +166,6 @@ type Log struct {
 
 var (
 	_ store.Journal                = (*Log)(nil)
-	_ store.GroupJournal           = (*Log)(nil)
 	_ store.Snapshotter            = (*Log)(nil)
 	_ store.IncrementalSnapshotter = (*Log)(nil)
 )
@@ -509,10 +508,10 @@ func (l *Log) poison(err error) error {
 	return err
 }
 
-// Append implements store.Journal: one mutation becomes one CRC-framed
-// record in the active segment, durable per the sync policy before Append
-// returns. It is Begin followed by Wait — a concurrent Append shares its
-// fsync with every other append in the same commit group.
+// Append is the synchronous form of Begin: one mutation becomes one
+// CRC-framed record in the active segment, durable per the sync policy
+// before Append returns. It is Begin followed by Wait — a concurrent Append
+// shares its fsync with every other append in the same commit group.
 func (l *Log) Append(m store.Mutation) error {
 	c, err := l.Begin(m)
 	if err != nil {

@@ -65,15 +65,12 @@ type clusterState struct {
 
 // SetCluster puts the server in cluster mode: keyed operations are checked
 // against node's map (WrongPartition redirects, handoff sheds), the map is
-// served to clients, partition admin sessions are accepted, and — when a
-// tenant registry is bound — the node's write gate is installed on the
-// journal seam as the authoritative handoff barrier. Call after SetTenants
-// and before serving traffic.
+// served to clients, partition admin sessions are accepted, and the node's
+// write gate is installed on every tenant's journal seam as the
+// authoritative handoff barrier. Call before serving traffic.
 func (s *Server) SetCluster(node *cluster.Node, dial ClusterDialer) {
 	s.cl = &clusterState{node: node, dial: dial}
-	if s.tenants != nil {
-		s.tenants.SetWriteGate(node.Gate)
-	}
+	s.tenants.SetWriteGate(node.Gate)
 }
 
 // handleClusterMap answers a map fetch. Non-cluster servers reject it, so a
@@ -186,9 +183,6 @@ func (s *Server) handlePartitionAdmin(rw io.ReadWriter, m *wire.PartitionAdmin) 
 	if err != nil {
 		return reject("%v", err)
 	}
-	if s.tenants == nil {
-		return reject("cluster handoff requires a tenant registry")
-	}
 
 	// Freeze, then cut: the registry's View waits on every in-flight
 	// journaled mutation, so after the cut no pre-freeze mutation of a
@@ -272,12 +266,7 @@ func (s *Server) handlePartitionAdmin(rw io.ReadWriter, m *wire.PartitionAdmin) 
 		for i, rec := range tc.recs {
 			ids[i] = rec.ID
 		}
-		if jdb, ok := db.(*store.Journaled); ok {
-			err = jdb.PurgeMoved(ids)
-		} else {
-			err = errNotJournaled
-		}
-		if err != nil {
+		if err := db.PurgeMoved(ids); err != nil {
 			purgeErrs = append(purgeErrs, fmt.Errorf("purge tenant %q: %w", tc.tenant, err))
 		}
 	}
@@ -305,9 +294,6 @@ func (s *Server) handlePartitionIngest(rw io.ReadWriter, first *wire.PartitionIn
 	if !first.First {
 		return wire.Send(rw, &wire.Reject{Reason: "ingest stream must open with First"})
 	}
-	if s.tenants == nil {
-		return wire.Send(rw, &wire.Reject{Reason: "cluster handoff requires a tenant registry"})
-	}
 	for {
 		m, err := expect[*wire.PartitionIngest](rw, &wire.PartitionOK{Version: s.cl.node.Map().Version}, "unexpected message in ingest stream")
 		if err != nil {
@@ -325,27 +311,18 @@ func (s *Server) handlePartitionIngest(rw io.ReadWriter, first *wire.PartitionIn
 			return wire.Send(rw, &wire.PartitionOK{Version: m.NewMap.Version})
 		}
 		db, err := s.tenants.Ensure(m.Tenant)
-		jdb, ok := db.(*store.Journaled)
-		if err == nil && !ok {
-			err = errNotJournaled
-		}
 		if err != nil {
 			_ = wire.Send(rw, &wire.Reject{Reason: fmt.Sprintf("ingest tenant: %v", err)})
 			return err
 		}
 		for _, rec := range m.Records {
-			if err := jdb.IngestHandoff(rec); err != nil {
+			if err := db.IngestHandoff(rec); err != nil {
 				_ = wire.Send(rw, &wire.Reject{Reason: fmt.Sprintf("ingest record %q: %v", rec.ID, err)})
 				return err
 			}
 		}
 	}
 }
-
-// errNotJournaled refuses a handoff through a tenant store outside the
-// journal seam. NewSystem wraps every tenant store of a cluster node in
-// *store.Journaled, whose write gate makes the handoff freeze authoritative.
-var errNotJournaled = errors.New("protocol: cluster handoff needs a journaled tenant store")
 
 // ClusterMap fetches the server's current cluster map.
 func (d *Device) ClusterMap(rw io.ReadWriter) (*cluster.Map, error) {

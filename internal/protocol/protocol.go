@@ -547,12 +547,10 @@ func newChallenge() ([]byte, error) {
 type Server struct {
 	fe     *core.FuzzyExtractor
 	scheme sigscheme.Scheme
-	db     store.Store
 	m      serverMetrics
 
-	// tenants routes sessions to per-namespace stores; nil leaves the
-	// server in single-tenant mode, where db serves the default tenant and
-	// every other tenant name is unknown.
+	// tenants routes sessions to per-namespace stores and serves tenant
+	// administration.
 	tenants *store.Registry
 
 	// primary, when non-empty, puts the server in read-only replica mode:
@@ -585,38 +583,18 @@ type ReplicationHandler interface {
 	HandleSubscribe(rw io.ReadWriter, m *wire.ReplSubscribe) error
 }
 
-// NewServer constructs a server over the given store.
-func NewServer(fe *core.FuzzyExtractor, scheme sigscheme.Scheme, db store.Store) *Server {
-	return &Server{fe: fe, scheme: scheme, db: db}
+// NewServer constructs a server over the tenant registry reg: sessions
+// carrying a tenant name are routed to that namespace's store, and tenant
+// administration sessions (list, create, drop) are served from it.
+func NewServer(fe *core.FuzzyExtractor, scheme sigscheme.Scheme, reg *store.Registry) *Server {
+	return &Server{fe: fe, scheme: scheme, tenants: reg}
 }
-
-// Store returns the server's record store (the default tenant's, when the
-// server is multi-tenant). Resolved through the registry on each call, so
-// the view survives a follower's snapshot re-bootstraps.
-func (s *Server) Store() store.Store {
-	if s.tenants != nil {
-		return s.tenants.Default()
-	}
-	return s.db
-}
-
-// SetTenants makes the server multi-tenant: sessions carrying a tenant name
-// are routed to that namespace's store in reg, and tenant administration
-// sessions (list, create, drop) are served from it. Call before serving
-// traffic.
-func (s *Server) SetTenants(reg *store.Registry) { s.tenants = reg }
 
 // resolve maps a session's tenant name to its store and canonical name. An
 // unknown tenant yields store.ErrUnknownTenant, which handlers answer with
 // the typed UnknownTenant message.
-func (s *Server) resolve(tenant string) (store.Store, string, error) {
+func (s *Server) resolve(tenant string) (*store.Journaled, string, error) {
 	name := store.CanonicalTenant(tenant)
-	if s.tenants == nil {
-		if name == store.DefaultTenant {
-			return s.db, name, nil
-		}
-		return nil, name, fmt.Errorf("%w: %q", store.ErrUnknownTenant, name)
-	}
 	db, err := s.tenants.Tenant(name)
 	return db, name, err
 }
@@ -928,20 +906,13 @@ func (s *Server) handleReplStatus(rw io.ReadWriter) error {
 // not redirect to the primary.
 func (s *Server) handleTenantAdmin(rw io.ReadWriter, m *wire.TenantAdmin) error {
 	if m.Action == wire.TenantActionList {
-		names := []string{store.DefaultTenant}
-		if s.tenants != nil {
-			names = s.tenants.Names()
-		}
-		return wire.Send(rw, &wire.TenantInfo{Tenants: names})
+		return wire.Send(rw, &wire.TenantInfo{Tenants: s.tenants.Names()})
 	}
 	if m.Action == wire.TenantActionSetLimits || m.Action == wire.TenantActionGetLimits {
 		return s.handleTenantLimits(rw, m)
 	}
 	if s.primary != "" {
 		return wire.Send(rw, &wire.NotPrimary{Primary: s.primary})
-	}
-	if s.tenants == nil {
-		return wire.Send(rw, &wire.Reject{Reason: "multi-tenancy disabled"})
 	}
 	name := store.CanonicalTenant(m.Tenant)
 	switch m.Action {

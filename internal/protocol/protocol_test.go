@@ -18,10 +18,23 @@ import (
 
 // env bundles the full protocol environment for tests.
 type env struct {
-	fe     *core.FuzzyExtractor
-	src    *biometric.Source
-	server *Server
-	device *Device
+	fe      *core.FuzzyExtractor
+	src     *biometric.Source
+	tenants *store.Registry
+	server  *Server
+	device  *Device
+}
+
+// memTenants builds a registry of journal-less in-memory tenants.
+func memTenants(t testing.TB, line *numberline.Line) *store.Registry {
+	t.Helper()
+	reg, err := store.NewTenantRegistry(func(name string) (*store.Journaled, func() error, error) {
+		return store.NewJournaledTenant(store.NewScan(line), nil, nil, name), nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
 }
 
 func newEnv(t testing.TB, dim int, seed int64) *env {
@@ -35,11 +48,13 @@ func newEnv(t testing.TB, dim int, seed int64) *env {
 		t.Fatal(err)
 	}
 	scheme := sigscheme.Default()
+	tenants := memTenants(t, fe.Line())
 	return &env{
-		fe:     fe,
-		src:    src,
-		server: NewServer(fe, scheme, store.NewScan(fe.Line())),
-		device: NewDevice(fe, scheme),
+		fe:      fe,
+		src:     src,
+		tenants: tenants,
+		server:  NewServer(fe, scheme, tenants),
+		device:  NewDevice(fe, scheme),
 	}
 }
 
@@ -82,8 +97,8 @@ func TestEnrollAndVerify(t *testing.T) {
 	e := newEnv(t, 64, 101)
 	u := e.src.NewUser("alice")
 	e.enroll(t, u)
-	if e.server.Store().Len() != 1 {
-		t.Fatalf("store len = %d", e.server.Store().Len())
+	if e.tenants.Default().Len() != 1 {
+		t.Fatalf("store len = %d", e.tenants.Default().Len())
 	}
 	// Genuine verification with a noisy reading.
 	reading, err := e.src.GenuineReading(u)
@@ -345,12 +360,12 @@ func TestTamperedHelperDataDetected(t *testing.T) {
 	e := newEnv(t, 64, 110)
 	u := e.src.NewUser("alice")
 	e.enroll(t, u)
-	rec, ok := e.server.Store().Get(u.ID)
+	rec, ok := e.tenants.Default().Get(u.ID)
 	if !ok {
 		t.Fatal("record missing")
 	}
 	rec.Helper.Sketch.Digest[3] ^= 0x40
-	if err := e.server.Store().Replace(rec); err != nil { // the store hands out copies
+	if err := e.tenants.Default().Replace(rec); err != nil { // the store hands out copies
 		t.Fatal(err)
 	}
 	reading, err := e.src.GenuineReading(u)
@@ -555,11 +570,13 @@ func TestBothSignatureSchemes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			tenants := memTenants(t, fe.Line())
 			e := &env{
-				fe:     fe,
-				src:    src,
-				server: NewServer(fe, scheme, store.NewScan(fe.Line())),
-				device: NewDevice(fe, scheme),
+				fe:      fe,
+				src:     src,
+				tenants: tenants,
+				server:  NewServer(fe, scheme, tenants),
+				device:  NewDevice(fe, scheme),
 			}
 			u := src.NewUser("alice")
 			e.enroll(t, u)
@@ -696,7 +713,7 @@ func TestRevokeLifecycle(t *testing.T) {
 	if err == nil {
 		t.Fatal("impostor revoked an enrollment")
 	}
-	if e.server.Store().Len() != 1 {
+	if e.tenants.Default().Len() != 1 {
 		t.Fatal("record vanished after failed revocation")
 	}
 	// The genuine user can.
@@ -705,7 +722,7 @@ func TestRevokeLifecycle(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("genuine revoke: %v", err)
 	}
-	if e.server.Store().Len() != 0 {
+	if e.tenants.Default().Len() != 0 {
 		t.Fatal("record not deleted")
 	}
 	// Verification now fails: the credential is gone.

@@ -29,8 +29,8 @@ type Viewer interface {
 //
 // Wire a Hub into a system by placing it behind the store's journal seam —
 // after the durable WAL in a store.MultiJournal, so a mutation reaches
-// replicas only once it is locally durable — and binding the journaled
-// store with BindStore so snapshots cut consistently against the offset
+// replicas only once the WAL has staged it — and binding the tenant
+// registry with BindStore so snapshots cut consistently against the offset
 // counter.
 type Hub struct {
 	epoch     uint64
@@ -40,10 +40,13 @@ type Hub struct {
 
 	mu     sync.Mutex
 	viewer Viewer
-	base   uint64 // offset of ring[0]; offsets are 1-based
+	base   uint64 // oldest retained offset; offsets are 1-based
 	next   uint64 // next offset to assign; latest committed is next-1
-	ring   []store.Mutation
-	subs   map[*subscriber]struct{}
+	// ring retains offsets [base, next): offset o lives at
+	// ring[(o-1) % retain]. It grows to retain entries, then each append
+	// overwrites the oldest in place.
+	ring []store.Mutation
+	subs map[*subscriber]struct{}
 }
 
 // hubMetrics are the primary-side replication instruments. The zero value
@@ -138,20 +141,21 @@ func (h *Hub) Latest() uint64 {
 	return h.next - 1
 }
 
-// Append implements store.Journal: the mutation gets the next log offset,
-// enters the retention ring and wakes every subscriber. Each tenant's
-// journaled store holds its mutation lock across Append, so offsets are
+// Begin implements store.Journal: the mutation gets the next log offset,
+// enters the retention ring and wakes every subscriber. Shipping is not a
+// durability step, so the returned Commit is always nil. Each tenant's
+// journaled store holds its mutation lock across Begin, so offsets are
 // assigned in exactly the order mutations commit within a tenant; across
 // tenants the hub's own lock makes the interleaving a single total order
 // every follower applies identically.
-func (h *Hub) Append(m store.Mutation) error {
+func (h *Hub) Begin(m store.Mutation) (store.Commit, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.ring = append(h.ring, m)
-	if len(h.ring) > h.retain {
-		drop := len(h.ring) - h.retain
-		h.ring = append(h.ring[:0], h.ring[drop:]...)
-		h.base += uint64(drop)
+	if len(h.ring) < h.retain {
+		h.ring = append(h.ring, m)
+	} else {
+		h.ring[(h.next-1)%uint64(h.retain)] = m
+		h.base++
 	}
 	h.next++
 	h.m.latest.Set(int64(h.next - 1))
@@ -162,7 +166,7 @@ func (h *Hub) Append(m store.Mutation) error {
 		}
 	}
 	h.updateLagLocked()
-	return nil
+	return nil, nil
 }
 
 // updateLagLocked republishes the worst-subscriber lag gauge; the caller
@@ -281,7 +285,7 @@ func (h *Hub) streamFrom(rw io.ReadWriter, cursor *uint64) (behind bool, err err
 			h.mu.Unlock()
 			return false, nil
 		}
-		m := h.ring[*cursor-h.base]
+		m := h.ring[(*cursor-1)%uint64(h.retain)]
 		latest := h.next - 1
 		h.mu.Unlock()
 		if err := h.send(rw, &wire.ReplFrame{Epoch: h.epoch, Offset: *cursor, Latest: latest, Mut: m}); err != nil {

@@ -9,12 +9,13 @@
 // mutation-journal seam of internal/store expresses every committed
 // enrollment and revocation as a store.Mutation, and both the on-disk WAL
 // and the replication stream carry the identical wire.EncodeMutation bytes.
-// The Hub is simply a second Journal behind the store.MultiJournal fan-out:
-// the WAL (when configured) accepts the mutation first, then the Hub stamps
-// it with the next log offset and wakes its subscribers.
+// The Hub is one more Journal behind that seam — after the WAL in a
+// store.MultiJournal when the primary is durable, alone when it is not: the
+// WAL (when configured) stages the mutation first, then the Hub stamps it
+// with the next log offset and wakes its subscribers.
 //
 // A follower bootstraps with a snapshot — the primary cuts the full record
-// set consistently against its log offset via store.(*Journaled).View —
+// set consistently against its log offset via store.(*Registry).View —
 // then tails the stream, acknowledging applied offsets so the primary can
 // publish per-replica lag. Offsets are scoped by an epoch drawn fresh at
 // every primary boot: a follower presenting an unknown epoch (or an offset

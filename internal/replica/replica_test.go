@@ -86,7 +86,7 @@ func TestHubSnapshotBootstrapThenTail(t *testing.T) {
 		t.Fatalf("snapshot epoch %x, want %x", snap.Epoch, h.Epoch())
 	}
 
-	if err := h.Append(store.InsertMutation(testRecord("c"))); err != nil {
+	if _, err := h.Begin(store.InsertMutation(testRecord("c"))); err != nil {
 		t.Fatal(err)
 	}
 	frame := receiveTyped[*wire.ReplFrame](t, conn)
@@ -102,7 +102,7 @@ func TestHubTailsWithoutSnapshotWhenCurrent(t *testing.T) {
 	h := NewHub()
 	h.BindStore(defaultView(func() []*store.Record { return nil }))
 	for i := 0; i < 3; i++ {
-		if err := h.Append(store.InsertMutation(testRecord(fmt.Sprintf("u%d", i)))); err != nil {
+		if _, err := h.Begin(store.InsertMutation(testRecord(fmt.Sprintf("u%d", i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestHubResnapshotsWhenRetentionPassed(t *testing.T) {
 	h.BindStore(defaultView(func() []*store.Record { return current }))
 	for i := 0; i < 10; i++ {
 		current = append(current, testRecord(fmt.Sprintf("u%d", i)))
-		if err := h.Append(store.InsertMutation(current[i])); err != nil {
+		if _, err := h.Begin(store.InsertMutation(current[i])); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -53,7 +53,7 @@ const (
 // the encoding mutations had before namespaces existed, so legacy journals
 // replay unchanged into the default tenant.
 type Mutation struct {
-	Op     Op
+	Op     Op      // what the mutation does
 	Record *Record // the enrolled record, for OpInsert
 	ID     string  // the revoked identity, for OpDelete
 	Tenant string  // the namespace; "" is the default tenant
@@ -80,12 +80,18 @@ func ReplaceMutation(rec *Record) Mutation {
 	return m
 }
 
-// Journal persists committed mutations. Append must make the mutation
-// durable (to the backend's configured guarantee) before returning; the
-// Journaled wrapper acknowledges a mutation to its caller only after its
-// journal accepted it and any pending Commit completed.
+// Journal is the one interception seam between the store and its
+// durability and replication backends (the WAL, the replication hub, or a
+// MultiJournal of both). Begin must fix the mutation's position in the
+// journal (subsequent Begins order after it) before returning; the returned
+// Commit completes the append, and a nil Commit (with nil error) means the
+// append is already as durable as the backend makes it. The Journaled
+// wrapper calls Begin under its mutation lock — fixing journal order — and
+// Wait outside it, so concurrent writers batch instead of serialising on
+// the backend's fsync.
 type Journal interface {
-	Append(Mutation) error
+	// Begin stages m in journal order and returns its pending commit.
+	Begin(Mutation) (Commit, error)
 }
 
 // Commit is the pending half of a staged journal append: Wait blocks until
@@ -93,65 +99,33 @@ type Journal interface {
 // failed). A group-committing WAL hands the same fsync to every Commit in a
 // batch, so N concurrent writers share one sync.
 type Commit interface {
+	// Wait blocks until the staged mutation is durable, or the backend
+	// failed.
 	Wait() error
-}
-
-// GroupJournal is a Journal whose append splits into a cheap ordering phase
-// and a shared durability wait. Begin must fix the mutation's position in
-// the journal (subsequent Begins order after it) before returning; the
-// returned Commit completes the append. A nil Commit (with nil error) means
-// the append is already durable. The Journaled wrapper calls Begin under
-// its mutation lock — fixing journal order — and Wait outside it, so
-// concurrent writers batch instead of serialising on the backend's fsync.
-type GroupJournal interface {
-	Journal
-	Begin(Mutation) (Commit, error)
 }
 
 // MultiJournal fans one mutation out to several journals in order — e.g.
 // the durable WAL first, then the replication hub — failing fast on the
 // first error. A mutation is never offered to a later journal (and so never
-// reaches a replica) unless every earlier journal accepted it; group-capable
-// members stage with Begin, so under group commit a mutation may reach the
-// replication hub before its WAL fsync lands (asynchronous-replication
-// semantics within the group window — see DESIGN.md §11).
+// reaches a replica) unless every earlier journal staged it; under group
+// commit a mutation may therefore reach the replication hub before its WAL
+// fsync lands (asynchronous-replication semantics within the group window
+// — see DESIGN.md §11).
 type MultiJournal []Journal
 
-var (
-	_ Journal      = (MultiJournal)(nil)
-	_ GroupJournal = (MultiJournal)(nil)
-)
+var _ Journal = (MultiJournal)(nil)
 
-// Append implements Journal: Begin on every member, then wait.
-func (j MultiJournal) Append(m Mutation) error {
-	c, err := j.Begin(m)
-	if err != nil {
-		return err
-	}
-	if c != nil {
-		return c.Wait()
-	}
-	return nil
-}
-
-// Begin implements GroupJournal: group-capable members stage the mutation,
-// plain members append inline, in order, failing fast. The returned Commit
-// waits on every staged member.
+// Begin implements Journal: every member stages the mutation, in order,
+// failing fast. The returned Commit waits on every member's commit.
 func (j MultiJournal) Begin(m Mutation) (Commit, error) {
 	var cs multiCommit
 	for _, inner := range j {
-		if g, ok := inner.(GroupJournal); ok {
-			c, err := g.Begin(m)
-			if err != nil {
-				return nil, err
-			}
-			if c != nil {
-				cs = append(cs, c)
-			}
-			continue
-		}
-		if err := inner.Append(m); err != nil {
+		c, err := inner.Begin(m)
+		if err != nil {
 			return nil, err
+		}
+		if c != nil {
+			cs = append(cs, c)
 		}
 	}
 	switch len(cs) {
@@ -177,19 +151,14 @@ func (cs multiCommit) Wait() error {
 	return nil
 }
 
-// beginJournal stages m on j: via Begin when j is group-capable, else via a
-// plain (synchronous) Append with no pending Commit.
-func beginJournal(j Journal, m Mutation) (Commit, error) {
-	if j == nil {
-		// A journal-less wrapper (cluster node without WAL or replication)
-		// still provides the mutation mutex and write gate; there is
-		// nothing to stage.
-		return nil, nil
+// appendJournal stages m on j and waits for its commit: the synchronous
+// append the registry uses for tenant create/drop ops.
+func appendJournal(j Journal, m Mutation) error {
+	c, err := j.Begin(m)
+	if err != nil || c == nil {
+		return err
 	}
-	if g, ok := j.(GroupJournal); ok {
-		return g.Begin(m)
-	}
-	return nil, j.Append(m)
+	return c.Wait()
 }
 
 // Snapshotter is a Journal backend that supports log compaction. Rotate
@@ -197,7 +166,11 @@ func beginJournal(j Journal, m Mutation) (Commit, error) {
 // its sequence number; WriteSnapshot persists the full record set as the
 // state preceding that segment and drops the segments it subsumes.
 type Snapshotter interface {
+	// Rotate redirects subsequent appends to a fresh segment and returns
+	// its sequence number.
 	Rotate() (seq uint64, err error)
+	// WriteSnapshot persists recs as the full state preceding segment seq
+	// and drops the segments it subsumes.
 	WriteSnapshot(seq uint64, recs []*Record) error
 }
 
@@ -231,7 +204,10 @@ func SnapshotBucket(id string) uint32 {
 // drops its previously snapshot records.
 type IncrementalSnapshotter interface {
 	Snapshotter
+	// IncrementOK reports whether an incremental cut is possible now.
 	IncrementOK() bool
+	// WriteIncrement persists recs as the complete record set of buckets
+	// at segment cut seq.
 	WriteIncrement(seq uint64, buckets []uint32, recs []*Record) error
 }
 
@@ -288,16 +264,18 @@ func Open(line *numberline.Line, shards int, replay ReplayFunc) (Store, error) {
 	return s, nil
 }
 
-// Journaled wraps a Store so that every mutation flows through one
-// interception point and is recorded in a Journal before it is applied —
-// proper write-ahead ordering. Reads delegate to the wrapped store
-// unchanged and stay as concurrent as the underlying store allows;
+// Journaled is the tenant store: it wraps a Store so that every mutation
+// flows through one interception point and is recorded in a Journal before
+// it is applied — proper write-ahead ordering. Reads delegate to the wrapped
+// store unchanged and stay as concurrent as the underlying store allows;
 // mutations are serialised by one mutex so the journal order always equals
 // the apply order. A mutation is validated up front (so the journal only
 // ever records mutations that apply cleanly), staged in the journal, and
 // applied — but acknowledged to the caller only once the journal's pending
 // Commit (the group fsync, for a group-committing WAL) has landed. The
 // mutex is not held across that wait, so concurrent writers share fsyncs.
+// With a nil journal (an in-memory tenant) nothing is staged, but the mutex
+// still carries the drop fence, the write gate and consistent cuts.
 //
 // Two visibility consequences, accepted for write throughput (DESIGN.md
 // §11): a concurrent reader may observe a mutation inside its commit window
@@ -308,8 +286,9 @@ func Open(line *numberline.Line, shards int, replay ReplayFunc) (Store, error) {
 // untouched, exactly as before.
 type Journaled struct {
 	Store
-	j      Journal
-	tenant string // stamped onto every mutation; "" is the default tenant
+	j      Journal     // nil: nothing to stage (an in-memory tenant)
+	snap   Snapshotter // the backend Compact cuts into; nil: nothing to compact
+	tenant string      // stamped onto every mutation; "" is the default tenant
 	mu     sync.Mutex
 	// dropped marks a store detached by Registry.Drop: further mutations
 	// are refused, so a session that resolved the store before the drop
@@ -317,9 +296,10 @@ type Journaled struct {
 	// resurrect the tenant on followers).
 	dropped bool
 	// dirty tracks the snapshot buckets touched since the last snapshot
-	// cut; dirtyValid reports the set is complete (it is not after a
-	// recovery whose WAL tail was never seeded — see SeedDirty). Both are
-	// guarded by mu.
+	// cut. It stays nil — and mutations track nothing — until a snapshot
+	// will read it: SeedDirty or a Snapshot cut arms it. dirtyValid reports
+	// the set is complete (it is not after a recovery whose WAL tail was
+	// never seeded — see SeedDirty). Both are guarded by mu.
 	dirty      map[uint32]struct{}
 	dirtyValid bool
 	// gate, when installed, is consulted under mu before any mutation is
@@ -333,25 +313,24 @@ type Journaled struct {
 
 var _ Store = (*Journaled)(nil)
 
-// NewJournaled wraps inner so its mutations are recorded in j. The store
-// journals as the default tenant; use NewJournaledTenant for a namespace.
+// NewJournaled wraps inner so its mutations are recorded in j (nil: none).
+// The store journals as the default tenant and has no snapshot backend; use
+// NewJournaledTenant for a namespace or a durable tenant.
 func NewJournaled(inner Store, j Journal) *Journaled {
 	return &Journaled{Store: inner, j: j}
 }
 
-// NewJournaledTenant wraps inner so its mutations are recorded in j stamped
-// with the given tenant name. The default tenant (by either spelling) is
-// stamped as "" so its journal frames stay byte-identical to the pre-tenant
-// encoding.
-func NewJournaledTenant(inner Store, j Journal, tenant string) *Journaled {
+// NewJournaledTenant wraps inner so its mutations are recorded in j (nil:
+// none) stamped with the given tenant name, and Compact cuts snapshots into
+// snap (nil: an in-memory tenant). The default tenant (by either spelling)
+// is stamped as "" so its journal frames stay byte-identical to the
+// pre-tenant encoding.
+func NewJournaledTenant(inner Store, j Journal, snap Snapshotter, tenant string) *Journaled {
 	if CanonicalTenant(tenant) == DefaultTenant {
 		tenant = ""
 	}
-	return &Journaled{Store: inner, j: j, tenant: tenant}
+	return &Journaled{Store: inner, j: j, snap: snap, tenant: tenant}
 }
-
-// Unwrap returns the wrapped in-memory store.
-func (s *Journaled) Unwrap() Store { return s.Store }
 
 // SetWriteGate installs (or clears, with nil) the mutation gate: a check
 // run under the mutation mutex before any mutation is staged, refusing it
@@ -363,36 +342,19 @@ func (s *Journaled) SetWriteGate(gate func(tenant, id string) error) {
 	s.mu.Unlock()
 }
 
-// checkGate consults the write gate for a mutation of id; caller holds
-// s.mu.
-func (s *Journaled) checkGate(id string) error {
-	if s.gate == nil {
-		return nil
-	}
-	return s.gate(CanonicalTenant(s.tenant), id)
-}
-
-// markDirty records a mutated ID's snapshot bucket. Caller holds s.mu.
-func (s *Journaled) markDirty(id string) {
-	if s.dirty == nil {
-		s.dirty = make(map[uint32]struct{})
-	}
-	s.dirty[SnapshotBucket(id)] = struct{}{}
-}
-
 // SeedDirty marks the snapshot buckets of mutations that reached the store
 // outside this wrapper — the WAL tail a recovery replayed directly — and
-// declares the dirty set complete, arming incremental snapshots. Call it
-// once, right after recovery, with the backend's replayed-tail buckets
-// (persist.(*Log).TailDirty); a Journaled that is never seeded keeps taking
-// full snapshots, which is always safe.
+// declares the dirty set complete, arming dirty tracking and incremental
+// snapshots. Call it once, right after recovery, with the backend's
+// replayed-tail buckets (persist.(*Log).TailDirty); a Journaled that is
+// never seeded keeps taking full snapshots, which is always safe.
 func (s *Journaled) SeedDirty(buckets []uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.dirty == nil {
+		s.dirty = make(map[uint32]struct{}, len(buckets))
+	}
 	for _, b := range buckets {
-		if s.dirty == nil {
-			s.dirty = make(map[uint32]struct{})
-		}
 		s.dirty[b] = struct{}{}
 	}
 	s.dirtyValid = true
@@ -400,7 +362,18 @@ func (s *Journaled) SeedDirty(buckets []uint32) {
 
 // Insert implements Store: validate, stage in the journal, apply, then wait
 // for the journal's commit (the group fsync) before acknowledging.
-func (s *Journaled) Insert(rec *Record) error { return s.insert(rec, true) }
+func (s *Journaled) Insert(rec *Record) error { return s.mutate(InsertMutation(rec), true) }
+
+// Replace implements Store: validate (the ID must already be enrolled, the
+// new helper data must match the store dimension), stage in the journal,
+// apply, then wait for the journal's commit before acknowledging — exactly
+// the write-ahead discipline of Insert, so WAL replay, incremental
+// snapshots and the replication stream all carry re-enrollments for free.
+func (s *Journaled) Replace(rec *Record) error { return s.mutate(ReplaceMutation(rec), true) }
+
+// Delete implements Store: validate, stage in the journal, apply, then wait
+// for the journal's commit before acknowledging.
+func (s *Journaled) Delete(id string) error { return s.mutate(DeleteMutation(id), true) }
 
 // IngestHandoff applies one record arriving from a partition handoff,
 // bypassing the write gate — the target does not own the moving slots until
@@ -408,124 +381,15 @@ func (s *Journaled) Insert(rec *Record) error { return s.insert(rec, true) }
 // present is replaced, making chunk retries idempotent.
 func (s *Journaled) IngestHandoff(rec *Record) error {
 	if s.Store.Contains(rec.ID) {
-		return s.replace(rec, false)
+		return s.mutate(ReplaceMutation(rec), false)
 	}
-	err := s.insert(rec, false)
+	err := s.mutate(InsertMutation(rec), false)
 	if errors.Is(err, ErrDuplicateID) {
 		// Raced an identical retry; the other writer's copy stands.
-		return s.replace(rec, false)
+		return s.mutate(ReplaceMutation(rec), false)
 	}
 	return err
 }
-
-// insert is the shared Insert body; gated selects whether the write gate is
-// consulted.
-func (s *Journaled) insert(rec *Record, gated bool) error {
-	s.mu.Lock()
-	if s.dropped {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownTenant, CanonicalTenant(s.tenant))
-	}
-	if gated {
-		if err := s.checkGate(rec.ID); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-	}
-	if err := validateRecord(rec); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if s.Store.Contains(rec.ID) {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrDuplicateID, rec.ID)
-	}
-	if d := s.Store.Dimension(); d != 0 && rec.Helper.Dimension() != d {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: got %d, want %d", ErrBadDimension, rec.Helper.Dimension(), d)
-	}
-	m := InsertMutation(rec)
-	m.Tenant = s.tenant
-	c, err := beginJournal(s.j, m)
-	if err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("store: journal insert: %w", err)
-	}
-	if err := s.Store.Insert(rec); err != nil {
-		// Unreachable after the pre-checks under s.mu; if it happens the
-		// journal and memory have diverged — fail loudly, do not ack.
-		s.mu.Unlock()
-		return fmt.Errorf("store: insert diverged from journal: %w", err)
-	}
-	s.markDirty(rec.ID)
-	s.mu.Unlock()
-	if c != nil {
-		if err := c.Wait(); err != nil {
-			return fmt.Errorf("store: journal insert: %w", err)
-		}
-	}
-	return nil
-}
-
-// Replace implements Store: validate (the ID must already be enrolled, the
-// new helper data must match the store dimension), stage in the journal,
-// apply, then wait for the journal's commit before acknowledging — exactly
-// the write-ahead discipline of Insert, so WAL replay, incremental
-// snapshots and the replication stream all carry re-enrollments for free.
-func (s *Journaled) Replace(rec *Record) error { return s.replace(rec, true) }
-
-// replace is the shared Replace body; gated selects whether the write gate
-// is consulted.
-func (s *Journaled) replace(rec *Record, gated bool) error {
-	s.mu.Lock()
-	if s.dropped {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownTenant, CanonicalTenant(s.tenant))
-	}
-	if gated {
-		if err := s.checkGate(rec.ID); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-	}
-	if err := validateRecord(rec); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if !s.Store.Contains(rec.ID) {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownID, rec.ID)
-	}
-	if d := s.Store.Dimension(); d != 0 && rec.Helper.Dimension() != d {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: got %d, want %d", ErrBadDimension, rec.Helper.Dimension(), d)
-	}
-	m := ReplaceMutation(rec)
-	m.Tenant = s.tenant
-	c, err := beginJournal(s.j, m)
-	if err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("store: journal replace: %w", err)
-	}
-	if err := s.Store.Replace(rec); err != nil {
-		// Unreachable after the pre-checks under s.mu; if it happens the
-		// journal and memory have diverged — fail loudly, do not ack.
-		s.mu.Unlock()
-		return fmt.Errorf("store: replace diverged from journal: %w", err)
-	}
-	s.markDirty(rec.ID)
-	s.mu.Unlock()
-	if c != nil {
-		if err := c.Wait(); err != nil {
-			return fmt.Errorf("store: journal replace: %w", err)
-		}
-	}
-	return nil
-}
-
-// Delete implements Store: validate, stage in the journal, apply, then wait
-// for the journal's commit before acknowledging.
-func (s *Journaled) Delete(id string) error { return s.delete(id, true) }
 
 // PurgeMoved journals and applies deletes for records a partition handoff
 // shipped to another primary, bypassing the write gate — the handoff keeps
@@ -534,7 +398,7 @@ func (s *Journaled) Delete(id string) error { return s.delete(id, true) }
 // skipped (an earlier, interrupted purge may have removed them).
 func (s *Journaled) PurgeMoved(ids []string) error {
 	for _, id := range ids {
-		if err := s.delete(id, false); err != nil {
+		if err := s.mutate(DeleteMutation(id), false); err != nil {
 			if errors.Is(err, ErrUnknownID) {
 				continue
 			}
@@ -544,41 +408,78 @@ func (s *Journaled) PurgeMoved(ids []string) error {
 	return nil
 }
 
-// delete is the shared Delete body; gated selects whether the write gate is
-// consulted.
-func (s *Journaled) delete(id string, gated bool) error {
-	s.mu.Lock()
-	if s.dropped {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownTenant, CanonicalTenant(s.tenant))
+// opName names a record mutation in journal errors.
+func opName(op Op) string {
+	switch op {
+	case OpInsert:
+		return "insert"
+	case OpDelete:
+		return "delete"
+	default:
+		return "replace"
 	}
-	if gated {
-		if err := s.checkGate(id); err != nil {
+}
+
+// mutate is the one mutation body: under the mutation mutex it refuses a
+// dropped store, consults the write gate (when gated), validates m against
+// the current state, stages it in the journal and applies it; then it waits
+// for the journal's commit outside the mutex.
+func (s *Journaled) mutate(m Mutation, gated bool) error {
+	s.mu.Lock()
+	if err := s.admit(m, gated); err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	m.Tenant = s.tenant
+	var c Commit
+	if s.j != nil {
+		var err error
+		if c, err = s.j.Begin(m); err != nil {
 			s.mu.Unlock()
-			return err
+			return fmt.Errorf("store: journal %s: %w", opName(m.Op), err)
 		}
 	}
-	if !s.Store.Contains(id) {
+	if err := Apply(s.Store, m); err != nil {
+		// Unreachable after the pre-checks under s.mu; if it happens the
+		// journal and memory have diverged — fail loudly, do not ack.
 		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownID, id)
+		return fmt.Errorf("store: %s diverged from journal: %w", opName(m.Op), err)
 	}
-	m := DeleteMutation(id)
-	m.Tenant = s.tenant
-	c, err := beginJournal(s.j, m)
-	if err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("store: journal delete: %w", err)
+	if s.dirty != nil {
+		s.dirty[SnapshotBucket(m.ID)] = struct{}{}
 	}
-	if err := s.Store.Delete(id); err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("store: delete diverged from journal: %w", err)
-	}
-	s.markDirty(id)
 	s.mu.Unlock()
 	if c != nil {
 		if err := c.Wait(); err != nil {
-			return fmt.Errorf("store: journal delete: %w", err)
+			return fmt.Errorf("store: journal %s: %w", opName(m.Op), err)
 		}
+	}
+	return nil
+}
+
+// admit runs mutate's pre-checks; caller holds s.mu.
+func (s *Journaled) admit(m Mutation, gated bool) error {
+	if s.dropped {
+		return fmt.Errorf("%w: %q", ErrUnknownTenant, CanonicalTenant(s.tenant))
+	}
+	if gated && s.gate != nil {
+		if err := s.gate(CanonicalTenant(s.tenant), m.ID); err != nil {
+			return err
+		}
+	}
+	if m.Op != OpDelete {
+		if err := validateRecord(m.Record); err != nil {
+			return err
+		}
+	}
+	switch present := s.Store.Contains(m.ID); {
+	case m.Op == OpInsert && present:
+		return fmt.Errorf("%w: %q", ErrDuplicateID, m.ID)
+	case m.Op != OpInsert && !present:
+		return fmt.Errorf("%w: %q", ErrUnknownID, m.ID)
+	}
+	if d := s.Store.Dimension(); m.Op != OpDelete && d != 0 && m.Record.Helper.Dimension() != d {
+		return fmt.Errorf("%w: got %d, want %d", ErrBadDimension, m.Record.Helper.Dimension(), d)
 	}
 	return nil
 }
@@ -586,13 +487,41 @@ func (s *Journaled) delete(id string, gated bool) error {
 // View runs fn on the full record set with mutations blocked, so fn sees a
 // cut of the store that is exactly consistent with everything the journal
 // has staged so far — no mutation is in flight while fn runs (though the
-// newest staged mutations may still be awaiting their group fsync). The
-// replication hub uses it to pair a snapshot with its log offset. fn must
+// newest staged mutations may still be awaiting their group fsync). fn must
 // not mutate the store (it would deadlock).
 func (s *Journaled) View(fn func(recs []*Record)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fn(s.Store.All())
+}
+
+// Compact cuts a snapshot into the backend the store was built with (see
+// NewJournaledTenant) when a mutation may have landed since the last cut:
+// the dirty set is unarmed or non-empty. It is a no-op for an in-memory
+// store and for one detached by Registry.Drop, whose backend is gone — a
+// cut that fails because a concurrent drop closed the backend is not an
+// error.
+func (s *Journaled) Compact() error {
+	if s.snap == nil {
+		return nil
+	}
+	s.mu.Lock()
+	idle := s.dropped || (s.dirty != nil && len(s.dirty) == 0)
+	s.mu.Unlock()
+	if idle {
+		return nil
+	}
+	err := s.Snapshot(s.snap)
+	if err == nil {
+		return nil
+	}
+	s.mu.Lock()
+	dropped := s.dropped
+	s.mu.Unlock()
+	if dropped {
+		return nil
+	}
+	return fmt.Errorf("store: snapshot tenant %q: %w", CanonicalTenant(s.tenant), err)
 }
 
 // Snapshot captures a compaction point: while mutations are briefly blocked
@@ -606,13 +535,14 @@ func (s *Journaled) View(fn func(recs []*Record)) {
 // dirty set is complete (see SeedDirty), only the records of dirtied
 // buckets are written, as an incremental cut chained onto the base;
 // otherwise the full record set is written, which (re)establishes the base
-// and the dirty baseline.
+// and the dirty baseline. Dirty tracking is armed at the cut, under the
+// mutex, so a mutation landing while the cut is written reaches the next
+// increment.
 func (s *Journaled) Snapshot(snap Snapshotter) error {
 	inc, incremental := snap.(IncrementalSnapshotter)
 	incremental = incremental && inc.IncrementOK()
 	s.mu.Lock()
 	incremental = incremental && s.dirtyValid
-	var dirty map[uint32]struct{}
 	recs := s.Store.All()
 	seq, err := snap.Rotate()
 	if err != nil {
@@ -621,7 +551,8 @@ func (s *Journaled) Snapshot(snap Snapshotter) error {
 	}
 	// The cut is fixed: mutations from here on dirty buckets for the NEXT
 	// snapshot. A full cut resets the baseline outright.
-	dirty, s.dirty = s.dirty, nil
+	dirty := s.dirty
+	s.dirty = make(map[uint32]struct{})
 	s.mu.Unlock()
 	if incremental {
 		buckets := make([]uint32, 0, len(dirty))
@@ -638,33 +569,23 @@ func (s *Journaled) Snapshot(snap Snapshotter) error {
 		if err := inc.WriteIncrement(seq, buckets, sub); err != nil {
 			// The cut did not commit: its buckets are still pending and must
 			// ride along in the next attempt.
-			s.remergeDirty(dirty)
+			s.mu.Lock()
+			for b := range dirty {
+				s.dirty[b] = struct{}{}
+			}
+			s.mu.Unlock()
 			return fmt.Errorf("store: snapshot increment: %w", err)
 		}
 		return nil
 	}
-	if err := snap.WriteSnapshot(seq, recs); err != nil {
-		// No base was established; the dirty set cleared at the cut cannot
-		// be trusted to describe the distance to the (older) on-disk state.
-		s.mu.Lock()
-		s.dirtyValid = false
-		s.mu.Unlock()
+	err = snap.WriteSnapshot(seq, recs)
+	// A failed full write established no base: the dirty set armed at the
+	// cut cannot describe the distance to the (older) on-disk state.
+	s.mu.Lock()
+	s.dirtyValid = err == nil
+	s.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("store: snapshot write: %w", err)
 	}
-	s.mu.Lock()
-	s.dirtyValid = true
-	s.mu.Unlock()
 	return nil
-}
-
-// remergeDirty folds a captured-but-uncommitted dirty set back in.
-func (s *Journaled) remergeDirty(dirty map[uint32]struct{}) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for b := range dirty {
-		if s.dirty == nil {
-			s.dirty = make(map[uint32]struct{})
-		}
-		s.dirty[b] = struct{}{}
-	}
 }

@@ -19,14 +19,14 @@ type memJournal struct {
 	snapped  [][]*Record
 }
 
-func (j *memJournal) Append(m Mutation) error {
+func (j *memJournal) Begin(m Mutation) (Commit, error) {
 	if j.failNext != nil {
 		err := j.failNext
 		j.failNext = nil
-		return err
+		return nil, err
 	}
 	j.log = append(j.log, m)
-	return nil
+	return nil, nil
 }
 
 func (j *memJournal) Rotate() (uint64, error) {

@@ -1,18 +1,19 @@
 package store
 
 // This file adds multi-tenant namespaces on top of the store layer: a
-// Registry owns one independent Store per named tenant, each behind its own
-// journal seam, so a single server process can host many isolated
-// identification populations (per-app enrollments, per-region databases,
-// staging vs. prod). Records, lookups, revocations and journals never cross
+// Registry owns one independent *Journaled store per named tenant, each
+// behind its own journal seam, so a single server process can host many
+// isolated identification populations (per-app enrollments, per-region
+// databases, staging vs. prod). Records, lookups, revocations and journals never cross
 // a tenant boundary; the only shared pieces are the process, the fsync
 // policy and — when replication is on — the hub's global offset counter.
 //
 // The registry is deliberately thin: it does not know about persistence or
 // replication. A TenantFactory (supplied by the facade) builds each
-// tenant's backing store — typically a Journaled wrapper over a WAL plus
-// the replication hub — and the registry handles naming, lifecycle,
-// routing, and the consistent multi-tenant cut replication snapshots need.
+// tenant's Journaled store — over a WAL and the replication hub, either, or
+// no journal at all — and the registry handles naming, lifecycle, routing,
+// compaction, and the consistent multi-tenant cut replication snapshots
+// need.
 
 import (
 	"errors"
@@ -78,27 +79,28 @@ type TenantView struct {
 	Records []*Record
 }
 
-// TenantFactory builds the backing store for a named tenant: the in-memory
-// store, optionally wrapped behind the journal seam (WAL, replication
-// hub). The returned closer (may be nil) releases the tenant's resources —
-// it is called when the tenant is dropped and when the registry resets.
-type TenantFactory func(name string) (Store, func() error, error)
+// TenantFactory builds the store for a named tenant: the in-memory store
+// behind the journal seam (a WAL, the replication hub, both, or a nil
+// journal). The returned closer (may be nil) releases the tenant's
+// resources — it is called when the tenant is dropped and when the registry
+// resets or closes.
+type TenantFactory func(name string) (*Journaled, func() error, error)
 
-// Registry hosts one Store per tenant namespace. Lookups are read-locked
-// and cheap; Create, Drop and Reset are rare administrative operations.
-// Stores handed out by Tenant remain valid after a concurrent Drop — they
-// are simply detached, with journaled stores fenced so a late mutation
-// fails with ErrUnknownTenant instead of landing after the drop — so
-// sessions never race the registry map.
+// Registry hosts one Journaled store per tenant namespace. Lookups are
+// read-locked and cheap; Create, Drop and Reset are rare administrative
+// operations. Stores handed out by Tenant remain valid after a concurrent
+// Drop — they are simply detached and fenced, so a late mutation fails with
+// ErrUnknownTenant instead of landing after the drop — so sessions never
+// race the registry map.
 type Registry struct {
 	factory TenantFactory
 	journal Journal            // ships tenant create/drop ops (nil = don't)
 	purge   func(string) error // destroys a dropped tenant's durable state
 
 	mu      sync.RWMutex
-	tenants map[string]Store
+	tenants map[string]*Journaled
 	closers map[string]func() error
-	gate    func(tenant, id string) error // write gate for journaled tenants
+	gate    func(tenant, id string) error // write gate of every tenant
 }
 
 // NewTenantRegistry builds a registry and eagerly creates the default
@@ -106,7 +108,7 @@ type Registry struct {
 func NewTenantRegistry(factory TenantFactory) (*Registry, error) {
 	r := &Registry{
 		factory: factory,
-		tenants: make(map[string]Store),
+		tenants: make(map[string]*Journaled),
 		closers: make(map[string]func() error),
 	}
 	if _, err := r.Ensure(DefaultTenant); err != nil {
@@ -125,23 +127,21 @@ func (r *Registry) ShipAdminOps(j Journal) { r.journal = j }
 // Call before serving traffic.
 func (r *Registry) OnDrop(purge func(name string) error) { r.purge = purge }
 
-// SetWriteGate installs a mutation gate on every journaled tenant, current
-// and future (see Journaled.SetWriteGate). The cluster layer uses it as
-// the partition-handoff barrier.
+// SetWriteGate installs a mutation gate on every tenant, current and future
+// (see Journaled.SetWriteGate). The cluster layer uses it as the
+// partition-handoff barrier.
 func (r *Registry) SetWriteGate(gate func(tenant, id string) error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gate = gate
 	for _, s := range r.tenants {
-		if j, ok := s.(*Journaled); ok {
-			j.SetWriteGate(gate)
-		}
+		s.SetWriteGate(gate)
 	}
 }
 
 // Tenant returns the named tenant's store ("" selects the default tenant),
 // or ErrUnknownTenant.
-func (r *Registry) Tenant(name string) (Store, error) {
+func (r *Registry) Tenant(name string) (*Journaled, error) {
 	name = CanonicalTenant(name)
 	r.mu.RLock()
 	s, ok := r.tenants[name]
@@ -153,7 +153,7 @@ func (r *Registry) Tenant(name string) (Store, error) {
 }
 
 // Default returns the default tenant's store.
-func (r *Registry) Default() Store {
+func (r *Registry) Default() *Journaled {
 	s, _ := r.Tenant(DefaultTenant)
 	return s
 }
@@ -168,7 +168,7 @@ func (r *Registry) Has(name string) bool {
 // not exist yet. Unlike Create it does not ship an admin op — it is the
 // path for boot-time loading of existing partitions and for follower-side
 // application of replicated mutations.
-func (r *Registry) Ensure(name string) (Store, error) {
+func (r *Registry) Ensure(name string) (*Journaled, error) {
 	name = CanonicalTenant(name)
 	if s, err := r.Tenant(name); err == nil {
 		return s, nil
@@ -185,13 +185,13 @@ func (r *Registry) Ensure(name string) (Store, error) {
 }
 
 // createLocked builds and registers a tenant; the caller holds r.mu.
-func (r *Registry) createLocked(name string) (Store, error) {
+func (r *Registry) createLocked(name string) (*Journaled, error) {
 	s, closer, err := r.factory(name)
 	if err != nil {
 		return nil, fmt.Errorf("store: create tenant %q: %w", name, err)
 	}
-	if j, ok := s.(*Journaled); ok && r.gate != nil {
-		j.SetWriteGate(r.gate)
+	if r.gate != nil {
+		s.SetWriteGate(r.gate)
 	}
 	r.tenants[name] = s
 	if closer != nil {
@@ -217,7 +217,7 @@ func (r *Registry) Create(name string) error {
 		return err
 	}
 	if r.journal != nil {
-		if err := r.journal.Append(Mutation{Op: OpTenantCreate, Tenant: name}); err != nil {
+		if err := appendJournal(r.journal, Mutation{Op: OpTenantCreate, Tenant: name}); err != nil {
 			return fmt.Errorf("store: ship tenant create: %w", err)
 		}
 	}
@@ -250,14 +250,12 @@ func (r *Registry) Drop(name string) error {
 	// the store before the drop fail with ErrUnknownTenant instead of
 	// journalling a mutation after the drop op — which would resurrect the
 	// tenant on followers.
-	if j, ok := s.(*Journaled); ok {
-		j.mu.Lock()
-		j.dropped = true
-		defer j.mu.Unlock()
-	}
+	s.mu.Lock()
+	s.dropped = true
+	defer s.mu.Unlock()
 	var errs []error
 	if r.journal != nil {
-		if err := r.journal.Append(Mutation{Op: OpTenantDrop, Tenant: name}); err != nil {
+		if err := appendJournal(r.journal, Mutation{Op: OpTenantDrop, Tenant: name}); err != nil {
 			errs = append(errs, fmt.Errorf("store: ship tenant drop: %w", err))
 		}
 	}
@@ -347,7 +345,7 @@ func (r *Registry) Reset() error {
 			errs = append(errs, fmt.Errorf("store: reset tenant %q: %w", name, err))
 		}
 	}
-	r.tenants = make(map[string]Store)
+	r.tenants = make(map[string]*Journaled)
 	r.closers = make(map[string]func() error)
 	if _, err := r.createLocked(DefaultTenant); err != nil {
 		errs = append(errs, err)
@@ -356,10 +354,10 @@ func (r *Registry) Reset() error {
 }
 
 // View runs fn on a consistent cut of every tenant's record set: each
-// journaled tenant's mutation lock is held (in sorted name order) while fn
-// runs, so no mutation of any tenant is in flight — the multi-tenant
-// counterpart of (*Journaled).View, used by the replication hub to pair a
-// snapshot of all namespaces with one log offset. fn must not mutate any
+// tenant's mutation lock is held (in sorted name order) while fn runs, so
+// no mutation of any tenant is in flight — the multi-tenant counterpart of
+// (*Journaled).View, used by the replication hub to pair a snapshot of all
+// namespaces with one log offset. fn must not mutate any
 // store or the registry (it would deadlock).
 func (r *Registry) View(fn func(cut []TenantView)) {
 	r.mu.RLock()
@@ -369,35 +367,56 @@ func (r *Registry) View(fn func(cut []TenantView)) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var unlock []*Journaled
-	defer func() {
-		for i := len(unlock) - 1; i >= 0; i-- {
-			unlock[i].mu.Unlock()
-		}
-	}()
-	cut := make([]TenantView, 0, len(names))
 	for _, name := range names {
 		s := r.tenants[name]
-		if j, ok := s.(*Journaled); ok {
-			j.mu.Lock()
-			unlock = append(unlock, j)
-		}
+		s.mu.Lock()
+		defer s.mu.Unlock() // held until View returns
 	}
 	// All mutation locks are held: the record sets and the journal offset
 	// are now one consistent multi-tenant state.
+	cut := make([]TenantView, 0, len(names))
 	for _, name := range names {
 		cut = append(cut, TenantView{Tenant: name, Records: r.tenants[name].All()})
 	}
 	fn(cut)
 }
 
-// Close releases every tenant's backing resources (journals, files). The
-// registry is not usable afterwards.
+// Snapshot compacts every tenant concurrently (see Journaled.Compact):
+// each tenant's backend is independent, so one huge tenant does not
+// serialize the rest. Tenants with nothing new since their last cut, and
+// in-memory tenants, are skipped.
+func (r *Registry) Snapshot() error {
+	r.mu.RLock()
+	tenants := make([]*Journaled, 0, len(r.tenants))
+	for _, s := range r.tenants {
+		tenants = append(tenants, s)
+	}
+	r.mu.RUnlock()
+	errs := make([]error, len(tenants))
+	var wg sync.WaitGroup
+	for i, s := range tenants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = s.Compact()
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// Close takes a final compaction of every tenant that has backing
+// resources (see Journaled.Compact) and releases them — journals, files —
+// so a durable tenant's mutations fail afterwards. A second Close is a
+// no-op.
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var errs []error
 	for name, closer := range r.closers {
+		if err := r.tenants[name].Compact(); err != nil {
+			errs = append(errs, err)
+		}
 		if err := closer(); err != nil {
 			errs = append(errs, fmt.Errorf("store: close tenant %q: %w", name, err))
 		}

@@ -27,10 +27,10 @@ func tenantTestRecord(id string, coord int64) *Record {
 	}
 }
 
-// plainFactory builds unjournaled scan stores for registry tests.
+// plainFactory builds journal-less in-memory tenants for registry tests.
 func plainFactory(line *numberline.Line) TenantFactory {
-	return func(name string) (Store, func() error, error) {
-		return NewScan(line), nil, nil
+	return func(name string) (*Journaled, func() error, error) {
+		return NewJournaledTenant(NewScan(line), nil, nil, name), nil, nil
 	}
 }
 
@@ -188,7 +188,7 @@ func TestRegistryShipAdminOps(t *testing.T) {
 // journalFunc adapts a function to the Journal interface.
 type journalFunc func(Mutation) error
 
-func (f journalFunc) Append(m Mutation) error { return f(m) }
+func (f journalFunc) Begin(m Mutation) (Commit, error) { return nil, f(m) }
 
 // TestDroppedTenantStoreIsFenced pins the drop fence: a session that
 // resolved a journaled tenant store before Drop must not be able to
@@ -198,8 +198,8 @@ func TestDroppedTenantStoreIsFenced(t *testing.T) {
 	line := testLine(t)
 	var shipped []Mutation
 	hub := journalFunc(func(m Mutation) error { shipped = append(shipped, m); return nil })
-	factory := func(name string) (Store, func() error, error) {
-		return NewJournaledTenant(NewScan(line), hub, name), nil, nil
+	factory := func(name string) (*Journaled, func() error, error) {
+		return NewJournaledTenant(NewScan(line), hub, nil, name), nil, nil
 	}
 	r, err := NewTenantRegistry(factory)
 	if err != nil {
@@ -225,6 +225,68 @@ func TestDroppedTenantStoreIsFenced(t *testing.T) {
 	// Nothing may have shipped after the drop op.
 	if last := shipped[len(shipped)-1]; last.Op != OpTenantDrop {
 		t.Fatalf("journal tail after late mutations = %+v, want the drop op last", last)
+	}
+}
+
+// TestDroppedInMemoryTenantIsFenced pins the drop fence for tenants with
+// no journal at all (an in-memory system, follower or cluster node): a
+// store handle resolved before Drop refuses mutations after it, exactly as
+// a journaled tenant's does.
+func TestDroppedInMemoryTenantIsFenced(t *testing.T) {
+	r, err := NewTenantRegistry(plainFactory(testLine(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Create("doomed"); err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.Tenant("doomed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Drop("doomed"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Insert(tenantTestRecord("late", 3)); !errors.Is(err, ErrUnknownTenant) {
+		t.Fatalf("insert into dropped in-memory tenant's detached store = %v, want ErrUnknownTenant", err)
+	}
+}
+
+// TestInMemoryTenantTracksNoDirtyBuckets pins that snapshot dirty tracking
+// is armed only when a snapshot will read it: a journal-less tenant takes
+// any number of mutations without holding a dirty set, and SeedDirty or a
+// snapshot cut arms tracking from then on.
+func TestInMemoryTenantTracksNoDirtyBuckets(t *testing.T) {
+	r, err := NewTenantRegistry(plainFactory(testLine(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := r.Default()
+	const n = 500
+	for i := 0; i < n; i++ {
+		if err := db.Insert(tenantTestRecord(fmt.Sprintf("u%d", i), int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i += 2 {
+		if err := db.Replace(tenantTestRecord(fmt.Sprintf("u%d", i), int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Delete(fmt.Sprintf("u%d", i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if db.dirty != nil {
+		t.Fatalf("journal-less tenant holds %d dirty buckets after %d mutations", len(db.dirty), 2*n)
+	}
+	if err := db.Snapshot(&memJournal{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Delete("u0"); err != nil {
+		t.Fatal(err)
+	}
+	if len(db.dirty) != 1 {
+		t.Fatalf("after a snapshot cut, a mutation left %d dirty buckets, want 1", len(db.dirty))
 	}
 }
 
@@ -264,11 +326,11 @@ func TestRegistryViewConsistentCut(t *testing.T) {
 	// Per-tenant journal-append counters; each is written under its
 	// tenant's mutation lock and read only inside View (all locks held).
 	counts := map[string]*int{}
-	factory := func(name string) (Store, func() error, error) {
+	factory := func(name string) (*Journaled, func() error, error) {
 		n := new(int)
 		counts[name] = n
 		j := journalFunc(func(m Mutation) error { *n++; return nil })
-		return NewJournaledTenant(NewScan(line), j, name), nil, nil
+		return NewJournaledTenant(NewScan(line), j, nil, name), nil, nil
 	}
 	r, err := NewTenantRegistry(factory)
 	if err != nil {

@@ -20,10 +20,11 @@ import (
 )
 
 type world struct {
-	fe     *core.FuzzyExtractor
-	src    *biometric.Source
-	proto  *protocol.Server
-	device *protocol.Device
+	fe      *core.FuzzyExtractor
+	src     *biometric.Source
+	tenants *store.Registry
+	proto   *protocol.Server
+	device  *protocol.Device
 }
 
 func newWorld(t *testing.T, dim int, seed int64) *world {
@@ -37,11 +38,18 @@ func newWorld(t *testing.T, dim int, seed int64) *world {
 		t.Fatal(err)
 	}
 	scheme := sigscheme.Default()
+	tenants, err := store.NewTenantRegistry(func(name string) (*store.Journaled, func() error, error) {
+		return store.NewJournaledTenant(store.NewScan(fe.Line()), nil, nil, name), nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &world{
-		fe:     fe,
-		src:    src,
-		proto:  protocol.NewServer(fe, scheme, store.NewScan(fe.Line())),
-		device: protocol.NewDevice(fe, scheme),
+		fe:      fe,
+		src:     src,
+		tenants: tenants,
+		proto:   protocol.NewServer(fe, scheme, tenants),
+		device:  protocol.NewDevice(fe, scheme),
 	}
 }
 
@@ -452,7 +460,7 @@ func TestMaxConnsRefusesPastCap(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := w.proto.Store().Len(); got != 2 {
+	if got := w.tenants.Default().Len(); got != 2 {
 		t.Fatalf("store has %d records, want 2", got)
 	}
 }
@@ -570,7 +578,7 @@ func TestOverloadShedTypedAndRetried(t *testing.T) {
 func TestOverloadLeavesReplicaInRotation(t *testing.T) {
 	w := newWorld(t, 64, 302)
 	// A second server over the same store plays the replica; only it sheds.
-	replicaProto := protocol.NewServer(w.fe, sigscheme.Default(), w.proto.Store())
+	replicaProto := protocol.NewServer(w.fe, sigscheme.Default(), w.tenants)
 	replicaProto.SetQoS(qos.New(qos.Config{
 		Defaults: qos.Limits{Rate: 0.001, Burst: 1},
 		Budget:   time.Millisecond,
