@@ -48,7 +48,7 @@ func (f *fixture) record(t testing.TB, id string) *store.Record {
 func (f *fixture) line() *numberline.Line { return f.fe.Line() }
 
 // openStore opens the log in dir and rebuilds a scan store from it.
-func openStore(t testing.TB, f *fixture, dir string, opts ...Option) (*Log, store.Store) {
+func openStore(t testing.TB, f *fixture, dir string, opts ...Option) (*Log, *store.Scan) {
 	t.Helper()
 	l, err := Open(dir, opts...)
 	if err != nil {

@@ -708,21 +708,21 @@ func (s *Server) HandleSession(rw io.ReadWriter) error {
 	var run func() error
 	switch m := msg.(type) {
 	case *wire.EnrollRequest:
-		om, run = &s.m.enroll, s.keyedRun(rw, m.Tenant, m.ID, mutatingOp, enrollPayloadBytes(m.PublicKey, m.Helper), func(db store.Store, _ string) error { return s.handleEnroll(rw, db, m) })
+		om, run = &s.m.enroll, s.keyedRun(rw, m.Tenant, m.ID, mutatingOp, enrollPayloadBytes(m.PublicKey, m.Helper), func(db *store.Journaled, _ string) error { return s.handleEnroll(rw, db, m) })
 	case *wire.VerifyRequest:
-		om, run = &s.m.verify, s.keyedRun(rw, m.Tenant, m.ID, readOp, 0, func(db store.Store, _ string) error { return s.handleVerify(rw, db, m) })
+		om, run = &s.m.verify, s.keyedRun(rw, m.Tenant, m.ID, readOp, 0, func(db *store.Journaled, _ string) error { return s.handleVerify(rw, db, m) })
 	case *wire.IdentifyRequest:
 		if m.Normal {
-			om, run = &s.m.identifyNormal, s.tenantRun(rw, m.Tenant, readOp, func(db store.Store, name string) error { return s.handleIdentifyNormal(rw, db, name) })
+			om, run = &s.m.identifyNormal, s.tenantRun(rw, m.Tenant, readOp, func(db *store.Journaled, name string) error { return s.handleIdentifyNormal(rw, db, name) })
 		} else {
-			om, run = &s.m.identify, s.tenantRun(rw, m.Tenant, readOp, func(db store.Store, name string) error { return s.handleIdentify(rw, db, name, m) })
+			om, run = &s.m.identify, s.tenantRun(rw, m.Tenant, readOp, func(db *store.Journaled, name string) error { return s.handleIdentify(rw, db, name, m) })
 		}
 	case *wire.RevokeRequest:
-		om, run = &s.m.revoke, s.keyedRun(rw, m.Tenant, m.ID, mutatingOp, 0, func(db store.Store, _ string) error { return s.handleRevoke(rw, db, m) })
+		om, run = &s.m.revoke, s.keyedRun(rw, m.Tenant, m.ID, mutatingOp, 0, func(db *store.Journaled, _ string) error { return s.handleRevoke(rw, db, m) })
 	case *wire.ReEnrollRequest:
-		om, run = &s.m.reenroll, s.keyedRun(rw, m.Tenant, m.ID, mutatingOp, enrollPayloadBytes(m.PublicKey, m.Helper), func(db store.Store, _ string) error { return s.handleReEnroll(rw, db, m) })
+		om, run = &s.m.reenroll, s.keyedRun(rw, m.Tenant, m.ID, mutatingOp, enrollPayloadBytes(m.PublicKey, m.Helper), func(db *store.Journaled, _ string) error { return s.handleReEnroll(rw, db, m) })
 	case *wire.IdentifyBatchRequest:
-		om, run = &s.m.identifyBatch, s.tenantRun(rw, m.Tenant, readOp, func(db store.Store, name string) error { return s.handleIdentifyBatch(rw, db, name, m) })
+		om, run = &s.m.identifyBatch, s.tenantRun(rw, m.Tenant, readOp, func(db *store.Journaled, name string) error { return s.handleIdentifyBatch(rw, db, name, m) })
 	case *wire.StatsRequest:
 		om, run = &s.m.statsQ, func() error { return s.handleStats(rw) }
 	case *wire.ReplSubscribe:
@@ -771,7 +771,7 @@ const (
 // label set must stay bounded by the hosted tenants, not by what peers
 // send. Admission runs after resolution for the same reason: only hosted
 // tenants can occupy admission state.
-func (s *Server) tenantRun(rw io.ReadWriter, tenant string, mutating bool, fn func(store.Store, string) error) func() error {
+func (s *Server) tenantRun(rw io.ReadWriter, tenant string, mutating bool, fn func(*store.Journaled, string) error) func() error {
 	return s.keyedRun(rw, tenant, "", mutating, 0, fn)
 }
 
@@ -784,7 +784,7 @@ func (s *Server) tenantRun(rw io.ReadWriter, tenant string, mutating bool, fn fu
 // write-payload size, charged against the tenant's rate bucket when its
 // envelope prices bytes. An empty id skips the cluster checks (identify
 // scans serve the local slice of every scatter-gather fan-out).
-func (s *Server) keyedRun(rw io.ReadWriter, tenant, id string, mutating bool, payloadBytes int, fn func(store.Store, string) error) func() error {
+func (s *Server) keyedRun(rw io.ReadWriter, tenant, id string, mutating bool, payloadBytes int, fn func(*store.Journaled, string) error) func() error {
 	return func() error {
 		if mutating && s.primary != "" {
 			return wire.Send(rw, &wire.NotPrimary{Primary: s.primary})
@@ -959,7 +959,7 @@ func (s *Server) handleTenantLimits(rw io.ReadWriter, m *wire.TenantAdmin) error
 	})
 }
 
-func (s *Server) handleEnroll(rw io.ReadWriter, db store.Store, m *wire.EnrollRequest) error {
+func (s *Server) handleEnroll(rw io.ReadWriter, db *store.Journaled, m *wire.EnrollRequest) error {
 	err := db.Insert(&store.Record{ID: m.ID, PublicKey: m.PublicKey, Helper: m.Helper})
 	return s.commit(rw, m.Tenant, "enroll", err, &wire.EnrollOK{ID: m.ID})
 }
@@ -988,13 +988,13 @@ func (s *Server) commit(rw io.ReadWriter, tenant, op string, err error, ok wire.
 // builds no movement vector per session.
 var scratchRecords = sync.Pool{New: func() any { return new(store.Record) }}
 
-func (s *Server) handleVerify(rw io.ReadWriter, db store.Store, m *wire.VerifyRequest) error {
+func (s *Server) handleVerify(rw io.ReadWriter, db *store.Journaled, m *wire.VerifyRequest) error {
 	return s.claimed(rw, db, m.ID, nil)
 }
 
 // handleRevoke deletes an enrollment after the device proves possession of
 // the enrolled biometric.
-func (s *Server) handleRevoke(rw io.ReadWriter, db store.Store, m *wire.RevokeRequest) error {
+func (s *Server) handleRevoke(rw io.ReadWriter, db *store.Journaled, m *wire.RevokeRequest) error {
 	return s.claimed(rw, db, m.ID, func() error {
 		return s.commit(rw, m.Tenant, "revoke", db.Delete(m.ID), &wire.Accept{ID: m.ID})
 	})
@@ -1002,9 +1002,9 @@ func (s *Server) handleRevoke(rw io.ReadWriter, db store.Store, m *wire.RevokeRe
 
 // handleReEnroll replaces an enrollment's template after the device proves
 // possession of the *currently enrolled* biometric. The swap goes through
-// Store.Replace — one journalled mutation — so concurrent identify/verify
+// Journaled.Replace — one journalled mutation — so concurrent identify/verify
 // sessions observe either the old template or the new one in full.
-func (s *Server) handleReEnroll(rw io.ReadWriter, db store.Store, m *wire.ReEnrollRequest) error {
+func (s *Server) handleReEnroll(rw io.ReadWriter, db *store.Journaled, m *wire.ReEnrollRequest) error {
 	return s.claimed(rw, db, m.ID, func() error {
 		err := db.Replace(&store.Record{ID: m.ID, PublicKey: m.PublicKey, Helper: m.Helper})
 		return s.commit(rw, m.Tenant, "re-enroll", err, &wire.Accept{ID: m.ID})
@@ -1016,7 +1016,7 @@ func (s *Server) handleReEnroll(rw io.ReadWriter, db store.Store, m *wire.ReEnro
 // thus exactly as strongly authenticated as a verification: its challenge
 // is built from the enrolled helper data and verified against the enrolled
 // public key before commit runs.
-func (s *Server) claimed(rw io.ReadWriter, db store.Store, id string, commit func() error) error {
+func (s *Server) claimed(rw io.ReadWriter, db *store.Journaled, id string, commit func() error) error {
 	rec := scratchRecords.Get().(*store.Record)
 	defer scratchRecords.Put(rec)
 	if !db.GetInto(id, rec) {
@@ -1025,7 +1025,7 @@ func (s *Server) claimed(rw io.ReadWriter, db store.Store, id string, commit fun
 	return s.challengeResponse(rw, rec, commit)
 }
 
-func (s *Server) handleIdentify(rw io.ReadWriter, db store.Store, name string, m *wire.IdentifyRequest) error {
+func (s *Server) handleIdentify(rw io.ReadWriter, db *store.Journaled, name string, m *wire.IdentifyRequest) error {
 	if m.Probe == nil {
 		return wire.Send(rw, &wire.Reject{Reason: "missing probe sketch"})
 	}
@@ -1095,10 +1095,10 @@ func expect[T wire.Message](rw io.ReadWriter, out wire.Message, reason string) (
 }
 
 // handleIdentifyBatch serves a batched identification run: one
-// Store.IdentifyBatch pass resolves every probe, then a single challenge
+// Scan.IdentifyBatch pass resolves every probe, then a single challenge
 // round covers all matched probes and a single result message reports every
 // verdict.
-func (s *Server) handleIdentifyBatch(rw io.ReadWriter, db store.Store, name string, m *wire.IdentifyBatchRequest) error {
+func (s *Server) handleIdentifyBatch(rw io.ReadWriter, db *store.Journaled, name string, m *wire.IdentifyBatchRequest) error {
 	if len(m.Probes) == 0 {
 		return wire.Send(rw, &wire.Reject{Reason: "empty probe batch"})
 	}
@@ -1154,7 +1154,7 @@ func (s *Server) handleIdentifyBatch(rw io.ReadWriter, db store.Store, name stri
 
 // handleIdentifyNormal implements the server side of Fig. 2: ship all
 // (P_i, c_i), then verify the indexed response.
-func (s *Server) handleIdentifyNormal(rw io.ReadWriter, db store.Store, name string) error {
+func (s *Server) handleIdentifyNormal(rw io.ReadWriter, db *store.Journaled, name string) error {
 	// The O(N) normal approach ships the whole table; gating the copy
 	// keeps a flood of Fig. 2 runs from monopolizing the store.
 	release, ok, err := s.scanGate(rw, name)

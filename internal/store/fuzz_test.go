@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"fuzzyid/internal/core"
@@ -29,17 +31,36 @@ var fuzzLines = []numberline.Params{
 }
 
 // fuzzIDs is the small ID space, so duplicates, replaces of absent IDs and
-// deletes of deleted IDs all occur.
-var fuzzIDs = []string{"a", "b", "c", "d", "e", "f"}
+// deletes of deleted IDs all occur. peerIDs is the disjoint range the
+// concurrent arm's second goroutine drives.
+var (
+	fuzzIDs = []string{"a", "b", "c", "d", "e", "f"}
+	peerIDs = []string{"A", "B", "C", "D", "E", "F"}
+)
 
-// opModel is the brute-force reference store: a record matches a probe when
-// every coordinate's circular distance is at most t.
+// opModel is the brute-force reference store over one ID range: a record
+// matches a probe when every coordinate's circular distance is at most t.
 type opModel struct {
 	span, t int64
 	dim     int
-	adopted bool // a successful Insert or Replace fixed the dimension
+	ids     []string // the ID range this model owns
+	adopted bool     // a successful Insert or Replace fixed the dimension
 	order   []string
 	recs    map[string]*store.Record
+}
+
+func newOpModel(line *numberline.Line, dim int, ids []string) *opModel {
+	return &opModel{span: line.IntervalSpan(), t: line.Threshold(), dim: dim, ids: ids, recs: map[string]*store.Record{}}
+}
+
+// owns reports whether id is in the model's range.
+func (m *opModel) owns(id string) bool {
+	for _, o := range m.ids {
+		if o == id {
+			return true
+		}
+	}
+	return false
 }
 
 func (m *opModel) matches(id string, probe []int64) bool {
@@ -154,14 +175,329 @@ func encodeRecord(rec *store.Record) []byte {
 	return e.Bytes()
 }
 
-// FuzzStoreOps is a differential fuzzer over the whole Scan store. It
-// decodes its input into Insert, Replace, Delete, Identify and
-// IdentifyBatch operations on a small line and dimension, applies each to
-// the store at 16- and 64-bit widths with the coarse filter on and off, and
-// to opModel. Any divergence fails: an error, a verdict, a matched ID
-// outside the model's match set, Len, Get or All — and every record the
-// store returns must encode to exactly the bytes of the record the model
-// holds, so a lossy packed row fails too.
+// opStore is the surface *store.Scan and *store.Journaled share that the
+// fuzzer drives.
+type opStore interface {
+	Insert(*store.Record) error
+	Replace(*store.Record) error
+	Delete(id string) error
+	IdentifyInto(ctx context.Context, probe *sketch.Sketch, dst *store.Record) error
+	IdentifyBatch(probes []*sketch.Sketch) ([]*store.Record, error)
+	Contains(id string) bool
+	GetInto(id string, dst *store.Record) bool
+	All() []*store.Record
+	Len() int
+}
+
+// errJournalDown is the staging failure recJournal injects.
+var errJournalDown = errors.New("journal down")
+
+// recJournal records every mutation it stages, in journal order. It refuses
+// to stage a mutation whose ID is armed in fail, as a journal whose append
+// failed; a run arms only IDs of its own range, so concurrent runs over
+// disjoint ranges never see each other's faults.
+type recJournal struct {
+	mu   sync.Mutex
+	log  []store.Mutation
+	fail map[string]bool
+}
+
+func (j *recJournal) Begin(m store.Mutation) (store.Commit, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.fail[m.ID] {
+		return nil, errJournalDown
+	}
+	j.log = append(j.log, m)
+	return nil, nil
+}
+
+func (j *recJournal) arm(id string, on bool) {
+	j.mu.Lock()
+	j.fail[id] = on
+	j.mu.Unlock()
+}
+
+// replay is the recorded log as a store.ReplayFunc.
+func (j *recJournal) replay(apply func(store.Mutation) error) error {
+	for _, m := range j.log {
+		if err := apply(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fuzzArm is one store under test; j is set for the *Journaled arm.
+type fuzzArm struct {
+	name string
+	s    opStore
+	j    *recJournal
+}
+
+// newArms builds the store at 16- and 64-bit widths with the coarse filter
+// on and off, plus a *Journaled over the production layout that records into
+// an in-memory journal.
+func newArms(t *testing.T, line *numberline.Line) []fuzzArm {
+	var arms []fuzzArm
+	for _, w := range []int{store.Width16, store.Width64} {
+		for _, noCoarse := range []bool{false, true} {
+			s, err := store.NewScanTuned(line, 3, store.Tuning{ResidueWidth: w, NoCoarseFilter: noCoarse})
+			if err != nil {
+				t.Fatal(err)
+			}
+			arms = append(arms, fuzzArm{name: fmt.Sprintf("w%d-coarse%v", w, !noCoarse), s: s})
+		}
+	}
+	j := &recJournal{fail: map[string]bool{}}
+	return append(arms, fuzzArm{name: "journaled", s: store.NewJournaled(store.NewScanShards(line, 3), j), j: j})
+}
+
+// opRun drives one decoded op sequence over one ID range of the arms,
+// checking every verdict against the range's model. shared marks a run
+// whose stores a concurrent run over a disjoint range also mutates: an
+// identify may then match the other range's records, the dimension may have
+// been adopted by the other range, and Len and All are checked only once
+// both runs are done.
+type opRun struct {
+	d       *opDecoder
+	m       *opModel
+	arms    []fuzzArm
+	scratch []store.Record // one reused record per arm
+	shared  bool
+	fail    func(format string, args ...any)
+}
+
+func (r *opRun) checkRecord(op string, ai int, rec *store.Record) {
+	if want := r.m.recs[rec.ID]; !bytes.Equal(encodeRecord(rec), encodeRecord(want)) {
+		r.fail("%s %s: record %q = %v, model %v", r.arms[ai].name, op, rec.ID,
+			rec.Helper.Sketch.Sketch.Movements, want.Helper.Sketch.Sketch.Movements)
+	}
+}
+
+func (r *opRun) checkMatch(op string, ai int, rec *store.Record, err error, set map[string]bool, want error) {
+	name := r.arms[ai].name
+	if r.shared {
+		switch {
+		case err == nil && !r.m.owns(rec.ID):
+			return // the other range's record: its run checks its content
+		case errors.Is(want, store.ErrNotFound) && !r.m.adopted && errors.Is(err, store.ErrBadProbe):
+			return // the other range adopted the dimension
+		}
+	}
+	switch {
+	case want != nil:
+		if !errors.Is(err, want) {
+			r.fail("%s %s: err = %v, model %v", name, op, err, want)
+		}
+	case err != nil:
+		r.fail("%s %s: err = %v, model matches %v", name, op, err, set)
+	case !set[rec.ID]:
+		r.fail("%s %s: matched %q, model matches %v", name, op, rec.ID, set)
+	default:
+		r.checkRecord(op, ai, rec)
+	}
+}
+
+// run applies up to 200 decoded ops.
+func (r *opRun) run() {
+	d, m := r.d, r.m
+	for ops := 0; d.more() && ops < 200; ops++ {
+		switch op := d.next() % 5; op {
+		case 0, 1: // Insert, Replace
+			id := m.ids[d.next()%len(m.ids)]
+			rec := d.record(m, id, ops)
+			_, exists := m.recs[id]
+			var want error
+			if op == 0 && exists {
+				want = store.ErrDuplicateID
+			} else if op == 1 && !exists {
+				want = store.ErrUnknownID
+			}
+			landed := r.mutate([]string{"Insert", "Replace"}[op], id, want, func(s opStore) error {
+				if op == 0 {
+					return s.Insert(rec)
+				}
+				return s.Replace(rec)
+			})
+			if landed {
+				m.adopted = true
+				if !exists {
+					m.order = append(m.order, id)
+				}
+				m.recs[id] = rec
+			}
+		case 2: // Delete
+			id := m.ids[d.next()%len(m.ids)]
+			var want error
+			if _, exists := m.recs[id]; !exists {
+				want = store.ErrUnknownID
+			}
+			if r.mutate("Delete", id, want, func(s opStore) error { return s.Delete(id) }) {
+				delete(m.recs, id)
+				for i, o := range m.order {
+					if o == id {
+						m.order = append(m.order[:i], m.order[i+1:]...)
+						break
+					}
+				}
+			}
+		case 3: // Identify, into the reused scratch record
+			p := d.probe(m)
+			set, want := m.identify(p)
+			for ai, a := range r.arms {
+				err := a.s.IdentifyInto(context.Background(), &sketch.Sketch{Movements: p}, &r.scratch[ai])
+				r.checkMatch("Identify", ai, &r.scratch[ai], err, set, want)
+			}
+		case 4: // IdentifyBatch
+			probes := make([]*sketch.Sketch, 1+d.next()%3)
+			sets := make([]map[string]bool, len(probes))
+			wants := make([]error, len(probes))
+			var batchErr error
+			for i := range probes {
+				probes[i] = &sketch.Sketch{Movements: d.probe(m)}
+				sets[i], wants[i] = m.identify(probes[i].Movements)
+				if errors.Is(wants[i], store.ErrBadProbe) {
+					batchErr = store.ErrBadProbe
+				}
+			}
+			for ai, a := range r.arms {
+				recs, err := a.s.IdentifyBatch(probes)
+				if r.shared && batchErr == nil && !m.adopted && errors.Is(err, store.ErrBadProbe) {
+					continue // the other range adopted the dimension
+				}
+				if batchErr != nil || err != nil {
+					if !errors.Is(err, batchErr) {
+						r.fail("%s IdentifyBatch: err = %v, model %v", r.arms[ai].name, err, batchErr)
+					}
+					continue
+				}
+				for i, rec := range recs {
+					var miss error
+					if rec == nil {
+						miss = store.ErrNotFound
+					}
+					r.checkMatch(fmt.Sprintf("IdentifyBatch[%d]", i), ai, rec, miss, sets[i], wants[i])
+				}
+			}
+		}
+		if r.shared {
+			for ai := range r.arms {
+				r.checkLookups(ai)
+			}
+		} else {
+			checkState(r.fail, r.arms, r.m)
+		}
+	}
+}
+
+// mutate applies one mutation of id to every arm and checks each verdict
+// against want, the model's; it reports whether the mutation landed. A
+// decoded byte may take the journaled arm's journal down for this mutation
+// (only one the model admits reaches the journal): that arm must then fail
+// with the staging error, and the journal-less arms sit the mutation out, so
+// every arm keeps the model's state.
+func (r *opRun) mutate(op, id string, want error, do func(opStore) error) bool {
+	down := r.d.next()%8 == 7 && want == nil
+	for _, a := range r.arms {
+		w := want
+		if down {
+			if a.j == nil {
+				continue
+			}
+			a.j.arm(id, true)
+			w = errJournalDown
+		}
+		err := do(a.s)
+		if down {
+			a.j.arm(id, false)
+		}
+		if !errors.Is(err, w) {
+			r.fail("%s %s(%q): err = %v, model %v", a.name, op, id, err, w)
+		}
+	}
+	return want == nil && !down
+}
+
+// checkLookups checks Contains and GetInto of every ID in the run's range.
+func (r *opRun) checkLookups(ai int) {
+	s := r.arms[ai].s
+	for _, id := range r.m.ids {
+		_, enrolled := r.m.recs[id]
+		if s.Contains(id) != enrolled || s.GetInto(id, &r.scratch[ai]) != enrolled {
+			r.fail("%s Contains/GetInto(%q) disagree with model %v", r.arms[ai].name, id, enrolled)
+		}
+		if enrolled {
+			r.checkRecord("Get", ai, &r.scratch[ai])
+		}
+	}
+}
+
+// checkState checks every arm against the models of every range that
+// drove it: Len, each range's lookups, and All — whose records, filtered to
+// one range, must be that range's model order, each encoding to the exact
+// bytes the model holds.
+func checkState(fail func(string, ...any), arms []fuzzArm, models ...*opModel) {
+	want := 0
+	for _, m := range models {
+		want += len(m.order)
+	}
+	for ai, a := range arms {
+		if a.s.Len() != want {
+			fail("%s Len = %d, model %d", a.name, a.s.Len(), want)
+		}
+		all := a.s.All()
+		if len(all) != want {
+			fail("%s All has %d records, model %d", a.name, len(all), want)
+		}
+		for _, m := range models {
+			r := &opRun{m: m, arms: arms, scratch: make([]store.Record, len(arms)), fail: fail}
+			r.checkLookups(ai)
+			i := 0
+			for _, rec := range all {
+				if !m.owns(rec.ID) {
+					continue
+				}
+				if i >= len(m.order) || rec.ID != m.order[i] {
+					fail("%s All: %q at range position %d, model order %v", a.name, rec.ID, i, m.order)
+				}
+				r.checkRecord("All", ai, rec)
+				i++
+			}
+		}
+	}
+}
+
+// checkReplay rebuilds the journaled arm from its journal through
+// store.Open: the rebuilt store must hold exactly the models' records.
+func checkReplay(fail func(string, ...any), line *numberline.Line, arms []fuzzArm, models ...*opModel) {
+	for _, a := range arms {
+		if a.j == nil {
+			continue
+		}
+		rebuilt, err := store.Open(line, 3, a.j.replay)
+		if err != nil {
+			fail("%s: replaying its journal: %v", a.name, err)
+		}
+		checkState(fail, []fuzzArm{{name: a.name + " replayed", s: rebuilt}}, models...)
+	}
+}
+
+// FuzzStoreOps is a differential fuzzer over the whole store. It decodes its
+// input into Insert, Replace, Delete, Identify and IdentifyBatch operations
+// on a small line and dimension, applies each to the *Scan at 16- and
+// 64-bit widths with the coarse filter on and off, to a *Journaled whose
+// journal sometimes fails to stage, and to opModel. Any divergence fails: an
+// error, a verdict, a matched ID outside the model's match set, Len, Get or
+// All — and every record a store returns must encode to exactly the bytes of
+// the record the model holds, so a lossy packed row fails too. After the
+// sequence the journal, replayed through store.Open, must rebuild the
+// model's record set.
+//
+// The concurrent arm then replays the input on fresh arms from two
+// goroutines over disjoint ID ranges; each checks its own range's verdicts
+// as it goes, and Len, All, lookups and the journal replay are checked
+// against both models once both finish (run it under -race).
 func FuzzStoreOps(f *testing.F) {
 	for li := range fuzzLines {
 		for _, dim := range []int{3, 21, 33} {
@@ -176,156 +512,41 @@ func FuzzStoreOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &opDecoder{data: data}
 		line := numberline.MustNew(fuzzLines[d.next()%len(fuzzLines)])
-		m := &opModel{
-			span: line.IntervalSpan(),
-			t:    line.Threshold(),
-			dim:  1 + d.next()%40,
-			recs: map[string]*store.Record{},
+		dim := 1 + d.next()%40
+		ops := data[d.pos:]
+
+		arms := newArms(t, line)
+		m := newOpModel(line, dim, fuzzIDs)
+		seq := &opRun{d: &opDecoder{data: ops}, m: m, arms: arms, scratch: make([]store.Record, len(arms)), fail: t.Fatalf}
+		seq.run()
+		checkReplay(t.Fatalf, line, arms, m)
+
+		// Concurrent arm: the peer decodes the same ops rotated by half, so
+		// the two goroutines interleave different sequences.
+		arms = newArms(t, line)
+		peerOps := append(append([]byte{}, ops[len(ops)/2:]...), ops[:len(ops)/2]...)
+		runs := []*opRun{
+			{d: &opDecoder{data: ops}, m: newOpModel(line, dim, fuzzIDs)},
+			{d: &opDecoder{data: peerOps}, m: newOpModel(line, dim, peerIDs)},
 		}
-		var stores []store.Store
-		var names []string
-		for _, w := range []int{store.Width16, store.Width64} {
-			for _, noCoarse := range []bool{false, true} {
-				s, err := store.NewScanTuned(line, 3, store.Tuning{ResidueWidth: w, NoCoarseFilter: noCoarse})
-				if err != nil {
-					t.Fatal(err)
-				}
-				stores = append(stores, s)
-				names = append(names, fmt.Sprintf("w%d-coarse%v", w, !noCoarse))
-			}
+		stop := func(format string, args ...any) {
+			t.Errorf(format, args...)
+			runtime.Goexit()
 		}
-		// scratch is one reused record per store: every lookup lands in a
-		// buffer an earlier, possibly longer or exception-laden record left.
-		scratch := make([]store.Record, len(stores))
-		checkRecord := func(op string, si int, rec *store.Record) {
-			t.Helper()
-			if want := m.recs[rec.ID]; !bytes.Equal(encodeRecord(rec), encodeRecord(want)) {
-				t.Fatalf("%s %s: record %q = %v, model %v", names[si], op, rec.ID,
-					rec.Helper.Sketch.Sketch.Movements, want.Helper.Sketch.Sketch.Movements)
-			}
+		var wg sync.WaitGroup
+		for _, r := range runs {
+			r.arms, r.scratch, r.shared, r.fail = arms, make([]store.Record, len(arms)), true, stop
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r.run()
+			}()
 		}
-		checkMatch := func(op string, si int, rec *store.Record, err error, set map[string]bool, want error) {
-			t.Helper()
-			switch {
-			case want != nil:
-				if !errors.Is(err, want) {
-					t.Fatalf("%s %s: err = %v, model %v", names[si], op, err, want)
-				}
-			case err != nil:
-				t.Fatalf("%s %s: err = %v, model matches %v", names[si], op, err, set)
-			case !set[rec.ID]:
-				t.Fatalf("%s %s: matched %q, model matches %v", names[si], op, rec.ID, set)
-			default:
-				checkRecord(op, si, rec)
-			}
+		wg.Wait()
+		if t.Failed() {
+			return
 		}
-		for ops := 0; d.more() && ops < 200; ops++ {
-			switch op := d.next() % 5; op {
-			case 0, 1: // Insert, Replace
-				id := fuzzIDs[d.next()%len(fuzzIDs)]
-				rec := d.record(m, id, ops)
-				_, exists := m.recs[id]
-				var want error
-				if op == 0 && exists {
-					want = store.ErrDuplicateID
-				} else if op == 1 && !exists {
-					want = store.ErrUnknownID
-				}
-				for si, s := range stores {
-					var err error
-					if op == 0 {
-						err = s.Insert(rec)
-					} else {
-						err = s.Replace(rec)
-					}
-					if !errors.Is(err, want) {
-						t.Fatalf("%s op %d on %q: err = %v, model %v", names[si], op, id, err, want)
-					}
-				}
-				if want == nil {
-					m.adopted = true
-					if !exists {
-						m.order = append(m.order, id)
-					}
-					m.recs[id] = rec
-				}
-			case 2: // Delete
-				id := fuzzIDs[d.next()%len(fuzzIDs)]
-				_, exists := m.recs[id]
-				for si, s := range stores {
-					if err := s.Delete(id); exists != (err == nil) || !exists && !errors.Is(err, store.ErrUnknownID) {
-						t.Fatalf("%s Delete(%q): err = %v, enrolled %v", names[si], id, err, exists)
-					}
-				}
-				if exists {
-					delete(m.recs, id)
-					for i, o := range m.order {
-						if o == id {
-							m.order = append(m.order[:i], m.order[i+1:]...)
-							break
-						}
-					}
-				}
-			case 3: // Identify, into the reused scratch record
-				p := d.probe(m)
-				set, want := m.identify(p)
-				for si, s := range stores {
-					err := s.IdentifyInto(context.Background(), &sketch.Sketch{Movements: p}, &scratch[si])
-					checkMatch("Identify", si, &scratch[si], err, set, want)
-				}
-			case 4: // IdentifyBatch
-				probes := make([]*sketch.Sketch, 1+d.next()%3)
-				sets := make([]map[string]bool, len(probes))
-				wants := make([]error, len(probes))
-				var batchErr error
-				for i := range probes {
-					probes[i] = &sketch.Sketch{Movements: d.probe(m)}
-					sets[i], wants[i] = m.identify(probes[i].Movements)
-					if errors.Is(wants[i], store.ErrBadProbe) {
-						batchErr = store.ErrBadProbe
-					}
-				}
-				for si, s := range stores {
-					recs, err := s.IdentifyBatch(probes)
-					if batchErr != nil || err != nil {
-						if !errors.Is(err, batchErr) {
-							t.Fatalf("%s IdentifyBatch: err = %v, model %v", names[si], err, batchErr)
-						}
-						continue
-					}
-					for i, rec := range recs {
-						var miss error
-						if rec == nil {
-							miss = store.ErrNotFound
-						}
-						checkMatch(fmt.Sprintf("IdentifyBatch[%d]", i), si, rec, miss, sets[i], wants[i])
-					}
-				}
-			}
-			for si, s := range stores {
-				if s.Len() != len(m.order) {
-					t.Fatalf("%s Len = %d, model %d", names[si], s.Len(), len(m.order))
-				}
-				for _, id := range fuzzIDs {
-					_, enrolled := m.recs[id]
-					if s.Contains(id) != enrolled || s.GetInto(id, &scratch[si]) != enrolled {
-						t.Fatalf("%s Contains/GetInto(%q) disagree with model %v", names[si], id, enrolled)
-					}
-					if enrolled {
-						checkRecord("Get", si, &scratch[si])
-					}
-				}
-				all := s.All()
-				if len(all) != len(m.order) {
-					t.Fatalf("%s All has %d records, model %d", names[si], len(all), len(m.order))
-				}
-				for i, rec := range all {
-					if rec.ID != m.order[i] {
-						t.Fatalf("%s All[%d] = %q, model %q", names[si], i, rec.ID, m.order[i])
-					}
-					checkRecord("All", si, rec)
-				}
-			}
-		}
+		checkState(t.Fatalf, arms, runs[0].m, runs[1].m)
+		checkReplay(t.Fatalf, line, arms, runs[0].m, runs[1].m)
 	})
 }

@@ -216,11 +216,12 @@ type IncrementalSnapshotter interface {
 // implementation.
 type ReplayFunc func(apply func(Mutation) error) error
 
-// Apply routes one mutation through the store's normal mutation path. The
-// mutation's Tenant field is ignored: s is already the right tenant's store.
+// apply routes one mutation through the scan's own mutation methods — the
+// step both Replay and the Journaled mutation body end in. The mutation's
+// Tenant field is ignored: s is already the right tenant's store.
 // Registry-level ops (tenant create/drop) cannot apply to a single store;
-// route those through (*Registry).Apply instead.
-func Apply(s Store, m Mutation) error {
+// they route through (*Registry).Apply instead.
+func (s *Scan) apply(m Mutation) error {
 	switch m.Op {
 	case OpInsert:
 		return s.Insert(m.Record)
@@ -239,13 +240,13 @@ func Apply(s Store, m Mutation) error {
 // duplicate insert or unknown delete aborts the replay, surfacing journal
 // corruption instead of papering over it. The caller must not access s
 // concurrently until Replay returns. A nil replay is a no-op (fresh store).
-func Replay(s Store, replay ReplayFunc) error {
+func Replay(s *Scan, replay ReplayFunc) error {
 	if replay == nil {
 		return nil
 	}
 	n := 0
 	return replay(func(m Mutation) error {
-		if err := Apply(s, m); err != nil {
+		if err := s.apply(m); err != nil {
 			return fmt.Errorf("store: replay mutation %d (%q): %w", n, m.ID, err)
 		}
 		n++
@@ -256,7 +257,7 @@ func Replay(s Store, replay ReplayFunc) error {
 // Open constructs a scan store and rebuilds it from a recovered mutation
 // stream before any concurrent access is possible — the persistence-aware
 // counterpart of NewScanShards.
-func Open(line *numberline.Line, shards int, replay ReplayFunc) (Store, error) {
+func Open(line *numberline.Line, shards int, replay ReplayFunc) (*Scan, error) {
 	s := NewScanShards(line, shards)
 	if err := Replay(s, replay); err != nil {
 		return nil, err
@@ -264,10 +265,10 @@ func Open(line *numberline.Line, shards int, replay ReplayFunc) (Store, error) {
 	return s, nil
 }
 
-// Journaled is the tenant store: it wraps a Store so that every mutation
+// Journaled is the tenant store: it wraps a *Scan so that every mutation
 // flows through one interception point and is recorded in a Journal before
-// it is applied — proper write-ahead ordering. Reads delegate to the wrapped
-// store unchanged and stay as concurrent as the underlying store allows;
+// it is applied — proper write-ahead ordering. Reads are the embedded
+// Scan's own methods, called directly and as concurrent as its shards allow;
 // mutations are serialised by one mutex so the journal order always equals
 // the apply order. A mutation is validated up front (so the journal only
 // ever records mutations that apply cleanly), staged in the journal, and
@@ -285,7 +286,7 @@ func Open(line *numberline.Line, shards int, replay ReplayFunc) (Store, error) {
 // mutations refused. A failure at the staging step still leaves memory
 // untouched, exactly as before.
 type Journaled struct {
-	Store
+	*Scan
 	j      Journal     // nil: nothing to stage (an in-memory tenant)
 	snap   Snapshotter // the backend Compact cuts into; nil: nothing to compact
 	tenant string      // stamped onto every mutation; "" is the default tenant
@@ -305,19 +306,17 @@ type Journaled struct {
 	// gate, when installed, is consulted under mu before any mutation is
 	// staged; a non-nil verdict refuses the mutation without journalling
 	// it. The cluster layer uses it as the handoff barrier: because the
-	// check runs under the same mutex View holds for a consistent cut, no
-	// mutation admitted before a slot freeze can land after the cut that
-	// ships the slot's records away (guarded by mu).
+	// check runs under the same mutex Registry.View holds for a consistent
+	// cut, no mutation admitted before a slot freeze can land after the cut
+	// that ships the slot's records away (guarded by mu).
 	gate func(tenant, id string) error
 }
-
-var _ Store = (*Journaled)(nil)
 
 // NewJournaled wraps inner so its mutations are recorded in j (nil: none).
 // The store journals as the default tenant and has no snapshot backend; use
 // NewJournaledTenant for a namespace or a durable tenant.
-func NewJournaled(inner Store, j Journal) *Journaled {
-	return &Journaled{Store: inner, j: j}
+func NewJournaled(inner *Scan, j Journal) *Journaled {
+	return &Journaled{Scan: inner, j: j}
 }
 
 // NewJournaledTenant wraps inner so its mutations are recorded in j (nil:
@@ -325,11 +324,11 @@ func NewJournaled(inner Store, j Journal) *Journaled {
 // snap (nil: an in-memory tenant). The default tenant (by either spelling)
 // is stamped as "" so its journal frames stay byte-identical to the
 // pre-tenant encoding.
-func NewJournaledTenant(inner Store, j Journal, snap Snapshotter, tenant string) *Journaled {
+func NewJournaledTenant(inner *Scan, j Journal, snap Snapshotter, tenant string) *Journaled {
 	if CanonicalTenant(tenant) == DefaultTenant {
 		tenant = ""
 	}
-	return &Journaled{Store: inner, j: j, snap: snap, tenant: tenant}
+	return &Journaled{Scan: inner, j: j, snap: snap, tenant: tenant}
 }
 
 // SetWriteGate installs (or clears, with nil) the mutation gate: a check
@@ -360,19 +359,22 @@ func (s *Journaled) SeedDirty(buckets []uint32) {
 	s.dirtyValid = true
 }
 
-// Insert implements Store: validate, stage in the journal, apply, then wait
-// for the journal's commit (the group fsync) before acknowledging.
+// Insert adds a record through the journal: validate, stage in the
+// journal, apply, then wait for the journal's commit (the group fsync)
+// before acknowledging.
 func (s *Journaled) Insert(rec *Record) error { return s.mutate(InsertMutation(rec), true) }
 
-// Replace implements Store: validate (the ID must already be enrolled, the
-// new helper data must match the store dimension), stage in the journal,
-// apply, then wait for the journal's commit before acknowledging — exactly
-// the write-ahead discipline of Insert, so WAL replay, incremental
-// snapshots and the replication stream all carry re-enrollments for free.
+// Replace swaps an enrolled record through the journal: validate (the ID
+// must already be enrolled, the new helper data must match the store
+// dimension), stage in the journal, apply, then wait for the journal's
+// commit before acknowledging — exactly the write-ahead discipline of
+// Insert, so WAL replay, incremental snapshots and the replication stream
+// all carry re-enrollments for free.
 func (s *Journaled) Replace(rec *Record) error { return s.mutate(ReplaceMutation(rec), true) }
 
-// Delete implements Store: validate, stage in the journal, apply, then wait
-// for the journal's commit before acknowledging.
+// Delete removes an enrolled record through the journal: validate, stage
+// in the journal, apply, then wait for the journal's commit before
+// acknowledging.
 func (s *Journaled) Delete(id string) error { return s.mutate(DeleteMutation(id), true) }
 
 // IngestHandoff applies one record arriving from a partition handoff,
@@ -380,7 +382,7 @@ func (s *Journaled) Delete(id string) error { return s.mutate(DeleteMutation(id)
 // the closing map flip, so gated inserts would refuse them. A record already
 // present is replaced, making chunk retries idempotent.
 func (s *Journaled) IngestHandoff(rec *Record) error {
-	if s.Store.Contains(rec.ID) {
+	if s.Scan.Contains(rec.ID) {
 		return s.mutate(ReplaceMutation(rec), false)
 	}
 	err := s.mutate(InsertMutation(rec), false)
@@ -439,7 +441,7 @@ func (s *Journaled) mutate(m Mutation, gated bool) error {
 			return fmt.Errorf("store: journal %s: %w", opName(m.Op), err)
 		}
 	}
-	if err := Apply(s.Store, m); err != nil {
+	if err := s.Scan.apply(m); err != nil {
 		// Unreachable after the pre-checks under s.mu; if it happens the
 		// journal and memory have diverged — fail loudly, do not ack.
 		s.mu.Unlock()
@@ -472,27 +474,16 @@ func (s *Journaled) admit(m Mutation, gated bool) error {
 			return err
 		}
 	}
-	switch present := s.Store.Contains(m.ID); {
+	switch present := s.Scan.Contains(m.ID); {
 	case m.Op == OpInsert && present:
 		return fmt.Errorf("%w: %q", ErrDuplicateID, m.ID)
 	case m.Op != OpInsert && !present:
 		return fmt.Errorf("%w: %q", ErrUnknownID, m.ID)
 	}
-	if d := s.Store.Dimension(); m.Op != OpDelete && d != 0 && m.Record.Helper.Dimension() != d {
+	if d := s.Scan.Dimension(); m.Op != OpDelete && d != 0 && m.Record.Helper.Dimension() != d {
 		return fmt.Errorf("%w: got %d, want %d", ErrBadDimension, m.Record.Helper.Dimension(), d)
 	}
 	return nil
-}
-
-// View runs fn on the full record set with mutations blocked, so fn sees a
-// cut of the store that is exactly consistent with everything the journal
-// has staged so far — no mutation is in flight while fn runs (though the
-// newest staged mutations may still be awaiting their group fsync). fn must
-// not mutate the store (it would deadlock).
-func (s *Journaled) View(fn func(recs []*Record)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fn(s.Store.All())
 }
 
 // Compact cuts a snapshot into the backend the store was built with (see
@@ -543,7 +534,7 @@ func (s *Journaled) Snapshot(snap Snapshotter) error {
 	incremental = incremental && inc.IncrementOK()
 	s.mu.Lock()
 	incremental = incremental && s.dirtyValid
-	recs := s.Store.All()
+	recs := s.Scan.All()
 	seq, err := snap.Rotate()
 	if err != nil {
 		s.mu.Unlock()

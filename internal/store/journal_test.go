@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"fuzzyid/internal/core"
 	"fuzzyid/internal/sketch"
@@ -273,46 +272,5 @@ func TestMultiJournalOrderAndFailFast(t *testing.T) {
 	}
 	if _, ok := db.Get(u.ID); !ok {
 		t.Fatal("failed delete mutated the store")
-	}
-}
-
-// TestJournaledViewConsistentCut checks View blocks mutations while fn
-// runs: the record set fn sees cannot change under it.
-func TestJournaledViewConsistentCut(t *testing.T) {
-	f := newFixture(t, 16, 64)
-	db := NewJournaled(NewScan(f.fe.Line()), &memJournal{})
-	u := f.src.NewUser("alice")
-	_, helper, err := f.fe.Gen(u.Template)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Insert(&Record{ID: u.ID, PublicKey: []byte("pk"), Helper: helper}); err != nil {
-		t.Fatal(err)
-	}
-	u2 := f.src.NewUser("bob")
-	_, helper2, err := f.fe.Gen(u2.Template)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inserted := make(chan error, 1)
-	db.View(func(recs []*Record) {
-		if len(recs) != 1 {
-			t.Fatalf("view saw %d records, want 1", len(recs))
-		}
-		go func() {
-			inserted <- db.Insert(&Record{ID: u2.ID, PublicKey: []byte("pk"), Helper: helper2})
-		}()
-		select {
-		case err := <-inserted:
-			t.Fatalf("insert completed during View (err=%v)", err)
-		case <-time.After(50 * time.Millisecond):
-			// Blocked, as required.
-		}
-	})
-	if err := <-inserted; err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() != 2 {
-		t.Fatalf("Len = %d after View released", db.Len())
 	}
 }

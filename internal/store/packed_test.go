@@ -417,12 +417,12 @@ func TestScanTunedRejectsNarrowWidth(t *testing.T) {
 }
 
 // TestScanStoreWidthEquivalence runs the equivalence end to end through the
-// Store interface with real sketches: genuine and impostor probes resolve
+// store's lookup methods with real sketches: genuine and impostor probes resolve
 // identically under every width and filter setting.
 func TestScanStoreWidthEquivalence(t *testing.T) {
 	f := newFixture(t, 32, 63)
 	line := f.fe.Line()
-	variants := map[string]Store{}
+	variants := map[string]storeAPI{}
 	for _, w := range validWidths(line.IntervalSpan()) {
 		for _, noCoarse := range []bool{false, true} {
 			s, err := NewScanTuned(line, 6, Tuning{ResidueWidth: w, NoCoarseFilter: noCoarse})

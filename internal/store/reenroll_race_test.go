@@ -59,7 +59,7 @@ func newReenrollFixture(t *testing.T, seed int64) *reenrollFixture {
 }
 
 // seed populates s with the stable records and version A of flip.
-func (rf *reenrollFixture) seed(t *testing.T, s Store) {
+func (rf *reenrollFixture) seed(t *testing.T, s storeAPI) {
 	t.Helper()
 	for _, rec := range rf.stable {
 		if err := s.Insert(rec); err != nil {
@@ -95,10 +95,10 @@ func sameRecord(a, b *Record) bool {
 
 // raceVariants is the layout matrix the concurrency tests run against: the
 // scan store at both ends of the packed widths, with the coarse filter on
-// and off.
-func raceVariants(t *testing.T, f *fixture) map[string]Store {
+// and off, and the production layout behind the tenant wrapper.
+func raceVariants(t *testing.T, f *fixture) map[string]storeAPI {
 	t.Helper()
-	variants := map[string]Store{}
+	variants := map[string]storeAPI{}
 	for _, w := range []int{Width16, Width64} {
 		for _, noCoarse := range []bool{false, true} {
 			name := fmt.Sprintf("scan-w%d", w)
@@ -108,6 +108,7 @@ func raceVariants(t *testing.T, f *fixture) map[string]Store {
 			variants[name] = mustScanTuned(t, f.fe.Line(), Tuning{ResidueWidth: w, NoCoarseFilter: noCoarse})
 		}
 	}
+	variants["journaled"] = NewJournaled(NewScan(f.fe.Line()), nil)
 	return variants
 }
 

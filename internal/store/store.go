@@ -4,12 +4,12 @@
 //
 // Identification lookup realises the paper's conditions (1)-(4), which
 // reduce to a per-coordinate circular-distance test modulo the interval
-// span ka (Theorem 2; see internal/sketch). Scan, the one Store
-// implementation, is an early-exit linear scan over pre-computed residues:
-// almost every non-matching record is rejected by one branch-free word test
-// of its coarse key, and the few the key admits after a geometric number
-// of integer comparisons (expected < 1/(1-q) with q = (2t+1)/ka), so the
-// cost per enrolled user is about a nanosecond — negligible next to one
+// span ka (Theorem 2; see internal/sketch). The database is one concrete
+// type, Scan: an early-exit linear scan over pre-computed residues. Almost
+// every non-matching record is rejected by one branch-free word test of its
+// coarse key, and the few the key admits after a geometric number of
+// integer comparisons (expected < 1/(1-q) with q = (2t+1)/ka), so the cost
+// per enrolled user is about a nanosecond — negligible next to one
 // signature.
 // The *cryptographic* cost of identification is one Rep and one signature
 // regardless of the database size — the paper's constant-cost claim —
@@ -33,11 +33,12 @@
 // cancellation, and IdentifyBatch amortises residue computation and lock
 // acquisition across a whole batch of probes.
 //
-// Durability. Mutations are expressed as Mutation values behind the
-// journal seam of journal.go: the Journaled wrapper funnels every
-// Insert/Delete through one interception point into a Journal backend
-// (internal/persist), and Open/Replay rebuild the store from a recovered
-// mutation stream through the same path.
+// Durability. Every tenant is a Journaled (journal.go) over its own *Scan:
+// reads go straight to the Scan, and every Insert, Replace and Delete goes
+// through one mutation body that stages a Mutation value into a Journal
+// backend (internal/persist, internal/replica) before applying it. Open and
+// Replay rebuild a Scan from a recovered mutation stream through the Scan's
+// own apply, the same one the live path ends in.
 package store
 
 import (
@@ -73,57 +74,6 @@ type Record struct {
 	Helper *core.HelperData
 }
 
-// Store is the server database interface: Scan implements it, and the
-// Journaled wrapper layers durability over any implementation.
-//
-// A store keeps no reference to a record passed to Insert or Replace, and
-// every record it returns is the caller's own copy. The *Into lookups write
-// into a caller-owned scratch record, reusing its buffers; the allocating
-// forms are thin wrappers over them.
-type Store interface {
-	// Insert adds a record; the ID must be unused.
-	Insert(*Record) error
-	// Get returns the record for a claimed identity (verification mode).
-	Get(id string) (*Record, bool)
-	// GetInto is Get into dst: it reports whether id is enrolled and, if
-	// so, overwrites dst with its record.
-	GetInto(id string, dst *Record) bool
-	// Contains reports whether id is enrolled, materialising nothing.
-	Contains(id string) bool
-	// Delete removes an enrolled record (revocation / re-enrollment).
-	Delete(id string) error
-	// Replace atomically swaps the enrolled record for rec.ID with rec
-	// (online re-enrollment with fresh helper data). The ID must already be
-	// enrolled. Concurrent readers observe either the old template or the
-	// new one in full — never a mix of the two.
-	Replace(*Record) error
-	// Identify returns a record whose enrolled sketch matches the probe
-	// under conditions (1)-(4), or ErrNotFound. When several records match
-	// (a false-close collision, bounded by the paper's FAR analysis), any
-	// of them may be returned; which one is layout- and
-	// scheduling-dependent.
-	Identify(probe *sketch.Sketch) (*Record, error)
-	// IdentifyInto is Identify into dst, with cancellation: on a match it
-	// overwrites dst with the matched record and returns nil; otherwise dst
-	// is untouched. The lookup aborts with ctx.Err() once ctx is done.
-	IdentifyInto(ctx context.Context, probe *sketch.Sketch, dst *Record) error
-	// IdentifyBatch resolves many probes in one call, amortising probe
-	// validation, residue computation and lock acquisition across the
-	// batch. The result is aligned with probes; a nil element means no
-	// record matched that probe. An error is returned only for malformed
-	// probes.
-	IdentifyBatch(probes []*sketch.Sketch) ([]*Record, error)
-	// All returns a snapshot of every enrolled record in insertion-stable
-	// order, materialising the whole set. The normal-approach protocol of
-	// Fig. 2, snapshots and partition handoff iterate it.
-	All() []*Record
-	// Len returns the number of enrolled records.
-	Len() int
-	// Dimension returns the record dimension the store adopted at first
-	// insert, or 0 while it is empty.
-	Dimension() int
-}
-
 // validateProbe rejects nil, empty and wrong-dimension probes. dim is the
 // store's adopted dimension (0 while the store is empty).
 func validateProbe(probe *sketch.Sketch, dim int) error {
@@ -149,8 +99,6 @@ type Scan struct {
 	line *numberline.Line
 	tab  *resTable
 }
-
-var _ Store = (*Scan)(nil)
 
 // NewScan constructs a scan store over the given line with the default
 // shard count (the scheduler's parallelism).
@@ -179,13 +127,15 @@ func NewScanTuned(line *numberline.Line, shards int, tun Tuning) (*Scan, error) 
 	return &Scan{line: line, tab: tab}, nil
 }
 
-// Len implements Store.
+// Len returns the number of enrolled records.
 func (s *Scan) Len() int { return s.tab.size() }
 
-// Dimension implements Store.
+// Dimension returns the record dimension the store adopted at first
+// insert, or 0 while it is empty.
 func (s *Scan) Dimension() int { return s.tab.dimension() }
 
-// Insert implements Store.
+// Insert adds a record; the ID must be unused. The store keeps no
+// reference to rec.
 func (s *Scan) Insert(rec *Record) error {
 	if err := validateRecord(rec); err != nil {
 		return err
@@ -198,7 +148,8 @@ func (s *Scan) Insert(rec *Record) error {
 	return err
 }
 
-// Get implements Store.
+// Get returns a fresh copy of the record for a claimed identity
+// (verification mode); it is GetInto into a new record.
 func (s *Scan) Get(id string) (*Record, bool) {
 	rec := new(Record)
 	if !s.tab.getInto(id, rec) {
@@ -207,18 +158,21 @@ func (s *Scan) Get(id string) (*Record, bool) {
 	return rec, true
 }
 
-// GetInto implements Store.
+// GetInto reports whether id is enrolled and, if so, overwrites dst with
+// its record, reusing dst's buffers.
 func (s *Scan) GetInto(id string, dst *Record) bool { return s.tab.getInto(id, dst) }
 
-// Contains implements Store.
+// Contains reports whether id is enrolled, materialising nothing.
 func (s *Scan) Contains(id string) bool { return s.tab.getInto(id, nil) }
 
-// Delete implements Store.
+// Delete removes an enrolled record (revocation / re-enrollment).
 func (s *Scan) Delete(id string) error { return s.tab.delete(id) }
 
-// Replace implements Store. The row is overwritten in place under its
-// shard's write lock, so a concurrent Identify or Get sees the old template
-// or the new one, never a mix.
+// Replace atomically swaps the enrolled record for rec.ID with rec (online
+// re-enrollment with fresh helper data); the ID must already be enrolled.
+// The row is overwritten in place under its shard's write lock, so a
+// concurrent Identify or Get sees the old template or the new one in full,
+// never a mix.
 func (s *Scan) Replace(rec *Record) error {
 	if err := validateRecord(rec); err != nil {
 		return err
@@ -231,10 +185,16 @@ func (s *Scan) Replace(rec *Record) error {
 	return err
 }
 
-// All implements Store.
+// All returns a copy of every enrolled record in insertion-stable order,
+// materialising the whole set. The normal-approach protocol of Fig. 2,
+// snapshots and partition handoff iterate it.
 func (s *Scan) All() []*Record { return s.tab.all() }
 
-// Identify implements Store.
+// Identify returns a fresh copy of a record whose enrolled sketch matches
+// the probe under conditions (1)-(4), or ErrNotFound; it is IdentifyInto
+// into a new record. When several records match (a false-close collision,
+// bounded by the paper's FAR analysis), any of them may be returned; which
+// one is layout- and scheduling-dependent.
 func (s *Scan) Identify(probe *sketch.Sketch) (*Record, error) {
 	rec := new(Record)
 	if err := s.IdentifyInto(context.Background(), probe, rec); err != nil {
@@ -243,7 +203,9 @@ func (s *Scan) Identify(probe *sketch.Sketch) (*Record, error) {
 	return rec, nil
 }
 
-// IdentifyInto implements Store.
+// IdentifyInto is Identify into dst, with cancellation: on a match it
+// overwrites dst with the matched record and returns nil; otherwise dst is
+// untouched. The lookup aborts with ctx.Err() once ctx is done.
 func (s *Scan) IdentifyInto(ctx context.Context, probe *sketch.Sketch, dst *Record) error {
 	// dim is read once: a first insert landing after validation must not
 	// leave the scan slicing rows at an unchecked probe length. While dim is
@@ -371,8 +333,10 @@ func (j *scanJob) scanShard(si int) {
 	}
 }
 
-// IdentifyBatch implements Store. Residues are computed once per probe and
-// every shard lock is taken once for the whole batch. As in IdentifyInto, the
+// IdentifyBatch resolves many probes in one call. The result is aligned
+// with probes; a nil element means no record matched that probe, and an
+// error is returned only for malformed probes. Residues are computed once
+// per probe and every shard lock is taken once for the whole batch. As in IdentifyInto, the
 // dimension is read once and an empty store answers all-nil.
 func (s *Scan) IdentifyBatch(probes []*sketch.Sketch) ([]*Record, error) {
 	dim := s.tab.dimension()
@@ -436,7 +400,7 @@ func validateRecord(rec *Record) error {
 // name survives because the benchmark harness pins this call with "bucket",
 // the retired default, so both "scan" and "bucket" return a Scan and every
 // other name is an error.
-func ByStrategyShards(name string, line *numberline.Line, shards int) (Store, error) {
+func ByStrategyShards(name string, line *numberline.Line, shards int) (*Scan, error) {
 	switch name {
 	case "scan", "bucket":
 		return NewScanShards(line, shards), nil

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -13,12 +14,30 @@ import (
 	"fuzzyid/internal/sketch"
 )
 
+// storeAPI is the surface *Scan and *Journaled share: the tests that loop
+// over store variants drive each one through it.
+type storeAPI interface {
+	Insert(*Record) error
+	Get(id string) (*Record, bool)
+	GetInto(id string, dst *Record) bool
+	Contains(id string) bool
+	Delete(id string) error
+	Replace(*Record) error
+	Identify(probe *sketch.Sketch) (*Record, error)
+	IdentifyInto(ctx context.Context, probe *sketch.Sketch, dst *Record) error
+	IdentifyBatch(probes []*sketch.Sketch) ([]*Record, error)
+	All() []*Record
+	Len() int
+	Dimension() int
+}
+
 // fixture bundles a fuzzy extractor, a biometric source and empty stores:
-// the production layout and the unpacked, unfiltered reference layout.
+// the production layout, the unpacked, unfiltered reference layout, and the
+// production layout behind the journal-less tenant wrapper.
 type fixture struct {
 	fe     *core.FuzzyExtractor
 	src    *biometric.Source
-	stores map[string]Store
+	stores map[string]storeAPI
 }
 
 func newFixture(t *testing.T, dim int, seed int64) *fixture {
@@ -34,9 +53,10 @@ func newFixture(t *testing.T, dim int, seed int64) *fixture {
 	return &fixture{
 		fe:  fe,
 		src: src,
-		stores: map[string]Store{
+		stores: map[string]storeAPI{
 			"scan":              NewScan(fe.Line()),
 			"scan-w64-nocoarse": mustScanTuned(t, fe.Line(), Tuning{ResidueWidth: Width64, NoCoarseFilter: true}),
+			"journaled":         NewJournaled(NewScan(fe.Line()), nil),
 		},
 	}
 }
@@ -91,7 +111,7 @@ func residues(line *numberline.Line, s *sketch.Sketch) []int64 {
 
 // oracleMatches is the brute-force identification oracle: the IDs of every
 // record in s.All() whose residues match the probe's.
-func oracleMatches(s Store, line *numberline.Line, probe *sketch.Sketch) map[string]bool {
+func oracleMatches(s storeAPI, line *numberline.Line, probe *sketch.Sketch) map[string]bool {
 	span, t := line.IntervalSpan(), line.Threshold()
 	want := residues(line, probe)
 	out := make(map[string]bool)
@@ -105,7 +125,7 @@ func oracleMatches(s Store, line *numberline.Line, probe *sketch.Sketch) map[str
 
 // checkOracle fails unless s.Identify(probe) returns a record the oracle
 // matches, or ErrNotFound when the oracle matches none.
-func checkOracle(t *testing.T, name string, s Store, line *numberline.Line, probe *sketch.Sketch) error {
+func checkOracle(t *testing.T, name string, s storeAPI, line *numberline.Line, probe *sketch.Sketch) error {
 	t.Helper()
 	want := oracleMatches(s, line, probe)
 	rec, err := s.Identify(probe)
@@ -447,8 +467,7 @@ func TestByStrategy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ByStrategyShards(%q): %v", name, err)
 		}
-		scan, ok := s.(*Scan)
-		if !ok || scan.tab.numShards() < 2 {
+		if s.tab.numShards() < 2 {
 			t.Fatalf("ByStrategyShards(%q) = %T, want a sharded *Scan", name, s)
 		}
 		for _, u := range users {

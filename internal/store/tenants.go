@@ -313,20 +313,22 @@ func (r *Registry) Apply(m Mutation) error {
 			return err
 		}
 		return nil
-	case OpInsert:
-		s, err := r.Ensure(m.Tenant)
+	case OpInsert, OpDelete, OpReplace:
+		// Deletes and replaces operate on an already-enrolled ID, so their
+		// tenant must already exist on the follower; materialising it here
+		// would mask corruption.
+		resolve := r.Tenant
+		if m.Op == OpInsert {
+			resolve = r.Ensure
+		}
+		s, err := resolve(m.Tenant)
 		if err != nil {
 			return err
 		}
-		return Apply(s, m)
-	case OpDelete, OpReplace:
-		// Both operate on an already-enrolled ID, so the tenant must already
-		// exist on the follower; materialising it here would mask corruption.
-		s, err := r.Tenant(m.Tenant)
-		if err != nil {
-			return err
+		if m.Record != nil {
+			m.ID = m.Record.ID
 		}
-		return Apply(s, m)
+		return s.mutate(m, true)
 	default:
 		return fmt.Errorf("store: unknown mutation op %d", m.Op)
 	}
@@ -355,9 +357,9 @@ func (r *Registry) Reset() error {
 
 // View runs fn on a consistent cut of every tenant's record set: each
 // tenant's mutation lock is held (in sorted name order) while fn runs, so
-// no mutation of any tenant is in flight — the multi-tenant counterpart of
-// (*Journaled).View, used by the replication hub to pair a snapshot of all
-// namespaces with one log offset. fn must not mutate any
+// no mutation of any tenant is in flight. The replication hub uses it to
+// pair a snapshot of all namespaces with one log offset, and the cluster
+// handoff to ship a slot's records. fn must not mutate any
 // store or the registry (it would deadlock).
 func (r *Registry) View(fn func(cut []TenantView)) {
 	r.mu.RLock()

@@ -246,8 +246,17 @@ func (d *Decoder) Int64Slice(max int) ([]int64, error) {
 // ReadFrame reads one length-prefixed frame.
 func ReadFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
 
+// frameChunk is the first allocation for a frame body that does not fit
+// the caller's buffer.
+const frameChunk = 64 << 10
+
 // readFrameInto reads one length-prefixed frame into buf, reusing its
-// capacity, and returns the payload.
+// capacity, and returns the payload. A body that fits buf, or frameChunk,
+// is one read into one buffer. A larger one is read into a buffer that
+// starts at frameChunk and doubles, up to the declared length, only as body
+// bytes arrive: a header alone, from a peer nothing has authenticated yet,
+// pins at most frameChunk however large a frame it declares, and a trickled
+// body at most twice what was sent.
 func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -261,11 +270,21 @@ func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: frame %d bytes", ErrTooLarge, n)
 	}
 	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
+		buf = make([]byte, 0, min(n, frameChunk))
 	}
-	payload := buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: frame body: %v", ErrTruncated, err)
+	buf = buf[:0]
+	for uint32(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(2*len(buf), int(n))), buf...)
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(cap(buf), int(n))])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("%w: frame body: %v", ErrTruncated, err)
+		}
 	}
-	return payload, nil
+	return buf, nil
 }
