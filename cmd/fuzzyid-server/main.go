@@ -18,6 +18,10 @@
 //	fuzzyid-server -addr 127.0.0.1:7700 -stats-addr 127.0.0.1:7701
 //	curl http://127.0.0.1:7701/stats
 //
+// The same address serves the Go profiler under /debug/pprof/:
+//
+//	go tool pprof http://127.0.0.1:7701/debug/pprof/profile?seconds=30
+//
 // The same snapshot is available over the native protocol via
 // "fuzzyid-client stats".
 //
@@ -64,6 +68,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -301,7 +306,8 @@ func setup(args []string) (*proc, error) {
 }
 
 // serveStats starts the HTTP stats endpoint: GET /stats (and /metrics, for
-// scrapers that expect that path) returns the telemetry snapshot as JSON.
+// scrapers that expect that path) returns the telemetry snapshot as JSON,
+// and /debug/pprof/ serves the Go runtime profiles.
 func (p *proc) serveStats(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -319,6 +325,11 @@ func (p *proc) serveStats(addr string) error {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", handler)
 	mux.HandleFunc("/metrics", handler)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	p.statsLn = ln
 	p.stats = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() {

@@ -133,6 +133,27 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestPprofEndpoint checks the stats address also serves the Go profiler:
+// the index and a named profile answer 200.
+func TestPprofEndpoint(t *testing.T) {
+	p, err := setup([]string{"-addr", "127.0.0.1:0", "-dim", "32", "-stats-addr", "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("setup: %v", err)
+	}
+	defer p.Close()
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap?debug=1"} {
+		resp, err := http.Get("http://" + p.StatsAddr() + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, err %v", path, resp.StatusCode, err)
+		}
+	}
+}
+
 func TestSetupValidation(t *testing.T) {
 	// The store-selection flags are gone; naming one is a flag error.
 	for _, flag := range []string{"-strategy", "-residue-width", "-coarse-filter"} {

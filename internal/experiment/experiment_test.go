@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func quickConfig() Config { return Config{Quick: true, Seed: 7} }
@@ -137,22 +138,50 @@ func TestFig4Quick(t *testing.T) {
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 in quick mode", len(tbl.Rows))
 	}
-	// The normal approach must be slower than the proposed one at the
-	// largest N (it performs N Rep attempts instead of one).
-	last := tbl.Rows[len(tbl.Rows)-1]
-	proposed, err := strconv.ParseFloat(last[1], 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	normal, err := strconv.ParseFloat(last[2], 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if normal <= proposed {
-		t.Errorf("normal (%v ms) not slower than proposed (%v ms) at max N", normal, proposed)
+	for _, row := range tbl.Rows {
+		for _, cell := range row[1:] {
+			if ms, err := strconv.ParseFloat(cell, 64); err != nil || ms <= 0 {
+				t.Errorf("latency cell %q invalid", cell)
+			}
+		}
 	}
 	if len(tbl.Notes) < 3 {
 		t.Errorf("expected slope-fit notes, got %v", tbl.Notes)
+	}
+
+	// The claim Fig. 4 plots: at the largest quick N the normal approach,
+	// which tries one Rep per enrolled user, is slower than the proposed
+	// protocol, which runs one. Both are sub-millisecond, and the table's
+	// mean of two runs swings with whatever else the machine runs, so the
+	// claim compares the fastest of 15 interleaved identifications on each
+	// side over one population.
+	e, err := newEnv(128, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.stop()
+	users, err := e.enrollPopulation(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proposed, normal := identifier(e, users, false), identifier(e, users, true)
+	fastest := func(identify func() error, best *time.Duration) {
+		start := time.Now()
+		if err := identify(); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); *best == 0 || d < *best {
+			*best = d
+		}
+	}
+	var bestProposed, bestNormal time.Duration
+	for i := 0; i < 15; i++ {
+		fastest(proposed, &bestProposed)
+		fastest(normal, &bestNormal)
+	}
+	t.Logf("fastest of 15: proposed %v, normal %v", bestProposed, bestNormal)
+	if bestNormal <= bestProposed {
+		t.Errorf("normal (%v) not slower than proposed (%v) at N = 100", bestNormal, bestProposed)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"fuzzyid/internal/biometric"
 	"fuzzyid/internal/stats"
 )
 
@@ -86,8 +87,19 @@ func measureIdentify(cfg Config, dim, n, runs int, normal bool) (float64, error)
 	if err != nil {
 		return 0, err
 	}
+	identify := identifier(e, users, normal)
+	if err := identify(); err != nil {
+		return 0, err
+	}
+	return timeIt(runs, identify)
+}
+
+// identifier returns one genuine identification of the next of users, by
+// the normal approach or the proposed protocol, that fails unless the
+// reading resolves to its user.
+func identifier(e *env, users []*biometric.User, normal bool) func() error {
 	i := 0
-	identify := func() error {
+	return func() error {
 		u := users[(i*7919)%len(users)] // spread probes across the population
 		i++
 		reading, err := e.src.GenuineReading(u)
@@ -108,8 +120,4 @@ func measureIdentify(cfg Config, dim, n, runs int, normal bool) (float64, error)
 		}
 		return nil
 	}
-	if err := identify(); err != nil {
-		return 0, err
-	}
-	return timeIt(runs, identify)
 }

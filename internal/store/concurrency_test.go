@@ -258,46 +258,6 @@ func TestIdentifyCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestScanParallelPath drives the fanned-out scan directly (the public path
-// only selects it past scanParallelRows on multi-core hosts).
-func TestScanParallelPath(t *testing.T) {
-	f := newFixture(t, 32, 27)
-	users := f.src.Population(50)
-	s := NewScanShards(f.fe.Line(), 8)
-	for _, u := range users {
-		_, helper, err := f.fe.Gen(u.Template)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Insert(&Record{ID: u.ID, PublicKey: []byte("pk"), Helper: helper}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	line := f.fe.Line()
-	span, tt := line.IntervalSpan(), line.Threshold()
-	for _, u := range users {
-		reading, err := f.src.GenuineReading(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := residues(line, f.probe(t, reading))
-		var rec Record
-		if err := s.identifyParallel(context.Background(), res, span, tt, s.tab.coarse.probe(res), &rec); err != nil || rec.ID != u.ID {
-			t.Fatalf("parallel Identify(%s) = (%v, %v)", u.ID, rec.ID, err)
-		}
-	}
-	impRes := residues(line, f.probe(t, f.src.ImpostorReading()))
-	var scratch Record
-	if err := s.identifyParallel(context.Background(), impRes, span, tt, s.tab.coarse.probe(impRes), &scratch); !errors.Is(err, ErrNotFound) {
-		t.Errorf("parallel impostor err = %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := s.identifyParallel(ctx, impRes, span, tt, s.tab.coarse.probe(impRes), &scratch); !errors.Is(err, context.Canceled) {
-		t.Errorf("parallel cancelled err = %v", err)
-	}
-}
-
 // TestAllInsertionOrderAfterDelete pins the All() contract: snapshots stay
 // in insertion order even though the sharded table relocates rows on delete.
 func TestAllInsertionOrderAfterDelete(t *testing.T) {

@@ -187,6 +187,7 @@ type opStore interface {
 	GetInto(id string, dst *store.Record) bool
 	All() []*store.Record
 	Len() int
+	CheckCells() error
 }
 
 // errJournalDown is the staging failure recJournal injects.
@@ -436,13 +437,16 @@ func (r *opRun) checkLookups(ai int) {
 // checkState checks every arm against the models of every range that
 // drove it: Len, each range's lookups, and All — whose records, filtered to
 // one range, must be that range's model order, each encoding to the exact
-// bytes the model holds.
+// bytes the model holds — and checks each arm's cell index against its rows.
 func checkState(fail func(string, ...any), arms []fuzzArm, models ...*opModel) {
 	want := 0
 	for _, m := range models {
 		want += len(m.order)
 	}
 	for ai, a := range arms {
+		if err := a.s.CheckCells(); err != nil {
+			fail("%s cell index: %v", a.name, err)
+		}
 		if a.s.Len() != want {
 			fail("%s Len = %d, model %d", a.name, a.s.Len(), want)
 		}
@@ -483,22 +487,10 @@ func checkReplay(fail func(string, ...any), line *numberline.Line, arms []fuzzAr
 	}
 }
 
-// FuzzStoreOps is a differential fuzzer over the whole store. It decodes its
-// input into Insert, Replace, Delete, Identify and IdentifyBatch operations
-// on a small line and dimension, applies each to the *Scan at 16- and
-// 64-bit widths with the coarse filter on and off, to a *Journaled whose
-// journal sometimes fails to stage, and to opModel. Any divergence fails: an
-// error, a verdict, a matched ID outside the model's match set, Len, Get or
-// All — and every record a store returns must encode to exactly the bytes of
-// the record the model holds, so a lossy packed row fails too. After the
-// sequence the journal, replayed through store.Open, must rebuild the
-// model's record set.
-//
-// The concurrent arm then replays the input on fresh arms from two
-// goroutines over disjoint ID ranges; each checks its own range's verdicts
-// as it goes, and Len, All, lookups and the journal replay are checked
-// against both models once both finish (run it under -race).
-func FuzzStoreOps(f *testing.F) {
+// storeOpsSeeds is FuzzStoreOps's generated seed corpus: 120 random op
+// bytes on every fuzz line at dimensions 3, 21 and 33.
+func storeOpsSeeds() [][]byte {
+	var seeds [][]byte
 	for li := range fuzzLines {
 		for _, dim := range []int{3, 21, 33} {
 			rng := rand.New(rand.NewSource(int64(100*li + dim)))
@@ -506,47 +498,82 @@ func FuzzStoreOps(f *testing.F) {
 			for i := 0; i < 120; i++ {
 				data = append(data, byte(rng.Intn(256)))
 			}
-			f.Add(data)
+			seeds = append(seeds, data)
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		d := &opDecoder{data: data}
-		line := numberline.MustNew(fuzzLines[d.next()%len(fuzzLines)])
-		dim := 1 + d.next()%40
-		ops := data[d.pos:]
+	return seeds
+}
 
+// decodeOps splits an input into its number line, dimension and op bytes.
+func decodeOps(data []byte) (*numberline.Line, int, []byte) {
+	d := &opDecoder{data: data}
+	line := numberline.MustNew(fuzzLines[d.next()%len(fuzzLines)])
+	dim := 1 + d.next()%40
+	return line, dim, data[d.pos:]
+}
+
+// FuzzStoreOps is a differential fuzzer over the whole store. It decodes its
+// input into Insert, Replace, Delete, Identify and IdentifyBatch operations
+// on a small line and dimension, applies each to the *Scan at 16- and
+// 64-bit widths with the coarse filter on and off, to a *Journaled whose
+// journal sometimes fails to stage, and to opModel. Any divergence fails: an
+// error, a verdict, a matched ID outside the model's match set, Len, Get,
+// All or the cell index — and every record a store returns must encode to
+// exactly the bytes of the record the model holds, so a lossy packed row
+// fails too. After the sequence the journal, replayed through store.Open,
+// must rebuild the model's record set. The body runs on one goroutine, so
+// the fuzzer's coverage is deterministic; TestStoreOpsConcurrent drives the
+// same checks from two.
+func FuzzStoreOps(f *testing.F) {
+	for _, data := range storeOpsSeeds() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		line, dim, ops := decodeOps(data)
 		arms := newArms(t, line)
 		m := newOpModel(line, dim, fuzzIDs)
 		seq := &opRun{d: &opDecoder{data: ops}, m: m, arms: arms, scratch: make([]store.Record, len(arms)), fail: t.Fatalf}
 		seq.run()
 		checkReplay(t.Fatalf, line, arms, m)
-
-		// Concurrent arm: the peer decodes the same ops rotated by half, so
-		// the two goroutines interleave different sequences.
-		arms = newArms(t, line)
-		peerOps := append(append([]byte{}, ops[len(ops)/2:]...), ops[:len(ops)/2]...)
-		runs := []*opRun{
-			{d: &opDecoder{data: ops}, m: newOpModel(line, dim, fuzzIDs)},
-			{d: &opDecoder{data: peerOps}, m: newOpModel(line, dim, peerIDs)},
-		}
-		stop := func(format string, args ...any) {
-			t.Errorf(format, args...)
-			runtime.Goexit()
-		}
-		var wg sync.WaitGroup
-		for _, r := range runs {
-			r.arms, r.scratch, r.shared, r.fail = arms, make([]store.Record, len(arms)), true, stop
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				r.run()
-			}()
-		}
-		wg.Wait()
-		if t.Failed() {
-			return
-		}
-		checkState(t.Fatalf, arms, runs[0].m, runs[1].m)
-		checkReplay(t.Fatalf, line, arms, runs[0].m, runs[1].m)
 	})
+}
+
+// TestStoreOpsConcurrent replays each of FuzzStoreOps's seeds on fresh arms
+// from two goroutines over disjoint ID ranges; each checks its own range's
+// verdicts as it goes, and Len, All, lookups, the cell index and the
+// journal replay are checked against both models once both finish (run it
+// under -race).
+func TestStoreOpsConcurrent(t *testing.T) {
+	for i, data := range storeOpsSeeds() {
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			line, dim, ops := decodeOps(data)
+			arms := newArms(t, line)
+			// The peer decodes the same ops rotated by half, so the two
+			// goroutines interleave different sequences.
+			peerOps := append(append([]byte{}, ops[len(ops)/2:]...), ops[:len(ops)/2]...)
+			runs := []*opRun{
+				{d: &opDecoder{data: ops}, m: newOpModel(line, dim, fuzzIDs)},
+				{d: &opDecoder{data: peerOps}, m: newOpModel(line, dim, peerIDs)},
+			}
+			stop := func(format string, args ...any) {
+				t.Errorf(format, args...)
+				runtime.Goexit()
+			}
+			var wg sync.WaitGroup
+			for _, r := range runs {
+				r.arms, r.scratch, r.shared, r.fail = arms, make([]store.Record, len(arms)), true, stop
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					r.run()
+				}()
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			checkState(t.Fatalf, arms, runs[0].m, runs[1].m)
+			checkReplay(t.Fatalf, line, arms, runs[0].m, runs[1].m)
+		})
+	}
 }

@@ -21,8 +21,9 @@ import (
 // Three layers:
 //
 //   - matrix[T]: the generic packed storage with a width-erased resMatrix
-//     interface. Interface dispatch happens once per scanned *range* (a
-//     scanBlock of rows), never per row, so the hot loop is monomorphic.
+//     interface. Interface dispatch happens once per scanned stretch of a
+//     cell (at most a scanBlock of rows), never per row, so the hot loop is
+//     monomorphic.
 //   - matchPacked: the block-vectorized condition check. The per-coordinate
 //     early exit of matchRow is restructured into fixed-width blocks of
 //     branchless circular-distance lanes whose verdicts OR together; the
@@ -35,7 +36,9 @@ import (
 //     an adjacent circular bucket, so a random (open-set) probe rejects all
 //     but ~(3/B)^F of rows after reading just 8 bytes per row. B is a power
 //     of two, so all F coordinates are tested at once by one branch-free
-//     lane-wise (SWAR) word expression per row.
+//     lane-wise (SWAR) word expression per row. The same expression,
+//     masked to a key's leading lanes, admits or skips a whole cell of rows
+//     (table.go).
 
 // resWord is the set of storage widths a residue matrix can pack to.
 type resWord interface {
@@ -139,10 +142,10 @@ type resMatrix interface {
 	// liftRow appends row's residues to dst, each lifted to its canonical
 	// movement: r if r <= span/2, else r - span.
 	liftRow(row, dim int, span int64, dst []int64) []int64
-	// scanRange checks the probe against rows [lo, hi), consulting the
-	// coarse summary first when cp is enabled, and returns the first
-	// matching row index or -1.
-	scanRange(lo, hi, dim int, probe []int64, span, t int64, coarse []uint64, cp coarseProbe) int
+	// scanCell checks the probe against the rows of one cell's members,
+	// consulting each member's coarse key first when cp is enabled, and
+	// returns the first matching row index or -1.
+	scanCell(keys []uint64, rows []int32, dim int, probe []int64, span, t int64, cp coarseProbe) int
 }
 
 // matrix is the generic packed storage instantiated at one of the three
@@ -201,23 +204,24 @@ func (m *matrix[T]) liftRow(row, dim int, span int64, dst []int64) []int64 {
 	return dst
 }
 
-func (m *matrix[T]) scanRange(lo, hi, dim int, probe []int64, span, t int64, coarse []uint64, cp coarseProbe) int {
+func (m *matrix[T]) scanCell(keys []uint64, rows []int32, dim int, probe []int64, span, t int64, cp coarseProbe) int {
+	rows = rows[:len(keys)]
 	if cp.enabled {
-		for i := lo; i < hi; i++ {
-			if !cp.admit(coarse[i]) {
+		for j, k := range keys {
+			if !cp.admit(k) {
 				continue
 			}
-			off := i * dim
+			off := int(rows[j]) * dim
 			if matchPacked(m.data[off:off+dim], probe, span, t) {
-				return i
+				return int(rows[j])
 			}
 		}
 		return -1
 	}
-	for i := lo; i < hi; i++ {
-		off := i * dim
+	for _, r := range rows {
+		off := int(r) * dim
 		if matchPacked(m.data[off:off+dim], probe, span, t) {
-			return i
+			return int(r)
 		}
 	}
 	return -1
@@ -238,6 +242,10 @@ const (
 	// maxCoarseSpan guards the res*buckets products against int64 overflow
 	// (the number line caps spans at 2^61; buckets at 16 needs 4 more bits).
 	maxCoarseSpan = 1 << 59
+	// cellKeyBits is how many low key bits name a row's cell: the first
+	// max(1, cellKeyBits/bits) lanes, capped at F, so a shard has at most
+	// 256 cells.
+	cellKeyBits = 8
 )
 
 // coarseParams describes the per-row coarse summary adopted by a table once
@@ -253,15 +261,18 @@ const (
 // wraps mod 2^bits = B, the ring of buckets: admit tests every lane in one
 // word expression. high and bit0 mark each summarised lane's top bit and
 // bit 0; upper marks its bits 2 and above (none when lanes are 2 bits).
+// cellMask marks the leading lanes that name a row's cell (table.go); with
+// the filter off it is 0, so every row shares cell 0.
 type coarseParams struct {
-	enabled bool
-	buckets int64 // B = 2^bits: buckets per summarised coordinate
-	bits    uint  // key bits per coordinate
-	fields  int   // F: summarised coordinates (leading F of each row)
-	span    int64
-	high    uint64
-	bit0    uint64
-	upper   uint64
+	enabled  bool
+	buckets  int64 // B = 2^bits: buckets per summarised coordinate
+	bits     uint  // key bits per coordinate
+	fields   int   // F: summarised coordinates (leading F of each row)
+	span     int64
+	high     uint64
+	bit0     uint64
+	upper    uint64
+	cellMask uint64
 }
 
 // coarseParamsFor sizes the filter for a line and record dimension.
@@ -286,8 +297,13 @@ func coarseParamsFor(line *numberline.Line, dim int, disabled bool) coarseParams
 		c.bit0 |= 1 << lane
 		c.upper |= (1<<kb - 4) << lane
 	}
+	c.cellMask = 1<<(uint(min(max(1, cellKeyBits/int(kb)), f))*kb) - 1
 	return c
 }
+
+// cells is the number of cells a shard keeps: one per value of the key's
+// cell lanes.
+func (c coarseParams) cells() int { return int(c.cellMask) + 1 }
 
 // keyOf packs the bucket indices of the row's leading fields coordinates
 // into the per-row summary word.
@@ -302,19 +318,21 @@ func (c coarseParams) keyOf(res []int64) uint64 {
 	return key
 }
 
-// coarseProbe is the probe-side admission test, five words wide: a row
+// coarseProbe is the probe-side admission test, six words wide: a row
 // bucket k is within ±1 of the probe bucket b (mod B) exactly when the lane
 // difference z = (k - (b-1)) mod B is 0, 1 or 2. subLow and subTop split
 // the per-lane (b-1) mod B around the lane top bits (subLow = sub &^ high,
-// subTop = ^sub & high) for the borrow-free lane subtraction. It is plain
+// subTop = ^sub & high) for the borrow-free lane subtraction; cellMask is
+// the table's, for admitCell. It is plain
 // value state (no pointers) so Identify can keep it on the stack.
 type coarseProbe struct {
-	enabled bool
-	high    uint64
-	subLow  uint64
-	subTop  uint64
-	bit0    uint64
-	upper   uint64
+	enabled  bool
+	high     uint64
+	subLow   uint64
+	subTop   uint64
+	bit0     uint64
+	upper    uint64
+	cellMask uint64
 }
 
 // probe builds the admission words for one probe's residues.
@@ -328,12 +346,13 @@ func (c coarseParams) probe(res []int64) coarseProbe {
 		sub |= uint64((b-1+c.buckets)%c.buckets) << (uint(i) * c.bits)
 	}
 	return coarseProbe{
-		enabled: true,
-		high:    c.high,
-		subLow:  sub &^ c.high,
-		subTop:  ^sub & c.high,
-		bit0:    c.bit0,
-		upper:   c.upper,
+		enabled:  true,
+		high:     c.high,
+		subLow:   sub &^ c.high,
+		subTop:   ^sub & c.high,
+		bit0:     c.bit0,
+		upper:    c.upper,
+		cellMask: c.cellMask,
 	}
 }
 
@@ -344,7 +363,16 @@ func (c coarseParams) probe(res []int64) coarseProbe {
 // subtrahend stops borrows at lane boundaries; the xor restores the top
 // bits), and a lane fails when z >= 4 (a bit at 2 or above) or z == 3
 // (bits 0 and 1). Bits outside the summarised lanes are never examined.
-func (cp *coarseProbe) admit(key uint64) bool {
+func (cp *coarseProbe) admit(key uint64) bool { return cp.missedLanes(key) == 0 }
+
+// admitCell reports whether any row of cell c can match the probe: admit
+// restricted to the cell's lanes. A disabled probe has no cell lanes, so
+// it admits its one cell.
+func (cp *coarseProbe) admitCell(c int) bool { return cp.missedLanes(uint64(c))&cp.cellMask == 0 }
+
+// missedLanes returns the key's lanes that lie outside the probe's ±1
+// neighbourhood, each as a nonzero lane.
+func (cp *coarseProbe) missedLanes(key uint64) uint64 {
 	z := ((key | cp.high) - cp.subLow) ^ ((key ^ cp.subTop) & cp.high)
-	return z&(cp.upper|z>>1&cp.bit0) == 0
+	return z & (cp.upper | z>>1&cp.bit0)
 }

@@ -87,8 +87,9 @@ func refMatches(rows map[string][]int64, probe []int64, span, t int64) map[strin
 	return out
 }
 
-// tableMatches collects every matching row ID through the packed scanRange
-// path, coarse filter included — the same code Identify runs.
+// tableMatches collects every matching row ID through the walk Identify
+// runs — only the cells the probe admits, each through scanCell with the
+// coarse filter — continued past each match.
 func tableMatches(tab *resTable, probe []int64) map[string]bool {
 	span, t := tab.line.IntervalSpan(), tab.line.Threshold()
 	cp := tab.coarse.probe(probe)
@@ -97,14 +98,19 @@ func tableMatches(tab *resTable, probe []int64) map[string]bool {
 	for si := range tab.shards {
 		sh := &tab.shards[si]
 		sh.mu.RLock()
-		n := len(sh.rows)
-		for i := 0; i < n; {
-			j := sh.mat.scanRange(i, n, dim, probe, span, t, sh.coarse, cp)
-			if j < 0 {
-				break
+		for c := range sh.cells {
+			if !cp.admitCell(c) {
+				continue
 			}
-			out[sh.rows[j].id] = true
-			i = j + 1
+			cl := &sh.cells[c]
+			for lo := 0; lo < len(cl.keys); {
+				row := sh.mat.scanCell(cl.keys[lo:], cl.rows[lo:], dim, probe, span, t, cp)
+				if row < 0 {
+					break
+				}
+				out[sh.rows[row].id] = true
+				lo = int(sh.rows[row].pos) + 1
+			}
 		}
 		sh.mu.RUnlock()
 	}
@@ -225,6 +231,46 @@ func TestPackedScanEquivalence(t *testing.T) {
 			}
 			check("after-delete", sweepProbes(rng, kept, span, th))
 		})
+	}
+}
+
+// TestCellScanSkipsCells pins the share of rows a ghost probe visits on the
+// paper line at dim 64: B = 4 names a cell by 4 lanes, a probe admits 3^4 of
+// the 4^4 cells, and uniform rows put (3/4)^4 = 31.6 % of them there.
+func TestCellScanSkipsCells(t *testing.T) {
+	line := numberline.MustNew(numberline.PaperParams())
+	tab, err := newResTableTuned(line, 4, Tuning{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	const n = 20000
+	for i := 0; i < n; i++ {
+		row := randRow(rng, 64, line.IntervalSpan())
+		if err := tab.insert(rawRecord(fmt.Sprint(i), row), row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tab.coarse.cells(); got != 256 {
+		t.Fatalf("cells per shard = %d, want 256", got)
+	}
+	for g := 0; g < 10; g++ {
+		cp := tab.coarse.probe(randRow(rng, 64, line.IntervalSpan()))
+		cells, visited := 0, 0
+		for si := range tab.shards {
+			sh := &tab.shards[si]
+			for c := range sh.cells {
+				if cp.admitCell(c) {
+					cells++
+					visited += len(sh.cells[c].keys)
+				}
+			}
+		}
+		share := float64(visited) / n
+		t.Logf("ghost %d: %d cells admitted, %.1f %% of rows visited", g, cells, 100*share)
+		if cells != 4*81 || share > 0.35 {
+			t.Fatalf("ghost %d admits %d cells (want %d) holding %.1f %% of rows (want <= 35 %%)", g, cells, 4*81, 100*share)
+		}
 	}
 }
 

@@ -22,15 +22,18 @@
 // Residues live in a flat row-major matrix per shard, packed to the
 // narrowest integer width that holds the interval span ka (see packed.go),
 // so the early-exit scan streams a quarter of the bytes the naive int64
-// layout would; a per-row coarse summary of the bucketed leading residues is
-// checked before each row, all of its fields in one lane-wise word
+// layout would. Each row has a coarse summary key of its bucketed leading
+// residues, checked before the row, all of its fields in one lane-wise word
 // expression, so an open-set (no-match) probe rejects almost every row after
-// reading 8 bytes. The packed row is the only copy of a record's movements
-// (table.go): a lookup materialises the matched record into a caller-owned
-// scratch *Record under the shard read lock, and with the probe residue
-// buffers pooled a steady-state IdentifyInto or GetInto performs zero heap
-// allocations. Large scans fan out across the shards with first-match
-// cancellation, and IdentifyBatch amortises residue computation and lock
+// reading 8 bytes. A shard groups its rows into cells by the leading lanes
+// of their keys, and a probe walks only the cells it can admit — at the
+// paper's parameters 81 of 256, holding about a third of the rows. The
+// packed row is the only copy of a record's movements (table.go): a lookup
+// materialises the matched record into a caller-owned scratch *Record under
+// the shard read lock, and with the probe residue buffers pooled a
+// steady-state IdentifyInto or GetInto performs zero heap allocations. One
+// loop, on the caller's goroutine, scans a shard for IdentifyInto and
+// IdentifyBatch alike; IdentifyBatch amortises residue computation and lock
 // acquisition across a whole batch of probes.
 //
 // Durability. Every tenant is a Journaled (journal.go) over its own *Scan:
@@ -45,9 +48,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"fuzzyid/internal/core"
 	"fuzzyid/internal/numberline"
@@ -88,11 +88,6 @@ func validateProbe(probe *sketch.Sketch, dim int) error {
 
 // scanBlock is the number of rows scanned between cancellation checks.
 const scanBlock = 256
-
-// scanParallelRows is the table size from which a single Identify fans out
-// across the shards instead of walking them sequentially; below it the
-// goroutine handoff costs more than the scan.
-const scanParallelRows = 1 << 14
 
 // Scan is the early-exit linear-scan store, sharded for concurrent use.
 type Scan struct {
@@ -224,9 +219,6 @@ func (s *Scan) IdentifyInto(ctx context.Context, probe *sketch.Sketch, dst *Reco
 	*bufp = res
 	span, t := s.line.IntervalSpan(), s.line.Threshold()
 	cp := s.tab.coarse.probe(res) // published before the non-zero dim read above
-	if s.tab.size() >= scanParallelRows && s.tab.numShards() > 1 && runtime.GOMAXPROCS(0) > 1 {
-		return s.identifyParallel(ctx, res, span, t, cp, dst)
-	}
 	for si := range s.tab.shards {
 		sh := &s.tab.shards[si]
 		sh.mu.RLock()
@@ -245,92 +237,33 @@ func (s *Scan) IdentifyInto(ctx context.Context, probe *sketch.Sketch, dst *Reco
 	return ErrNotFound
 }
 
-// scanShardSeq walks one shard's packed matrix with per-block early exit,
-// checking for cancellation between blocks, and returns the first matching
-// row or -1. The caller holds the shard read lock.
+// scanShardSeq walks the shard's cells that the probe admits, skipping the
+// rest whole, checks the probe against each admitted cell's rows, and
+// returns the first matching row or -1. It checks for cancellation before
+// every scanBlock rows. The caller holds the shard read lock.
 func scanShardSeq(ctx context.Context, sh *tableShard, probe []int64, span, t int64, cp coarseProbe) (int, error) {
 	dim := len(probe)
-	n := len(sh.rows)
-	for base := 0; base < n; base += scanBlock {
-		if err := ctx.Err(); err != nil {
-			return -1, err
+	due := 0 // rows left before the next cancellation check
+	for c := range sh.cells {
+		if !cp.admitCell(c) {
+			continue
 		}
-		end := base + scanBlock
-		if end > n {
-			end = n
-		}
-		if i := sh.mat.scanRange(base, end, dim, probe, span, t, sh.coarse, cp); i >= 0 {
-			return i, nil
+		cl := &sh.cells[c]
+		for lo := 0; lo < len(cl.keys); lo += scanBlock {
+			if due <= 0 {
+				if err := ctx.Err(); err != nil {
+					return -1, err
+				}
+				due = scanBlock
+			}
+			hi := min(lo+scanBlock, len(cl.keys))
+			due -= hi - lo
+			if i := sh.mat.scanCell(cl.keys[lo:hi], cl.rows[lo:hi], dim, probe, span, t, cp); i >= 0 {
+				return i, nil
+			}
 		}
 	}
 	return -1, nil
-}
-
-// scanJob carries one fanned-out Identify across the shard workers. Jobs are
-// pooled so the parallel path stays allocation-free in steady state.
-type scanJob struct {
-	tab     *resTable
-	probe   []int64
-	span, t int64
-	cp      coarseProbe
-	ctx     context.Context
-	dst     *Record
-	stop    atomic.Bool
-	found   atomic.Bool
-	wg      sync.WaitGroup
-}
-
-var scanJobPool = sync.Pool{New: func() any { return new(scanJob) }}
-
-// identifyParallel fans the scan out with one worker per shard — a pool
-// bounded by the shard count — and cancels the stragglers on first match.
-// The first worker to match loads its row into dst under its shard lock.
-func (s *Scan) identifyParallel(ctx context.Context, probe []int64, span, t int64, cp coarseProbe, dst *Record) error {
-	job := scanJobPool.Get().(*scanJob)
-	job.tab, job.probe, job.span, job.t, job.ctx, job.dst = s.tab, probe, span, t, ctx, dst
-	job.cp = cp
-	job.stop.Store(false)
-	job.found.Store(false)
-	for si := range s.tab.shards {
-		job.wg.Add(1)
-		go job.scanShard(si)
-	}
-	job.wg.Wait()
-	found := job.found.Load()
-	job.tab, job.probe, job.ctx, job.dst = nil, nil, nil, nil
-	scanJobPool.Put(job)
-	if found {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return ErrNotFound
-}
-
-func (j *scanJob) scanShard(si int) {
-	defer j.wg.Done()
-	sh := &j.tab.shards[si]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	dim := len(j.probe)
-	n := len(sh.rows)
-	for base := 0; base < n; base += scanBlock {
-		if j.stop.Load() || j.ctx.Err() != nil {
-			return
-		}
-		end := base + scanBlock
-		if end > n {
-			end = n
-		}
-		if i := sh.mat.scanRange(base, end, dim, j.probe, j.span, j.t, sh.coarse, j.cp); i >= 0 {
-			if j.found.CompareAndSwap(false, true) {
-				j.tab.load(sh, i, j.dst)
-			}
-			j.stop.Store(true)
-			return
-		}
-	}
 }
 
 // IdentifyBatch resolves many probes in one call. The result is aligned

@@ -467,7 +467,7 @@ func TestByStrategy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ByStrategyShards(%q): %v", name, err)
 		}
-		if s.tab.numShards() < 2 {
+		if len(s.tab.shards) < 2 {
 			t.Fatalf("ByStrategyShards(%q) = %T, want a sharded *Scan", name, s)
 		}
 		for _, u := range users {

@@ -21,10 +21,13 @@ import (
 //
 // Within a shard the precomputed mod-ka residues live in one flat row-major
 // matrix packed to the narrowest width that holds the span (see packed.go),
-// with a parallel per-row coarse summary word and a parallel slice of row
-// metadata, so the early-exit scan of conditions (1)-(4) walks contiguous
-// memory instead of chasing a pointer per record. Deletion swap-removes the
-// row and re-points the moved record's ID at its new position.
+// with a parallel slice of row metadata. Each row's coarse summary word
+// lives in the row's cell: rows are grouped by the buckets of their leading
+// coarse lanes, and a cell lists its members' keys and rows side by side,
+// so the early-exit scan of conditions (1)-(4) skips every cell whose
+// buckets miss the probe's and streams the keys of the rest. Deletion
+// swap-removes the row from the matrix and its entry from its cell, and
+// re-points both moved entries at their new positions.
 //
 // The packed row is the only copy of a record's movements. The store keeps
 // no caller *Record: a movement s_i is recovered from its residue r by the
@@ -68,22 +71,32 @@ type Tuning struct {
 
 // tableShard is one shard of the residue table.
 type tableShard struct {
-	mu     sync.RWMutex
-	mat    resMatrix      // packed flat row-major residue matrix; nil until first insert
-	coarse []uint64       // per-row coarse summary keys, parallel to rows
-	rows   []rowMeta      // everything but the residues, parallel to mat
-	byID   map[string]int // row of each record; byID[rows[i].id] == i
+	mu    sync.RWMutex
+	mat   resMatrix      // packed flat row-major residue matrix; nil until first insert
+	cells []cell         // rows grouped by the cell lanes of their coarse key; nil until first insert
+	rows  []rowMeta      // everything but the residues, parallel to mat
+	byID  map[string]int // row of each record; byID[rows[i].id] == i
+}
+
+// cell lists the shard rows whose coarse keys share their cell lanes, with
+// each member's key beside its row: rows[i] is the row whose key is
+// keys[i], and that row's meta points back at (its cell, i).
+type cell struct {
+	keys []uint64
+	rows []int32
 }
 
 // rowMeta is what a row keeps beside its packed residues: the record minus
-// its movements, plus the exceptions to the canonical lift.
+// its movements, plus the exceptions to the canonical lift, and the place
+// of the row's entry in its cell.
 type rowMeta struct {
-	id     string
-	pk     []byte // pk and seed share one store-owned allocation
-	seed   []byte
-	digest [sketch.DigestSize]byte
-	exc    []exception
-	seq    uint64 // insertion sequence number, for stable All()
+	id        string
+	pk        []byte // pk and seed share one store-owned allocation
+	seed      []byte
+	digest    [sketch.DigestSize]byte
+	exc       []exception
+	seq       uint64 // insertion sequence number, for stable All()
+	cell, pos int32  // sh.cells[cell].rows[pos] is this row
 }
 
 // exception is one coordinate whose enrolled movement the canonical lift of
@@ -143,8 +156,6 @@ func (t *resTable) shardFor(id string) int {
 	}
 	return int(h % uint64(len(t.shards)))
 }
-
-func (t *resTable) numShards() int { return len(t.shards) }
 
 func (t *resTable) size() int { return int(t.count.Load()) }
 
@@ -243,14 +254,37 @@ func (t *resTable) insert(rec *Record, res []int64) error {
 	}
 	if sh.mat == nil {
 		sh.mat = newMatrix(t.width)
+		sh.cells = make([]cell, t.coarse.cells())
 	}
 	sh.byID[rec.ID] = len(sh.rows)
 	sh.mat.appendRow(res)
-	sh.coarse = append(sh.coarse, key)
 	meta.seq = t.seq.Add(1)
 	sh.rows = append(sh.rows, meta)
+	sh.link(len(sh.rows)-1, key, t.coarse.cellMask)
 	t.count.Add(1)
 	return nil
+}
+
+// link appends row, whose coarse key is key, to the cell the key names.
+func (sh *tableShard) link(row int, key, cellMask uint64) {
+	c := int32(key & cellMask)
+	cl := &sh.cells[c]
+	sh.rows[row].cell, sh.rows[row].pos = c, int32(len(cl.keys))
+	cl.keys = append(cl.keys, key)
+	cl.rows = append(cl.rows, int32(row))
+}
+
+// unlink swap-removes row's entry from its cell, re-pointing the entry
+// moved into its place.
+func (sh *tableShard) unlink(row int) {
+	r := sh.rows[row]
+	cl := &sh.cells[r.cell]
+	last := len(cl.keys) - 1
+	if int(r.pos) != last {
+		cl.keys[r.pos], cl.rows[r.pos] = cl.keys[last], cl.rows[last]
+		sh.rows[cl.rows[r.pos]].pos = r.pos
+	}
+	cl.keys, cl.rows = cl.keys[:last], cl.rows[:last]
 }
 
 // getInto reports whether id is enrolled and, when dst is non-nil, loads its
@@ -267,9 +301,10 @@ func (t *resTable) getInto(id string, dst *Record) bool {
 }
 
 // replace overwrites id's row in place under the owning shard's write lock,
-// keeping the row's position and insertion sequence. Readers therefore
-// always observe a consistent (residues, metadata) pair — entirely the old
-// template or entirely the new one, never a mix. The ID is checked before
+// keeping the row's position and insertion sequence, and moves its cell
+// entry to the cell its new key names. Readers therefore always observe a
+// consistent (residues, key, metadata) triple — entirely the old template
+// or entirely the new one, never a mix. The ID is checked before
 // the dimension: an enrolled ID implies an adopted dimension, and a replace
 // of an unknown ID must leave an empty store's dimension unset.
 func (t *resTable) replace(rec *Record, res []int64) error {
@@ -286,8 +321,9 @@ func (t *resTable) replace(rec *Record, res []int64) error {
 	}
 	meta.seq = sh.rows[row].seq
 	sh.mat.setRow(row, res)
-	sh.coarse[row] = t.coarse.keyOf(res)
+	sh.unlink(row)
 	sh.rows[row] = meta
+	sh.link(row, t.coarse.keyOf(res), t.coarse.cellMask)
 	return nil
 }
 
@@ -301,15 +337,15 @@ func (t *resTable) delete(id string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownID, id)
 	}
 	dim := int(t.dim.Load())
+	sh.unlink(row)
 	last := len(sh.rows) - 1
 	if row != last {
 		sh.mat.moveRow(row, last, dim)
-		sh.coarse[row] = sh.coarse[last]
 		sh.rows[row] = sh.rows[last]
 		sh.byID[sh.rows[row].id] = row
+		sh.cells[sh.rows[row].cell].rows[sh.rows[row].pos] = int32(row)
 	}
 	sh.mat.truncate(last, dim)
-	sh.coarse = sh.coarse[:last]
 	sh.rows[last] = rowMeta{}
 	sh.rows = sh.rows[:last]
 	delete(sh.byID, id)

@@ -251,25 +251,30 @@ func ReadFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
 const frameChunk = 64 << 10
 
 // readFrameInto reads one length-prefixed frame into buf, reusing its
-// capacity, and returns the payload. A body that fits buf, or frameChunk,
-// is one read into one buffer. A larger one is read into a buffer that
-// starts at frameChunk and doubles, up to the declared length, only as body
+// capacity, and returns the payload. The header is read into buf too, so a
+// warm buffer reads a frame without allocating; an empty one is replaced by
+// a frameChunk buffer first, so a cold read of a body up to frameChunk is
+// one allocation. A body that fits buf, or frameChunk, is one read into one
+// buffer. A larger one is read into a buffer that starts at the larger of
+// buf and frameChunk and doubles, up to the declared length, only as body
 // bytes arrive: a header alone, from a peer nothing has authenticated yet,
-// pins at most frameChunk however large a frame it declares, and a trickled
-// body at most twice what was sent.
+// pins at most frameChunk beyond buf however large a frame it declares, and
+// a trickled body at most twice what was sent.
 func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 0, frameChunk)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("wire: read frame header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n > MaxFrameLen {
 		return nil, fmt.Errorf("%w: frame %d bytes", ErrTooLarge, n)
 	}
-	if uint32(cap(buf)) < n {
+	if uint32(cap(buf)) < min(n, frameChunk) {
 		buf = make([]byte, 0, min(n, frameChunk))
 	}
 	buf = buf[:0]
