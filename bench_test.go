@@ -508,64 +508,6 @@ func BenchmarkIdentifyNoMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreIdentifyBatch measures the amortised per-probe cost of the
-// batch lookup path against resolving the same probes one by one.
-func BenchmarkStoreIdentifyBatch(b *testing.B) {
-	const (
-		dim       = 64
-		n         = 5000
-		batchSize = 16
-	)
-	records, _, _, line := storePopulation(b, dim, n)
-	fe, err := core.New(core.Params{Line: numberline.PaperParams(), Dimension: dim})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, err := biometric.NewSource(fe.Line(), biometric.Paper(dim), 4711)
-	if err != nil {
-		b.Fatal(err)
-	}
-	users := src.Population(n)
-	probes := make([]*sketch.Sketch, batchSize)
-	for i := range probes {
-		reading, err := src.GenuineReading(users[(i*311)%n])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if probes[i], err = fe.SketchOnly(reading); err != nil {
-			b.Fatal(err)
-		}
-	}
-	db := store.NewScan(line)
-	for _, rec := range records {
-		if err := db.Insert(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			recs, err := db.IdentifyBatch(probes)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if recs[0] == nil {
-				b.Fatal("probe 0 not identified")
-			}
-		}
-	})
-	b.Run("single", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, p := range probes {
-				if _, err := db.Identify(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
 // --- substrate micro-benchmarks -------------------------------------------
 
 func BenchmarkSketchSS(b *testing.B) {

@@ -127,22 +127,15 @@ func TestClusterEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Batched identification merges verdicts across partitions.
-	readings := make([]Vector, 10)
-	for i := range readings {
-		r, err := src.GenuineReading(pop[i])
+	// Identification scatter-gathers across partitions: every reading
+	// finds its user whichever partition owns it.
+	for i, u := range pop[:10] {
+		r, err := src.GenuineReading(u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		readings[i] = r
-	}
-	ids, err := client.IdentifyBatch(readings)
-	if err != nil {
-		t.Fatalf("identify batch: %v", err)
-	}
-	for i, id := range ids {
-		if id != pop[i].ID {
-			t.Fatalf("batch position %d identified as %q, want %q", i, id, pop[i].ID)
+		if id, err := client.Identify(r); err != nil || id != u.ID {
+			t.Fatalf("reading %d identified as (%q, %v), want %q", i, id, err, u.ID)
 		}
 	}
 

@@ -6,7 +6,6 @@
 //	fuzzyid-client -addr HOST:PORT reading -vec alice.vec -out probe.vec
 //	fuzzyid-client -addr HOST:PORT verify  -id alice -vec probe.vec
 //	fuzzyid-client -addr HOST:PORT identify -vec probe.vec [-normal]
-//	fuzzyid-client -addr HOST:PORT identify-batch probe1.vec probe2.vec ...
 //	fuzzyid-client -addr HOST:PORT revoke  -id alice -vec probe.vec
 //	fuzzyid-client -addr HOST:PORT re-enroll -id alice -old probe.vec -vec alice2.vec
 //	fuzzyid-client -addr HOST:PORT stats
@@ -21,7 +20,7 @@
 //	fuzzyid-client -addr HOST:PORT cluster move  -target HOST:PORT -slots 7,9
 //
 // Protocol subcommands accept -tenant NAME to address a tenant namespace
-// other than the default (enroll/verify/identify/identify-batch/revoke);
+// other than the default (enroll/verify/identify/revoke);
 // the tenant subcommand manages the namespaces themselves. Against a
 // keyspace-sharded cluster (DESIGN.md §14), add -cluster to the protocol
 // subcommands to route sessions to the owning partition and scatter-gather
@@ -65,7 +64,7 @@ func run(args []string) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return errors.New("missing subcommand: newuser, reading, enroll, verify, identify, identify-batch, revoke, re-enroll, stats, repl-status, tenant or cluster")
+		return errors.New("missing subcommand: newuser, reading, enroll, verify, identify, revoke, re-enroll, stats, repl-status, tenant or cluster")
 	}
 	cmd, cmdArgs := rest[0], rest[1:]
 	switch cmd {
@@ -77,8 +76,6 @@ func run(args []string) error {
 		return cmdProtocol(cmd, cmdArgs, *addr, *scheme, *ext)
 	case "re-enroll":
 		return cmdReEnroll(cmdArgs, *addr, *scheme, *ext)
-	case "identify-batch":
-		return cmdIdentifyBatch(cmdArgs, *addr, *scheme, *ext)
 	case "stats":
 		return cmdStats(*addr, *scheme, *ext)
 	case "repl-status":
@@ -334,63 +331,6 @@ func cmdReplStatus(addr, scheme, ext string) error {
 	}
 	fmt.Printf("epoch: %x\napplied: %d\nlatest: %d\nlag: %d\nconnected: %v\n",
 		st.Epoch, st.Applied, st.Latest, st.Lag, st.Connected)
-	return nil
-}
-
-// cmdIdentifyBatch resolves several probe files in one batched session.
-func cmdIdentifyBatch(args []string, addr, scheme, ext string) error {
-	fs := flag.NewFlagSet("identify-batch", flag.ContinueOnError)
-	tenant := fs.String("tenant", "", "tenant namespace (empty = default)")
-	sharded := fs.Bool("cluster", false, "route across a sharded cluster (-addr is any member)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	args = fs.Args()
-	if len(args) == 0 {
-		return errors.New("identify-batch: at least one vector file is required")
-	}
-	readings := make([]fuzzyid.Vector, len(args))
-	for i, path := range args {
-		bio, err := vecfile.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		readings[i] = bio
-	}
-	sys, err := fuzzyid.NewSystem(
-		fuzzyid.Params{Line: fuzzyid.PaperLine()}, // dimension taken from the vectors
-		fuzzyid.WithSignatureScheme(scheme),
-		fuzzyid.WithExtractor(ext),
-	)
-	if err != nil {
-		return err
-	}
-	opts := []fuzzyid.ClientOption{fuzzyid.WithTenant(*tenant)}
-	if *sharded {
-		opts = append(opts, fuzzyid.WithCluster())
-	}
-	client, err := sys.Dial(addr, opts...)
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-	start := time.Now()
-	ids, err := client.IdentifyBatch(readings)
-	if err != nil {
-		if fuzzyid.IsRejected(err) {
-			return fmt.Errorf("identification REJECTED: %w", err)
-		}
-		return err
-	}
-	elapsed := time.Since(start).Round(time.Microsecond)
-	for i, id := range ids {
-		if id == "" {
-			fmt.Printf("%s: NOT IDENTIFIED\n", args[i])
-		} else {
-			fmt.Printf("%s: identified as %q\n", args[i], id)
-		}
-	}
-	fmt.Printf("%d probes in %v (one session)\n", len(readings), elapsed)
 	return nil
 }
 

@@ -370,10 +370,10 @@ func WithGroupWindow(d time.Duration) Option {
 }
 
 // WithTelemetry turns on operational telemetry: the protocol engine counts
-// and times every operation (enroll, verify, identify, identify-batch,
-// revoke), the persistence layer counts WAL appends, fsyncs and snapshot
-// durations, and a Server started with Listen additionally tracks
-// connections and bytes moved. Observations are lock-free atomic updates
+// and times every operation (enroll, verify, identify, revoke), the
+// persistence layer counts WAL appends, fsyncs and snapshot durations, and
+// a Server started with Listen additionally tracks connections and bytes
+// moved. Observations are lock-free atomic updates
 // with zero allocations, cheap enough to leave on in production. Read the
 // numbers via (*System).Stats / StatsJSON, the stats session of a connected
 // Client, or the fuzzyid-server -stats-addr HTTP endpoint.

@@ -9,6 +9,7 @@ import (
 	"fuzzyid/internal/numberline"
 	"fuzzyid/internal/protocol"
 	"fuzzyid/internal/sigscheme"
+	"fuzzyid/internal/stats"
 	"fuzzyid/internal/store"
 	"fuzzyid/internal/transport"
 )
@@ -70,4 +71,18 @@ func timeIt(runs int, fn func() error) (float64, error) {
 	}
 	total := time.Since(start)
 	return float64(total) / float64(runs) / float64(time.Millisecond), nil
+}
+
+// medianMs runs fn `runs` times and returns the median single duration in
+// milliseconds, so one scheduler stall cannot set the result.
+func medianMs(runs int, fn func() error) (float64, error) {
+	var tm stats.Timing
+	for i := 0; i < max(runs, 1); i++ {
+		start := time.Now()
+		if err := fn(); err != nil {
+			return 0, err
+		}
+		tm.Add(time.Since(start))
+	}
+	return tm.Percentile(50)
 }

@@ -151,10 +151,10 @@ func TestFig4Quick(t *testing.T) {
 
 	// The claim Fig. 4 plots: at the largest quick N the normal approach,
 	// which tries one Rep per enrolled user, is slower than the proposed
-	// protocol, which runs one. Both are sub-millisecond, and the table's
-	// mean of two runs swings with whatever else the machine runs, so the
-	// claim compares the fastest of 15 interleaved identifications on each
-	// side over one population.
+	// protocol, which runs one. Both are sub-millisecond, and each table
+	// cell, a median over its own population, still moves with whatever
+	// else the machine runs, so the claim compares the fastest of 15
+	// interleaved identifications on each side over one population.
 	e, err := newEnv(128, 7)
 	if err != nil {
 		t.Fatal(err)

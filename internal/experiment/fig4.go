@@ -26,7 +26,7 @@ func Fig4(cfg Config) (*Table, error) {
 	if cfg.Quick {
 		sizes = []int{25, 50, 100}
 		dim = 128
-		runs = 2
+		runs = 15
 	}
 	tbl := &Table{
 		ID:    "fig4",
@@ -74,7 +74,7 @@ func Fig4(cfg Config) (*Table, error) {
 }
 
 // measureIdentify builds a fresh environment with N enrolled users and
-// measures the mean identification latency for genuine probes. One untimed
+// measures the median identification latency for genuine probes. One untimed
 // identification runs first, so the process's one-time warm-up does not
 // land in whichever cell happens to be measured first.
 func measureIdentify(cfg Config, dim, n, runs int, normal bool) (float64, error) {
@@ -91,7 +91,7 @@ func measureIdentify(cfg Config, dim, n, runs int, normal bool) (float64, error)
 	if err := identify(); err != nil {
 		return 0, err
 	}
-	return timeIt(runs, identify)
+	return medianMs(runs, identify)
 }
 
 // identifier returns one genuine identification of the next of users, by

@@ -107,7 +107,6 @@ func (l *Log) Begin(m store.Mutation) (store.Commit, error) {
 		return nil, err
 	}
 	l.size += int64(len(l.scratch))
-	l.appends++
 	l.appendSeq++
 	seq := l.appendSeq
 	l.m.appends.Inc()

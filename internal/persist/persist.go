@@ -142,7 +142,6 @@ type Log struct {
 	w        *bufio.Writer // buffers appendFrame output into f
 	size     int64         // bytes written (kernel-flushed) in the active segment
 	seq      uint64        // active segment sequence number
-	appends  uint64        // appends since the segment was opened
 	scratch  []byte        // reusable frame buffer
 	lay      layout        // recovery plan captured at Open
 
@@ -246,15 +245,6 @@ func Open(dir string, opts ...Option) (*Log, error) {
 	return l, nil
 }
 
-// AppendsSinceRotate returns the number of mutations appended to the active
-// segment — zero right after a snapshot, so callers can skip redundant
-// compactions.
-func (l *Log) AppendsSinceRotate() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appends
-}
-
 // Replay streams the recovered mutation sequence — newest snapshot (as
 // inserts), then the WAL tail — into apply, then arms the log for appends.
 // It is a store.ReplayFunc: pass it to store.Open or store.Replay. A nil
@@ -312,15 +302,9 @@ func (l *Log) Replay(apply func(store.Mutation) error) error {
 		l.tailDirty[store.SnapshotBucket(m.ID)] = struct{}{}
 		return apply(m)
 	}
-	tailFrames := 0
 	for i, seq := range l.lay.walSeqs {
-		last := i == len(l.lay.walSeqs)-1
-		frames, err := l.replayWAL(seq, last, walApply)
-		if err != nil {
+		if err := l.replayWAL(seq, i == len(l.lay.walSeqs)-1, walApply); err != nil {
 			return err
-		}
-		if last {
-			tailFrames = frames
 		}
 	}
 	// Only now that the newest snapshot and the WAL chain replayed cleanly
@@ -347,33 +331,27 @@ func (l *Log) Replay(apply func(store.Mutation) error) error {
 	if err := l.openSegment(seq, create); err != nil {
 		return err
 	}
-	// Frames recovered from the reopened active segment have not been
-	// snapshot yet: count them so Snapshot/Close compact an inherited tail
-	// instead of treating the fresh boot as having nothing to do.
-	if !create {
-		l.appends = uint64(tailFrames)
-	}
 	l.man, l.hasMan = l.lay.man, l.lay.hasMan
 	l.replayed = true
 	return nil
 }
 
-// replayWAL streams one WAL segment into apply and reports how many frames
-// it applied. For the last (newest) segment a torn or corrupt frame that is
-// the file's final frame — the signature of a crash mid-write — ends the
-// replay and the file is truncated to its last intact frame. A defect
+// replayWAL streams one WAL segment into apply. For the last (newest)
+// segment a torn or corrupt frame that is the file's final frame — the
+// signature of a crash mid-write — ends the replay and the file is
+// truncated to its last intact frame. A defect
 // anywhere else (older segments, or a bad frame with further data after it)
 // is fatal: intact acknowledged frames must never be silently discarded.
-func (l *Log) replayWAL(seq uint64, last bool, apply func(store.Mutation) error) (int, error) {
+func (l *Log) replayWAL(seq uint64, last bool, apply func(store.Mutation) error) error {
 	path := filepath.Join(l.dir, walName(seq))
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
-		return 0, fmt.Errorf("persist: open segment: %w", err)
+		return fmt.Errorf("persist: open segment: %w", err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return 0, fmt.Errorf("persist: stat segment: %w", err)
+		return fmt.Errorf("persist: stat segment: %w", err)
 	}
 	size := fi.Size()
 	r := newReader(f)
@@ -384,15 +362,15 @@ func (l *Log) replayWAL(seq uint64, last bool, apply func(store.Mutation) error)
 			// the header itself: rewrite it. A bad header with frames
 			// after it is disk corruption, not a crash artefact
 			// (openSegment fsyncs the header before any append).
-			return 0, rewriteHeader(f)
+			return rewriteHeader(f)
 		}
-		return 0, fmt.Errorf("%w: segment %s: bad header", ErrCorrupt, walName(seq))
+		return fmt.Errorf("%w: segment %s: bad header", ErrCorrupt, walName(seq))
 	}
 	good := int64(headerLen)
 	for i := 0; ; i++ {
 		payload, claimed, err := readFrame(r)
 		if errors.Is(err, io.EOF) {
-			return i, nil
+			return nil
 		}
 		if err != nil {
 			// Tail test: a torn frame ends at EOF by construction; a
@@ -403,21 +381,21 @@ func (l *Log) replayWAL(seq uint64, last bool, apply func(store.Mutation) error)
 			if last && atTail {
 				// Drop the unacknowledged suffix.
 				if terr := f.Truncate(good); terr != nil {
-					return i, fmt.Errorf("persist: truncate torn tail: %w", terr)
+					return fmt.Errorf("persist: truncate torn tail: %w", terr)
 				}
 				if serr := f.Sync(); serr != nil {
-					return i, fmt.Errorf("persist: sync truncated segment: %w", serr)
+					return fmt.Errorf("persist: sync truncated segment: %w", serr)
 				}
-				return i, nil
+				return nil
 			}
-			return i, fmt.Errorf("%w: segment %s frame %d: %v", ErrCorrupt, walName(seq), i, err)
+			return fmt.Errorf("%w: segment %s frame %d: %v", ErrCorrupt, walName(seq), i, err)
 		}
 		m, err := decodeMutation(payload)
 		if err != nil {
-			return i, fmt.Errorf("%w: segment %s frame %d: %v", ErrCorrupt, walName(seq), i, err)
+			return fmt.Errorf("%w: segment %s frame %d: %v", ErrCorrupt, walName(seq), i, err)
 		}
 		if err := apply(m); err != nil {
-			return i, err
+			return err
 		}
 		good += frameOverhead + int64(len(payload))
 	}
@@ -481,7 +459,7 @@ func (l *Log) openSegment(seq uint64, create bool) error {
 		}
 		size = fi.Size()
 	}
-	l.f, l.w, l.seq, l.appends, l.size = f, w, seq, 0, size
+	l.f, l.w, l.seq, l.size = f, w, seq, size
 	// Whatever the segment already holds predates this session's appends and
 	// was acknowledged before: it is the durable baseline.
 	l.syncedSize = size

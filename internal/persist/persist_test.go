@@ -193,14 +193,8 @@ func TestSnapshotCompaction(t *testing.T) {
 	if err := db.Delete("u2"); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.AppendsSinceRotate(); got != n+1 {
-		t.Fatalf("appends since rotate = %d, want %d", got, n+1)
-	}
 	if err := db.Snapshot(l); err != nil {
 		t.Fatalf("snapshot: %v", err)
-	}
-	if got := l.AppendsSinceRotate(); got != 0 {
-		t.Fatalf("appends since rotate after snapshot = %d, want 0", got)
 	}
 	// Compaction keeps the directory at one snapshot plus the new segment.
 	wals, snaps := listDir(t, dir)
@@ -617,9 +611,6 @@ func TestReopenSeedsAppendsFromTail(t *testing.T) {
 	l.Close()
 
 	l2, s2 := openStore(t, f, dir)
-	if got := l2.AppendsSinceRotate(); got != 4 {
-		t.Fatalf("appends after recovery = %d, want 4 (the inherited tail)", got)
-	}
 	db2 := store.NewJournaled(s2, l2)
 	if err := db2.Snapshot(l2); err != nil {
 		t.Fatal(err)

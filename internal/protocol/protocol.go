@@ -247,50 +247,6 @@ func (d *Device) Identify(rw io.ReadWriter, bio numberline.Vector) (string, erro
 	return d.finishChallenge(rw, sp, &wire.IdentifyRequest{Probe: &sketch.Sketch{Movements: probe}, Tenant: d.tenant}, bio)
 }
 
-// IdentifyBatch runs the proposed BioIden for several readings in one
-// session: the probes are shipped together, the server resolves them with
-// one batched database pass, and the challenge-responses are exchanged in
-// two round trips instead of 2*len(bios). The result is aligned with bios;
-// "" marks readings that were not identified.
-func (d *Device) IdentifyBatch(rw io.ReadWriter, bios []numberline.Vector) ([]string, error) {
-	probes := make([]*sketch.Sketch, len(bios))
-	for i, bio := range bios {
-		p, err := d.fe.SketchOnly(bio)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: identify batch sketch %d: %w", i, err)
-		}
-		probes[i] = p
-	}
-	ch, err := await[*wire.IdentifyBatchChallenge](rw, &wire.IdentifyBatchRequest{Probes: probes, Tenant: d.tenant}, "batch challenge")
-	if err != nil {
-		return nil, err
-	}
-	resp := &wire.IdentifyBatchSignature{}
-	for i := range ch.Entries {
-		entry := &ch.Entries[i]
-		// Compare in uint64: int(entry.Probe) can go negative on 32-bit
-		// platforms and would dodge the bounds check.
-		if uint64(entry.Probe) >= uint64(len(bios)) {
-			return nil, fmt.Errorf("%w: challenge for probe %d of %d", ErrProtocol, entry.Probe, len(bios))
-		}
-		sig, nonce, repErr, err := d.respond(bios[entry.Probe], entry.Helper, entry.Challenge)
-		if err != nil {
-			return nil, err
-		}
-		if repErr == nil { // otherwise the server reports the probe unidentified
-			resp.Entries = append(resp.Entries, wire.IndexedSignature{Probe: entry.Probe, Signature: sig, Nonce: nonce})
-		}
-	}
-	res, err := await[*wire.IdentifyBatchResult](rw, resp, "batch verdict")
-	if err != nil {
-		return nil, err
-	}
-	if len(res.IDs) != len(bios) {
-		return nil, fmt.Errorf("%w: %d verdicts for %d probes", ErrProtocol, len(res.IDs), len(bios))
-	}
-	return res.IDs, nil
-}
-
 // IdentifyNormal runs the O(N) normal approach (Fig. 2): receive every
 // (P_i, c_i), attempt Rep against each, sign the challenge of the first
 // entry that reproduces a key.
@@ -647,11 +603,11 @@ func (o *opStats) bind(reg *telemetry.Registry, op string) {
 // request/error counter families. The zero value (all nil instruments) is
 // the uninstrumented state and costs one branch per update.
 type serverMetrics struct {
-	reg                                                                     *telemetry.Registry
-	enroll, verify, identify, identifyNormal, identifyBatch, revoke, statsQ opStats
-	reenroll, replSub, replStatus, tenantAdmin                              opStats
-	clusterMap, partAdmin, partIngest                                       opStats
-	tenantReqs, tenantErrs                                                  *telemetry.LabelledCounters
+	reg                                                      *telemetry.Registry
+	enroll, verify, identify, identifyNormal, revoke, statsQ opStats
+	reenroll, replSub, replStatus, tenantAdmin               opStats
+	clusterMap, partAdmin, partIngest                        opStats
+	tenantReqs, tenantErrs                                   *telemetry.LabelledCounters
 }
 
 // Instrument binds the server's per-operation metrics to reg and makes reg
@@ -663,7 +619,6 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 	s.m.verify.bind(reg, "verify")
 	s.m.identify.bind(reg, "identify")
 	s.m.identifyNormal.bind(reg, "identify_normal")
-	s.m.identifyBatch.bind(reg, "identify_batch")
 	s.m.revoke.bind(reg, "revoke")
 	s.m.reenroll.bind(reg, "reenroll")
 	s.m.statsQ.bind(reg, "stats")
@@ -696,6 +651,12 @@ func (s *Server) HandleSession(rw io.ReadWriter) error {
 	msg, err := wire.ReceiveInto(rw, sp)
 	if err != nil {
 		putMovements(sp)
+		// The frame was read whole, so the stream is still in sync: answer
+		// an unknown or retired tag as any other opener that cannot open
+		// a session.
+		if errors.Is(err, wire.ErrUnknownType) {
+			_ = wire.Send(rw, &wire.Reject{Reason: "unknown message type"})
+		}
 		return err
 	}
 	// Only an identify's probe dies with the session. An enroll or
@@ -721,8 +682,6 @@ func (s *Server) HandleSession(rw io.ReadWriter) error {
 		om, run = &s.m.revoke, s.keyedRun(rw, m.Tenant, m.ID, mutatingOp, 0, func(db *store.Journaled, _ string) error { return s.handleRevoke(rw, db, m) })
 	case *wire.ReEnrollRequest:
 		om, run = &s.m.reenroll, s.keyedRun(rw, m.Tenant, m.ID, mutatingOp, enrollPayloadBytes(m.PublicKey, m.Helper), func(db *store.Journaled, _ string) error { return s.handleReEnroll(rw, db, m) })
-	case *wire.IdentifyBatchRequest:
-		om, run = &s.m.identifyBatch, s.tenantRun(rw, m.Tenant, readOp, func(db *store.Journaled, name string) error { return s.handleIdentifyBatch(rw, db, name, m) })
 	case *wire.StatsRequest:
 		om, run = &s.m.statsQ, func() error { return s.handleStats(rw) }
 	case *wire.ReplSubscribe:
@@ -1092,64 +1051,6 @@ func expect[T wire.Message](rw io.ReadWriter, out wire.Message, reason string) (
 		return zero, fmt.Errorf("%w: %T (%s)", ErrProtocol, msg, reason)
 	}
 	return m, nil
-}
-
-// handleIdentifyBatch serves a batched identification run: one
-// Scan.IdentifyBatch pass resolves every probe, then a single challenge
-// round covers all matched probes and a single result message reports every
-// verdict.
-func (s *Server) handleIdentifyBatch(rw io.ReadWriter, db *store.Journaled, name string, m *wire.IdentifyBatchRequest) error {
-	if len(m.Probes) == 0 {
-		return wire.Send(rw, &wire.Reject{Reason: "empty probe batch"})
-	}
-	for _, p := range m.Probes {
-		if p == nil {
-			return wire.Send(rw, &wire.Reject{Reason: "missing probe sketch"})
-		}
-	}
-	// One scan slot covers the whole batched pass: the batch already
-	// amortises the scan, and slot-per-probe would let a single session
-	// drain the pool.
-	release, ok, err := s.scanGate(rw, name)
-	if !ok {
-		return err
-	}
-	recs, err := db.IdentifyBatch(m.Probes)
-	release()
-	if err != nil {
-		return wire.Send(rw, &wire.Reject{Reason: fmt.Sprintf("identify batch: %v", err)})
-	}
-	challenges := make([][]byte, len(recs))
-	ch := &wire.IdentifyBatchChallenge{}
-	for i, rec := range recs {
-		if rec == nil {
-			continue
-		}
-		c, err := newChallenge()
-		if err != nil {
-			return err
-		}
-		challenges[i] = c
-		ch.Entries = append(ch.Entries, wire.IndexedChallenge{Probe: uint32(i), Helper: rec.Helper, Challenge: c})
-	}
-	resp, err := expect[*wire.IdentifyBatchSignature](rw, ch, "expected batch signature")
-	if err != nil {
-		return err
-	}
-	result := &wire.IdentifyBatchResult{IDs: make([]string, len(recs))}
-	for i := range resp.Entries {
-		e := &resp.Entries[i]
-		// Compare in uint64: int(e.Probe) can go negative on 32-bit
-		// platforms and would dodge the bounds check. A nil challenge marks
-		// an unmatched probe, or one already answered.
-		if uint64(e.Probe) >= uint64(len(recs)) || challenges[e.Probe] == nil ||
-			!s.verified(recs[e.Probe].PublicKey, challenges[e.Probe], e.Nonce, e.Signature) {
-			continue
-		}
-		result.IDs[e.Probe] = recs[e.Probe].ID
-		challenges[e.Probe] = nil // a challenge may be answered once
-	}
-	return wire.Send(rw, result)
 }
 
 // handleIdentifyNormal implements the server side of Fig. 2: ship all

@@ -11,7 +11,6 @@ import (
 	"fuzzyid/internal/core"
 	"fuzzyid/internal/numberline"
 	"fuzzyid/internal/sigscheme"
-	"fuzzyid/internal/sketch"
 	"fuzzyid/internal/store"
 	"fuzzyid/internal/wire"
 )
@@ -174,118 +173,6 @@ func TestIdentifyProposed(t *testing.T) {
 	}
 }
 
-func TestIdentifyBatchProtocol(t *testing.T) {
-	e := newEnv(t, 64, 115)
-	users := e.src.Population(25)
-	for _, u := range users {
-		e.enroll(t, u)
-	}
-	// A mixed batch: genuine readings interleaved with impostors.
-	bios := make([]numberline.Vector, 0, 5)
-	want := make([]string, 0, 5)
-	for _, u := range []*biometric.User{users[3], users[17]} {
-		reading, err := e.src.GenuineReading(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bios = append(bios, reading)
-		want = append(want, u.ID)
-		bios = append(bios, e.src.ImpostorReading())
-		want = append(want, "")
-	}
-	reading, err := e.src.GenuineReading(users[24])
-	if err != nil {
-		t.Fatal(err)
-	}
-	bios = append(bios, reading)
-	want = append(want, users[24].ID)
-	var got []string
-	if err := e.session(t, func(rw io.ReadWriter) error {
-		ids, err := e.device.IdentifyBatch(rw, bios)
-		got = ids
-		return err
-	}); err != nil {
-		t.Fatalf("identify batch: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d verdicts, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("verdict %d = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
-func TestIdentifyBatchEmptyRejected(t *testing.T) {
-	e := newEnv(t, 64, 116)
-	for _, u := range e.src.Population(3) {
-		e.enroll(t, u)
-	}
-	err := e.session(t, func(rw io.ReadWriter) error {
-		_, err := e.device.IdentifyBatch(rw, nil)
-		return err
-	})
-	if !IsRejected(err) {
-		t.Fatalf("empty batch err = %v, want rejection", err)
-	}
-}
-
-func TestIdentifyBatchForgedResponseIgnored(t *testing.T) {
-	// A device answering with out-of-range probe indices or bad signatures
-	// must not be accepted for them.
-	e := newEnv(t, 64, 117)
-	users := e.src.Population(5)
-	for _, u := range users {
-		e.enroll(t, u)
-	}
-	reading, err := e.src.GenuineReading(users[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe, err := e.fe.SketchOnly(reading)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.session(t, func(rw io.ReadWriter) error {
-		if err := wire.Send(rw, &wire.IdentifyBatchRequest{Probes: []*sketch.Sketch{probe}}); err != nil {
-			return err
-		}
-		msg, err := wire.Receive(rw)
-		if err != nil {
-			return err
-		}
-		ch, ok := msg.(*wire.IdentifyBatchChallenge)
-		if !ok {
-			t.Fatalf("expected batch challenge, got %T", msg)
-		}
-		if len(ch.Entries) != 1 {
-			t.Fatalf("%d challenge entries, want 1", len(ch.Entries))
-		}
-		forged := &wire.IdentifyBatchSignature{Entries: []wire.IndexedSignature{
-			{Probe: 99, Signature: []byte("sig"), Nonce: []byte("n")},    // out of range
-			{Probe: 0, Signature: []byte("garbage"), Nonce: []byte("n")}, // bad signature
-		}}
-		if err := wire.Send(rw, forged); err != nil {
-			return err
-		}
-		msg, err = wire.Receive(rw)
-		if err != nil {
-			return err
-		}
-		res, ok := msg.(*wire.IdentifyBatchResult)
-		if !ok {
-			t.Fatalf("expected batch result, got %T", msg)
-		}
-		if len(res.IDs) != 1 || res.IDs[0] != "" {
-			t.Fatalf("forged response accepted: %v", res.IDs)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIdentifyImpostorRejected(t *testing.T) {
 	e := newEnv(t, 64, 106)
 	for _, u := range e.src.Population(10) {
@@ -402,6 +289,36 @@ func TestServerRejectsBadOpener(t *testing.T) {
 	}
 	if srvErr := <-srvDone; !errors.Is(srvErr, ErrProtocol) {
 		t.Fatalf("server err = %v, want ErrProtocol", srvErr)
+	}
+}
+
+// TestSessionRejectsRetiredTags sends whole frames whose tags name no
+// message — the retired batched-identify tags 12–15 and an unassigned 255
+// — and expects each answered with Reject, like any opener that cannot
+// open a session, rather than a silently dropped connection.
+func TestSessionRejectsRetiredTags(t *testing.T) {
+	e := newEnv(t, 64, 118)
+	for _, tag := range []byte{12, 13, 14, 15, 255} {
+		devEnd, srvEnd := net.Pipe()
+		srvDone := make(chan error, 1)
+		go func() {
+			defer srvEnd.Close()
+			srvDone <- e.server.HandleSession(srvEnd)
+		}()
+		if _, err := devEnd.Write([]byte{0, 0, 0, 5, tag, 0, 0, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := wire.Receive(devEnd)
+		if err != nil {
+			t.Fatalf("tag %d: %v", tag, err)
+		}
+		if _, ok := msg.(*wire.Reject); !ok {
+			t.Fatalf("tag %d: got %T, want Reject", tag, msg)
+		}
+		if srvErr := <-srvDone; !errors.Is(srvErr, ErrProtocol) && !errors.Is(srvErr, wire.ErrBadFrame) {
+			t.Fatalf("tag %d: server err = %v, want ErrProtocol or ErrBadFrame", tag, srvErr)
+		}
+		devEnd.Close()
 	}
 }
 

@@ -14,74 +14,70 @@ import (
 	"fuzzyid/internal/wire"
 )
 
-// deviceCall runs one Device method. On success it returns the identities
-// the call reports as established and the message type the server must have
-// sent them in (none for calls that establish no identity).
+// deviceCall runs one Device method. On success it returns the identity the
+// call reports as established and the message type the server must have
+// sent it in (none for calls that establish no identity).
 type deviceCall struct {
 	name string
-	run  func(d *Device, rw io.ReadWriter, bio numberline.Vector) (ids []string, from wire.MsgType, err error)
+	run  func(d *Device, rw io.ReadWriter, bio numberline.Vector) (id string, from wire.MsgType, err error)
 }
 
 const noIdentity wire.MsgType = 255
 
 // deviceCalls lists every Device method; each claims identity "alice".
 var deviceCalls = []deviceCall{
-	{"Enroll", func(d *Device, rw io.ReadWriter, bio numberline.Vector) ([]string, wire.MsgType, error) {
-		return []string{"alice"}, wire.TypeEnrollOK, d.Enroll(rw, "alice", bio)
+	{"Enroll", func(d *Device, rw io.ReadWriter, bio numberline.Vector) (string, wire.MsgType, error) {
+		return "alice", wire.TypeEnrollOK, d.Enroll(rw, "alice", bio)
 	}},
-	{"Verify", func(d *Device, rw io.ReadWriter, bio numberline.Vector) ([]string, wire.MsgType, error) {
-		return []string{"alice"}, wire.TypeAccept, d.Verify(rw, "alice", bio)
+	{"Verify", func(d *Device, rw io.ReadWriter, bio numberline.Vector) (string, wire.MsgType, error) {
+		return "alice", wire.TypeAccept, d.Verify(rw, "alice", bio)
 	}},
-	{"Identify", func(d *Device, rw io.ReadWriter, bio numberline.Vector) ([]string, wire.MsgType, error) {
+	{"Identify", func(d *Device, rw io.ReadWriter, bio numberline.Vector) (string, wire.MsgType, error) {
 		id, err := d.Identify(rw, bio)
-		return []string{id}, wire.TypeAccept, err
+		return id, wire.TypeAccept, err
 	}},
-	{"IdentifyBatch", func(d *Device, rw io.ReadWriter, bio numberline.Vector) ([]string, wire.MsgType, error) {
-		ids, err := d.IdentifyBatch(rw, []numberline.Vector{bio, bio})
-		return ids, wire.TypeIdentifyBatchResult, err
-	}},
-	{"IdentifyNormal", func(d *Device, rw io.ReadWriter, bio numberline.Vector) ([]string, wire.MsgType, error) {
+	{"IdentifyNormal", func(d *Device, rw io.ReadWriter, bio numberline.Vector) (string, wire.MsgType, error) {
 		id, err := d.IdentifyNormal(rw, bio)
-		return []string{id}, wire.TypeAccept, err
+		return id, wire.TypeAccept, err
 	}},
-	{"Revoke", func(d *Device, rw io.ReadWriter, bio numberline.Vector) ([]string, wire.MsgType, error) {
-		return []string{"alice"}, wire.TypeAccept, d.Revoke(rw, "alice", bio)
+	{"Revoke", func(d *Device, rw io.ReadWriter, bio numberline.Vector) (string, wire.MsgType, error) {
+		return "alice", wire.TypeAccept, d.Revoke(rw, "alice", bio)
 	}},
-	{"ReEnroll", func(d *Device, rw io.ReadWriter, bio numberline.Vector) ([]string, wire.MsgType, error) {
-		return []string{"alice"}, wire.TypeAccept, d.ReEnroll(rw, "alice", bio, bio)
+	{"ReEnroll", func(d *Device, rw io.ReadWriter, bio numberline.Vector) (string, wire.MsgType, error) {
+		return "alice", wire.TypeAccept, d.ReEnroll(rw, "alice", bio, bio)
 	}},
-	{"Stats", func(d *Device, rw io.ReadWriter, _ numberline.Vector) ([]string, wire.MsgType, error) {
+	{"Stats", func(d *Device, rw io.ReadWriter, _ numberline.Vector) (string, wire.MsgType, error) {
 		_, err := d.Stats(rw)
-		return nil, noIdentity, err
+		return "", noIdentity, err
 	}},
-	{"Tenants", func(d *Device, rw io.ReadWriter, _ numberline.Vector) ([]string, wire.MsgType, error) {
+	{"Tenants", func(d *Device, rw io.ReadWriter, _ numberline.Vector) (string, wire.MsgType, error) {
 		_, err := d.Tenants(rw)
-		return nil, noIdentity, err
+		return "", noIdentity, err
 	}},
-	{"CreateTenant", func(d *Device, rw io.ReadWriter, _ numberline.Vector) ([]string, wire.MsgType, error) {
-		return nil, noIdentity, d.CreateTenant(rw, "t")
+	{"CreateTenant", func(d *Device, rw io.ReadWriter, _ numberline.Vector) (string, wire.MsgType, error) {
+		return "", noIdentity, d.CreateTenant(rw, "t")
 	}},
-	{"DropTenant", func(d *Device, rw io.ReadWriter, _ numberline.Vector) ([]string, wire.MsgType, error) {
-		return nil, noIdentity, d.DropTenant(rw, "t")
+	{"DropTenant", func(d *Device, rw io.ReadWriter, _ numberline.Vector) (string, wire.MsgType, error) {
+		return "", noIdentity, d.DropTenant(rw, "t")
 	}},
-	{"SetTenantLimits", func(d *Device, rw io.ReadWriter, _ numberline.Vector) ([]string, wire.MsgType, error) {
-		return nil, noIdentity, d.SetTenantLimits(rw, "t", qos.Limits{Rate: 1})
+	{"SetTenantLimits", func(d *Device, rw io.ReadWriter, _ numberline.Vector) (string, wire.MsgType, error) {
+		return "", noIdentity, d.SetTenantLimits(rw, "t", qos.Limits{Rate: 1})
 	}},
-	{"TenantLimits", func(d *Device, rw io.ReadWriter, _ numberline.Vector) ([]string, wire.MsgType, error) {
+	{"TenantLimits", func(d *Device, rw io.ReadWriter, _ numberline.Vector) (string, wire.MsgType, error) {
 		_, _, err := d.TenantLimits(rw, "t")
-		return nil, noIdentity, err
+		return "", noIdentity, err
 	}},
-	{"ReplStatus", func(d *Device, rw io.ReadWriter, _ numberline.Vector) ([]string, wire.MsgType, error) {
+	{"ReplStatus", func(d *Device, rw io.ReadWriter, _ numberline.Vector) (string, wire.MsgType, error) {
 		_, err := d.ReplStatus(rw)
-		return nil, noIdentity, err
+		return "", noIdentity, err
 	}},
-	{"ClusterMap", func(d *Device, rw io.ReadWriter, _ numberline.Vector) ([]string, wire.MsgType, error) {
+	{"ClusterMap", func(d *Device, rw io.ReadWriter, _ numberline.Vector) (string, wire.MsgType, error) {
 		_, err := d.ClusterMap(rw)
-		return nil, noIdentity, err
+		return "", noIdentity, err
 	}},
-	{"PartitionHandoff", func(d *Device, rw io.ReadWriter, _ numberline.Vector) ([]string, wire.MsgType, error) {
+	{"PartitionHandoff", func(d *Device, rw io.ReadWriter, _ numberline.Vector) (string, wire.MsgType, error) {
 		_, err := d.PartitionHandoff(rw, wire.PartitionMove, []uint32{1}, "p1", nil)
-		return nil, noIdentity, err
+		return "", noIdentity, err
 	}},
 }
 
@@ -89,7 +85,7 @@ var deviceCalls = []deviceCall{
 // device sends with the next frame of replies (each a length-prefixed wire
 // frame, possibly truncated or malformed) and closes the stream when they
 // run out. It returns the call's result and the frames actually sent.
-func scriptedReply(t testing.TB, d *Device, call deviceCall, bio numberline.Vector, replies []byte) (ids []string, from wire.MsgType, sent [][]byte, err error) {
+func scriptedReply(t testing.TB, d *Device, call deviceCall, bio numberline.Vector, replies []byte) (id string, from wire.MsgType, sent [][]byte, err error) {
 	t.Helper()
 	devEnd, srvEnd := net.Pipe()
 	srvDone := make(chan [][]byte, 1)
@@ -114,14 +110,14 @@ func scriptedReply(t testing.TB, d *Device, call deviceCall, bio numberline.Vect
 		}
 	}()
 	type result struct {
-		ids  []string
+		id   string
 		from wire.MsgType
 		err  error
 	}
 	done := make(chan result, 1)
 	go func() {
-		ids, from, err := call.run(d, devEnd, bio)
-		done <- result{ids, from, err}
+		id, from, err := call.run(d, devEnd, bio)
+		done <- result{id, from, err}
 	}()
 	var r result
 	select {
@@ -130,7 +126,7 @@ func scriptedReply(t testing.TB, d *Device, call deviceCall, bio numberline.Vect
 		t.Fatalf("%s: device call hung", call.name)
 	}
 	devEnd.Close()
-	return r.ids, r.from, <-srvDone, r.err
+	return r.id, r.from, <-srvDone, r.err
 }
 
 func encodeFrames(t testing.TB, msgs ...wire.Message) []byte {
@@ -196,8 +192,6 @@ func FuzzDeviceReplies(f *testing.F) {
 		{&wire.EnrollOK{ID: "alice"}},
 		{&wire.Challenge{Helper: helper, Challenge: c}, &wire.Accept{ID: "alice"}},
 		{&wire.Challenge{Helper: helper, Challenge: c}, &wire.Accept{ID: "alice"}},
-		{&wire.IdentifyBatchChallenge{Entries: []wire.IndexedChallenge{{Probe: 1, Helper: helper, Challenge: c}}},
-			&wire.IdentifyBatchResult{IDs: []string{"", "alice"}}},
 		{&wire.ChallengeBatch{Entries: []wire.ChallengeEntry{{Helper: helper, Challenge: c}}}, &wire.Accept{ID: "alice"}},
 		{&wire.Challenge{Helper: helper, Challenge: c}, &wire.Accept{ID: "alice"}},
 		{&wire.Challenge{Helper: helper, Challenge: c}, &wire.Accept{ID: "alice"}},
@@ -220,10 +214,14 @@ func FuzzDeviceReplies(f *testing.F) {
 	}
 	f.Add(byte(2), encodeFrames(f, &wire.Challenge{Helper: helper, Challenge: c}, &wire.Accept{ID: "mallory"}))
 	f.Add(byte(1), encodeFrames(f, &wire.Challenge{Helper: helper, Challenge: c}, &wire.Accept{ID: "mallory"}))
+	// Replies under retired tags (12–15, once a batched identify's
+	// challenge and result) decode to nothing and establish no identity.
+	f.Add(byte(2), []byte{0, 0, 0, 5, 13, 0, 0, 0, 0})
+	f.Add(byte(1), []byte{0, 0, 0, 5, 15, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, which byte, replies []byte) {
 		call := deviceCalls[int(which)%len(deviceCalls)]
-		ids, from, sent, err := scriptedReply(t, e.device, call, bio, replies)
+		id, from, sent, err := scriptedReply(t, e.device, call, bio, replies)
 		if err != nil || from == noIdentity {
 			return
 		}
@@ -238,16 +236,10 @@ func FuzzDeviceReplies(f *testing.F) {
 				accepted[m.ID] = true
 			case *wire.Accept:
 				accepted[m.ID] = true
-			case *wire.IdentifyBatchResult:
-				for _, id := range m.IDs {
-					accepted[id] = true
-				}
 			}
 		}
-		for _, id := range ids {
-			if id != "" && !accepted[id] {
-				t.Fatalf("%s reported %q established; the server's %v frames accepted %v", call.name, id, from, accepted)
-			}
+		if id != "" && !accepted[id] {
+			t.Fatalf("%s reported %q established; the server's %v frames accepted %v", call.name, id, from, accepted)
 		}
 	})
 }

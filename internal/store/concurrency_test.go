@@ -11,8 +11,8 @@ import (
 	"fuzzyid/internal/sketch"
 )
 
-// TestConcurrentMixedWorkload interleaves Insert, Delete, Identify, Get and
-// IdentifyBatch across goroutines on every store layout. Run with -race; the
+// TestConcurrentMixedWorkload interleaves Insert, Delete, Identify and Get
+// across goroutines on every store layout. Run with -race; the
 // assertions only involve records that no goroutine mutates, so the test is
 // deterministic despite the interleaving.
 func TestConcurrentMixedWorkload(t *testing.T) {
@@ -48,7 +48,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				}
 			}
 			var wg sync.WaitGroup
-			wg.Add(5)
+			wg.Add(4)
 			go func() { // inserter
 				defer wg.Done()
 				for _, rec := range records[30:] {
@@ -92,22 +92,6 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 					}
 				}
 			}()
-			go func() { // batcher
-				defer wg.Done()
-				for trial := 0; trial < 10; trial++ {
-					recs, err := s.IdentifyBatch(stableProbes)
-					if err != nil {
-						t.Errorf("%s IdentifyBatch: %v", name, err)
-						return
-					}
-					for i, rec := range recs {
-						if rec == nil || rec.ID != users[15+i].ID {
-							t.Errorf("%s batch slot %d = %v", name, i, rec)
-							return
-						}
-					}
-				}
-			}()
 			wg.Wait()
 			// Final state: 30 pre-enrolled - 15 deleted + 30 inserted.
 			if got := s.Len(); got != 45 {
@@ -128,73 +112,8 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	}
 }
 
-func TestIdentifyBatchMixedProbes(t *testing.T) {
-	f := newFixture(t, 32, 22)
-	users := f.src.Population(30)
-	for _, u := range users {
-		f.enroll(t, u)
-	}
-	probes := make([]*sketch.Sketch, 0, 6)
-	wantIDs := make([]string, 0, 6)
-	for i := 0; i < 3; i++ {
-		reading, err := f.src.GenuineReading(users[i*7])
-		if err != nil {
-			t.Fatal(err)
-		}
-		probes = append(probes, f.probe(t, reading))
-		wantIDs = append(wantIDs, users[i*7].ID)
-		probes = append(probes, f.probe(t, f.src.ImpostorReading()))
-		wantIDs = append(wantIDs, "")
-	}
-	for name, s := range f.stores {
-		recs, err := s.IdentifyBatch(probes)
-		if err != nil {
-			t.Fatalf("%s IdentifyBatch: %v", name, err)
-		}
-		if len(recs) != len(probes) {
-			t.Fatalf("%s returned %d results for %d probes", name, len(recs), len(probes))
-		}
-		for i, rec := range recs {
-			gotID := ""
-			if rec != nil {
-				gotID = rec.ID
-			}
-			if gotID != wantIDs[i] {
-				t.Errorf("%s slot %d = %q, want %q", name, i, gotID, wantIDs[i])
-			}
-			// Batch must agree with the single-probe path.
-			single, singleErr := s.Identify(probes[i])
-			if (singleErr == nil) != (rec != nil) {
-				t.Errorf("%s slot %d: batch=%v single err=%v", name, i, rec, singleErr)
-			}
-			if singleErr == nil && single.ID != rec.ID {
-				t.Errorf("%s slot %d: batch=%s single=%s", name, i, rec.ID, single.ID)
-			}
-		}
-	}
-}
-
-func TestIdentifyBatchValidation(t *testing.T) {
-	f := newFixture(t, 16, 23)
-	u := f.src.NewUser("alice")
-	f.enroll(t, u)
-	for name, s := range f.stores {
-		if _, err := s.IdentifyBatch([]*sketch.Sketch{nil}); !errors.Is(err, ErrBadProbe) {
-			t.Errorf("%s nil probe err = %v", name, err)
-		}
-		bad := []*sketch.Sketch{{Movements: []int64{1, 2}}}
-		if _, err := s.IdentifyBatch(bad); !errors.Is(err, ErrBadProbe) {
-			t.Errorf("%s wrong-dimension err = %v", name, err)
-		}
-		recs, err := s.IdentifyBatch(nil)
-		if err != nil || len(recs) != 0 {
-			t.Errorf("%s empty batch = (%v, %v)", name, recs, err)
-		}
-	}
-}
-
 // TestWrongDimensionIdentifyRacesFirstInsert races the first insert into a
-// fresh store against Identify and IdentifyBatch with a probe far longer
+// fresh store against Identify with a probe far longer
 // than the record, whose leading residues equal the record's so the coarse
 // filter admits it. While the store is empty the probe's length cannot be
 // checked, so the scan must not slice rows at it once the insert lands: the
@@ -218,9 +137,6 @@ func TestWrongDimensionIdentifyRacesFirstInsert(t *testing.T) {
 		for k := 0; k < 4; k++ {
 			if _, err := s.Identify(long); !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrBadProbe) {
 				t.Errorf("iteration %d: Identify err = %v", iter, err)
-			}
-			if recs, err := s.IdentifyBatch([]*sketch.Sketch{long}); err != nil && !errors.Is(err, ErrBadProbe) || err == nil && recs[0] != nil {
-				t.Errorf("iteration %d: IdentifyBatch = (%v, %v)", iter, recs, err)
 			}
 		}
 		wg.Wait()

@@ -182,7 +182,6 @@ type opStore interface {
 	Replace(*store.Record) error
 	Delete(id string) error
 	IdentifyInto(ctx context.Context, probe *sketch.Sketch, dst *store.Record) error
-	IdentifyBatch(probes []*sketch.Sketch) ([]*store.Record, error)
 	Contains(id string) bool
 	GetInto(id string, dst *store.Record) bool
 	All() []*store.Record
@@ -304,7 +303,7 @@ func (r *opRun) checkMatch(op string, ai int, rec *store.Record, err error, set 
 func (r *opRun) run() {
 	d, m := r.d, r.m
 	for ops := 0; d.more() && ops < 200; ops++ {
-		switch op := d.next() % 5; op {
+		switch op := d.next() % 4; op {
 		case 0, 1: // Insert, Replace
 			id := m.ids[d.next()%len(m.ids)]
 			rec := d.record(m, id, ops)
@@ -349,37 +348,6 @@ func (r *opRun) run() {
 			for ai, a := range r.arms {
 				err := a.s.IdentifyInto(context.Background(), &sketch.Sketch{Movements: p}, &r.scratch[ai])
 				r.checkMatch("Identify", ai, &r.scratch[ai], err, set, want)
-			}
-		case 4: // IdentifyBatch
-			probes := make([]*sketch.Sketch, 1+d.next()%3)
-			sets := make([]map[string]bool, len(probes))
-			wants := make([]error, len(probes))
-			var batchErr error
-			for i := range probes {
-				probes[i] = &sketch.Sketch{Movements: d.probe(m)}
-				sets[i], wants[i] = m.identify(probes[i].Movements)
-				if errors.Is(wants[i], store.ErrBadProbe) {
-					batchErr = store.ErrBadProbe
-				}
-			}
-			for ai, a := range r.arms {
-				recs, err := a.s.IdentifyBatch(probes)
-				if r.shared && batchErr == nil && !m.adopted && errors.Is(err, store.ErrBadProbe) {
-					continue // the other range adopted the dimension
-				}
-				if batchErr != nil || err != nil {
-					if !errors.Is(err, batchErr) {
-						r.fail("%s IdentifyBatch: err = %v, model %v", r.arms[ai].name, err, batchErr)
-					}
-					continue
-				}
-				for i, rec := range recs {
-					var miss error
-					if rec == nil {
-						miss = store.ErrNotFound
-					}
-					r.checkMatch(fmt.Sprintf("IdentifyBatch[%d]", i), ai, rec, miss, sets[i], wants[i])
-				}
 			}
 		}
 		if r.shared {
@@ -513,8 +481,8 @@ func decodeOps(data []byte) (*numberline.Line, int, []byte) {
 }
 
 // FuzzStoreOps is a differential fuzzer over the whole store. It decodes its
-// input into Insert, Replace, Delete, Identify and IdentifyBatch operations
-// on a small line and dimension, applies each to the *Scan at 16- and
+// input into Insert, Replace, Delete and Identify operations on a small
+// line and dimension, applies each to the *Scan at 16- and
 // 64-bit widths with the coarse filter on and off, to a *Journaled whose
 // journal sometimes fails to stage, and to opModel. Any divergence fails: an
 // error, a verdict, a matched ID outside the model's match set, Len, Get,

@@ -31,10 +31,9 @@
 // packed row is the only copy of a record's movements (table.go): a lookup
 // materialises the matched record into a caller-owned scratch *Record under
 // the shard read lock, and with the probe residue buffers pooled a
-// steady-state IdentifyInto or GetInto performs zero heap allocations. One
-// loop, on the caller's goroutine, scans a shard for IdentifyInto and
-// IdentifyBatch alike; IdentifyBatch amortises residue computation and lock
-// acquisition across a whole batch of probes.
+// steady-state IdentifyInto or GetInto performs zero heap allocations.
+// IdentifyInto scans shard by shard with one loop, on the caller's
+// goroutine.
 //
 // Durability. Every tenant is a Journaled (journal.go) over its own *Scan:
 // reads go straight to the Scan, and every Insert, Replace and Delete goes
@@ -264,52 +263,6 @@ func scanShardSeq(ctx context.Context, sh *tableShard, probe []int64, span, t in
 		}
 	}
 	return -1, nil
-}
-
-// IdentifyBatch resolves many probes in one call. The result is aligned
-// with probes; a nil element means no record matched that probe, and an
-// error is returned only for malformed probes. Residues are computed once
-// per probe and every shard lock is taken once for the whole batch. As in IdentifyInto, the
-// dimension is read once and an empty store answers all-nil.
-func (s *Scan) IdentifyBatch(probes []*sketch.Sketch) ([]*Record, error) {
-	dim := s.tab.dimension()
-	for i, p := range probes {
-		if err := validateProbe(p, dim); err != nil {
-			return nil, fmt.Errorf("probe %d: %w", i, err)
-		}
-	}
-	out := make([]*Record, len(probes))
-	if len(probes) == 0 || dim == 0 {
-		return out, nil
-	}
-	span, t := s.line.IntervalSpan(), s.line.Threshold()
-	resAll := make([]int64, len(probes)*dim)
-	cps := make([]coarseProbe, len(probes))
-	for i, p := range probes {
-		residuesInto(resAll[i*dim:i*dim:(i+1)*dim], s.line, p)
-		cps[i] = s.tab.coarse.probe(resAll[i*dim : (i+1)*dim])
-	}
-	remaining := len(probes)
-	for si := range s.tab.shards {
-		sh := &s.tab.shards[si]
-		sh.mu.RLock()
-		for pi := range probes {
-			if out[pi] != nil {
-				continue
-			}
-			probeRes := resAll[pi*dim : (pi+1)*dim]
-			if row, _ := scanShardSeq(context.Background(), sh, probeRes, span, t, cps[pi]); row >= 0 {
-				out[pi] = new(Record)
-				s.tab.load(sh, row, out[pi])
-				remaining--
-			}
-		}
-		sh.mu.RUnlock()
-		if remaining == 0 {
-			break
-		}
-	}
-	return out, nil
 }
 
 func validateRecord(rec *Record) error {

@@ -25,7 +25,6 @@ type storeAPI interface {
 	Replace(*Record) error
 	Identify(probe *sketch.Sketch) (*Record, error)
 	IdentifyInto(ctx context.Context, probe *sketch.Sketch, dst *Record) error
-	IdentifyBatch(probes []*sketch.Sketch) ([]*Record, error)
 	All() []*Record
 	Len() int
 	Dimension() int

@@ -11,10 +11,10 @@ package transport
 //     carries the refusing node's newer map, which the client installs
 //     (strictly-newer-only, so a buggy or malicious redirect cannot loop it)
 //     and retries; convergence after a split is one redirect round.
-//   - Scans (identify, identify-normal, identify-batch) have no key, so they
-//     read every group, first match wins. Each group read prefers a healthy
-//     follower and falls back to the primary. A miss refreshes a fetched map
-//     once; a miss with an unreachable group is a typed PartialIdentifyError
+//   - Scans (identify, identify-normal) have no key, so they read every
+//     group, first match wins. Each group read prefers a healthy follower
+//     and falls back to the primary. A miss refreshes a fetched map once;
+//     a miss with an unreachable group is a typed PartialIdentifyError
 //     instead of a silent false reject.
 //   - Tenant administration fans out to every primary. Stats, tenant
 //     listing, limits, replication status and handoff stay on the seed.
@@ -425,7 +425,7 @@ func (c *Client) publishHealthyLocked() {
 
 // scanResult carries one group's answer back to the gather loop.
 type scanResult struct {
-	ids  []string
+	id   string
 	err  error
 	addr string // the group's primary, naming the partition in errors
 }
@@ -435,15 +435,15 @@ type scanResult struct {
 // on the caller's goroutine; more groups run in parallel, and the channel
 // is buffered to the group count so an early return never blocks the
 // stragglers.
-func (c *Client) scanGroups(m *cluster.Map, read func(io.ReadWriter) ([]string, error), take func(scanResult) bool) {
+func (c *Client) scanGroups(m *cluster.Map, read func(io.ReadWriter) (string, error), take func(scanResult) bool) {
 	run := func(g cluster.Group) scanResult {
-		var ids []string
+		var id string
 		err := c.groupRead(g, func(rw io.ReadWriter) error {
 			var err error
-			ids, err = read(rw)
+			id, err = read(rw)
 			return err
 		})
-		return scanResult{ids: ids, err: err, addr: g.Primary}
+		return scanResult{id: id, err: err, addr: g.Primary}
 	}
 	if len(m.Groups) == 1 {
 		take(run(m.Groups[0]))
@@ -460,56 +460,31 @@ func (c *Client) scanGroups(m *cluster.Map, read func(io.ReadWriter) ([]string, 
 	}
 }
 
-// scanOne runs a single-probe identification (see scan); a miss everywhere
-// is the protocol's typed miss.
-func (c *Client) scanOne(probe func(io.ReadWriter) (string, error)) (string, error) {
-	ids, err := c.scan(1, func(rw io.ReadWriter) ([]string, error) {
-		id, err := probe(rw)
-		return []string{id}, err
-	})
-	switch {
-	case err != nil:
-		return "", err
-	case ids[0] == "":
-		return "", protocol.ErrNoMatch
-	}
-	return ids[0], nil
-}
-
-// scan runs an identification of n readings against every group under the
-// overload retry policy and merges the verdicts position-wise (IDs are
-// unique across groups, so at most one group matches each reading),
-// stopping as soon as every reading matched. While one stays unmatched:
+// scan runs one identification against every group under the overload
+// retry policy and returns the first match (IDs are unique across groups,
+// so at most one group matches). While none has matched:
 //   - an outcome that is neither a verdict nor a wire failure (an overload
 //     shed, an unknown tenant, a local input error) is returned as-is;
 //   - a fetched map is re-checked once, since a concurrent split may have
 //     moved the identity to a partition the cached map does not know;
-//   - an unreachable group makes the misses unreliable, so the merged
-//     result rides along a PartialIdentifyError;
-//   - otherwise a group's rejection is returned, or else the merged result
-//     with "" for each miss.
-func (c *Client) scan(n int, read func(io.ReadWriter) ([]string, error)) ([]string, error) {
-	var merged []string
+//   - an unreachable group makes the miss unreliable, so it is a
+//     PartialIdentifyError;
+//   - otherwise a group's rejection is returned, or else ErrNoMatch.
+func (c *Client) scan(read func(io.ReadWriter) (string, error)) (string, error) {
+	var id string
 	err := c.retrying(func() error {
 		m, err := c.ClusterMap()
 		if err != nil {
 			return err
 		}
 		for round := 0; ; round++ {
-			merged = make([]string, n)
-			left := n
 			var failed []string
 			var missErr, failErr, otherErr error
 			c.scanGroups(m, read, func(r scanResult) bool {
 				switch {
 				case r.err == nil:
-					for i, id := range r.ids {
-						if i < n && id != "" && merged[i] == "" {
-							merged[i] = id
-							left--
-						}
-					}
-					return left == 0
+					id = r.id
+					return id != ""
 				case protocol.IsRejected(r.err) || errors.Is(r.err, protocol.ErrNoMatch):
 					missErr = cmp.Or(missErr, r.err)
 				case isWireFailure(r.err):
@@ -521,10 +496,9 @@ func (c *Client) scan(n int, read func(io.ReadWriter) ([]string, error)) ([]stri
 				return false
 			})
 			switch {
-			case left == 0 && n > 0:
+			case id != "":
 				return nil
 			case otherErr != nil:
-				merged = nil
 				return otherErr
 			}
 			if round == 0 {
@@ -536,13 +510,13 @@ func (c *Client) scan(n int, read func(io.ReadWriter) ([]string, error)) ([]stri
 			if len(failed) > 0 {
 				return &PartialIdentifyError{Failed: failed, Err: failErr}
 			}
-			if missErr != nil {
-				merged = nil
-			}
-			return missErr
+			return cmp.Or(missErr, protocol.ErrNoMatch)
 		}
 	})
-	return merged, err
+	if err != nil {
+		return "", err
+	}
+	return id, nil
 }
 
 // fanoutAdmin runs one admin session against every primary and joins the

@@ -355,10 +355,10 @@ func WithOverloadRetry(n int) ClientOption {
 }
 
 // WithReplicas names the followers of the client's static one-group map.
-// Scans (identify, identify-normal, identify-batch) rotate round-robin
-// across them; enrollments, revocations, re-enrollments, verifications and
-// admin sessions go to the primary. A follower is skipped while a status
-// probe (every DefaultReplicaProbe) reports its stream down or its lag above
+// Scans (identify, identify-normal) rotate round-robin across them;
+// enrollments, revocations, re-enrollments, verifications and admin
+// sessions go to the primary. A follower is skipped while a status probe
+// (every DefaultReplicaProbe) reports its stream down or its lag above
 // DefaultMaxReplicaLag, and benched for DefaultReplicaCooldown after a
 // transport failure; a scan no follower can serve falls back to the
 // primary, so correctness never depends on follower availability. Ignored
@@ -451,21 +451,13 @@ func (c *Client) Verify(id string, bio numberline.Vector) error {
 // DefaultMaxReplicaLag stale). A miss with unreachable groups is a typed
 // PartialIdentifyError, never a silent false reject.
 func (c *Client) Identify(bio numberline.Vector) (string, error) {
-	return c.scanOne(func(rw io.ReadWriter) (string, error) { return c.device.Identify(rw, bio) })
+	return c.scan(func(rw io.ReadWriter) (string, error) { return c.device.Identify(rw, bio) })
 }
 
 // IdentifyNormal runs the O(N) normal-approach identification, scanning
 // every group like Identify.
 func (c *Client) IdentifyNormal(bio numberline.Vector) (string, error) {
-	return c.scanOne(func(rw io.ReadWriter) (string, error) { return c.device.IdentifyNormal(rw, bio) })
-}
-
-// IdentifyBatch runs the batched identification protocol for several
-// readings in one session per group. The result is aligned with readings;
-// "" marks readings that were not identified. Verdicts from the groups are
-// merged position-wise.
-func (c *Client) IdentifyBatch(readings []numberline.Vector) ([]string, error) {
-	return c.scan(len(readings), func(rw io.ReadWriter) ([]string, error) { return c.device.IdentifyBatch(rw, readings) })
+	return c.scan(func(rw io.ReadWriter) (string, error) { return c.device.IdentifyNormal(rw, bio) })
 }
 
 // Revoke removes the enrollment for id after a successful biometric

@@ -111,50 +111,6 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 }
 
-func TestIdentifyBatchOverTCP(t *testing.T) {
-	w := newWorld(t, 64, 206)
-	srv, err := Listen("127.0.0.1:0", w.proto, WithIdleTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client, err := Dial(srv.Addr().String(), w.device, WithTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	users := w.src.Population(12)
-	for _, u := range users {
-		if err := client.Enroll(u.ID, u.Template); err != nil {
-			t.Fatalf("enroll %s: %v", u.ID, err)
-		}
-	}
-	readings := make([]numberline.Vector, 0, 4)
-	want := make([]string, 0, 4)
-	for _, i := range []int{2, 9} {
-		r, err := w.src.GenuineReading(users[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		readings = append(readings, r)
-		want = append(want, users[i].ID)
-	}
-	readings = append(readings, w.src.ImpostorReading())
-	want = append(want, "")
-	ids, err := client.IdentifyBatch(readings)
-	if err != nil {
-		t.Fatalf("identify batch: %v", err)
-	}
-	if len(ids) != len(want) {
-		t.Fatalf("got %d ids, want %d", len(ids), len(want))
-	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Errorf("slot %d = %q, want %q", i, ids[i], want[i])
-		}
-	}
-}
-
 func TestConcurrentClients(t *testing.T) {
 	w := newWorld(t, 32, 202)
 	srv, err := Listen("127.0.0.1:0", w.proto)
@@ -313,15 +269,12 @@ func TestLocalInputErrorKeepsConnection(t *testing.T) {
 	if err := client.Enroll(u.ID, short); !errors.Is(err, core.ErrDimension) {
 		t.Fatalf("short enroll err = %v, want ErrDimension", err)
 	}
-	_, err := client.Identify(short)
-	if !errors.Is(err, core.ErrDimension) {
-		t.Fatalf("short identify err = %v, want ErrDimension", err)
+	id, err := client.Identify(short)
+	if !errors.Is(err, core.ErrDimension) || id != "" {
+		t.Fatalf("short identify = %q, %v; want \"\", ErrDimension", id, err)
 	}
 	if _, partial := IsPartialIdentify(err); partial {
 		t.Fatalf("short identify reported an unreachable partition: %v", err)
-	}
-	if ids, err := client.IdentifyBatch([]numberline.Vector{short}); !errors.Is(err, core.ErrDimension) || ids != nil {
-		t.Fatalf("short batch = %v, %v; want nil, ErrDimension", ids, err)
 	}
 	if client.seed.conn != seed {
 		t.Fatal("an input error replaced the seed connection")

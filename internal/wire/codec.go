@@ -36,6 +36,9 @@ var (
 	ErrTooLarge  = errors.New("wire: field exceeds size limit")
 	ErrTruncated = errors.New("wire: truncated message")
 	ErrBadFrame  = errors.New("wire: malformed frame")
+	// ErrUnknownType is an ErrBadFrame whose tag names no message, such as
+	// a retired one. The frame was read whole.
+	ErrUnknownType = fmt.Errorf("%w: unknown message type", ErrBadFrame)
 )
 
 // Encoder appends primitive values to a buffer.

@@ -31,10 +31,6 @@ func FuzzUnmarshal(f *testing.F) {
 		&RevokeRequest{ID: "w"},
 		&ReEnrollRequest{ID: "w", PublicKey: []byte{7}},
 		&ReEnrollRequest{ID: "t", PublicKey: []byte{8}, Tenant: "acme"},
-		&IdentifyBatchRequest{},
-		&IdentifyBatchChallenge{Entries: []IndexedChallenge{{Probe: 1, Challenge: []byte("c")}}},
-		&IdentifyBatchSignature{Entries: []IndexedSignature{{Probe: 1, Signature: []byte("s"), Nonce: []byte("n")}}},
-		&IdentifyBatchResult{IDs: []string{"a", ""}},
 		&EnrollRequest{ID: "t", PublicKey: []byte{9}, Tenant: "acme"},
 		&VerifyRequest{ID: "t", Tenant: "acme"},
 		&TenantAdmin{Action: TenantActionCreate, Tenant: "acme"},
@@ -49,7 +45,6 @@ func FuzzUnmarshal(f *testing.F) {
 		&IdentifyRequest{Probe: fuzzHelper().Sketch.Sketch, Tenant: "acme"},
 		&Challenge{Helper: fuzzHelper(), Challenge: []byte("c")},
 		&EnrollRequest{ID: "h", PublicKey: []byte{1}, Helper: fuzzHelper()},
-		&IdentifyBatchRequest{Probes: []*sketch.Sketch{fuzzHelper().Sketch.Sketch, {Movements: []int64{1}}}},
 	}
 	for i, m := range seeds {
 		buf, err := Marshal(m)
@@ -60,8 +55,22 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint16(3))
+	// Retired tags, bare and with a one-probe body shaped like the
+	// batched identify request tag 12 once carried.
+	for tag := MsgType(12); tag <= 15; tag++ {
+		e := NewEncoder(32)
+		e.Byte(byte(tag))
+		e.Uint32(1)
+		e.Int64Slice([]int64{1})
+		e.String("")
+		f.Add([]byte{byte(tag)}, uint16(0))
+		f.Add(e.Bytes(), uint16(1))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, scratchCap uint16) {
 		msg, err := Unmarshal(data)
+		if len(data) > 0 && retiredTag(MsgType(data[0])) && err == nil {
+			t.Fatalf("retired tag %d decoded into %T", data[0], msg)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
@@ -94,6 +103,10 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 	})
 }
+
+// retiredTag reports the tags of withdrawn messages (12–15, a batched
+// identify): they stay reserved, and no decoder may accept them.
+func retiredTag(t MsgType) bool { return t >= 12 && t <= 15 }
 
 // fuzzHelper builds a small valid helper datum for codec seeds.
 func fuzzHelper() *core.HelperData {

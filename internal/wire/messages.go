@@ -39,18 +39,12 @@ const (
 	// TypeRevokeRequest asks to revoke an enrollment after proving
 	// possession of the biometric (challenge-response follows).
 	TypeRevokeRequest
-	// TypeIdentifyBatchRequest opens a batched identification run with
-	// several probe sketches at once.
-	TypeIdentifyBatchRequest
-	// TypeIdentifyBatchChallenge carries (index, P, c) for every probe the
-	// server matched.
-	TypeIdentifyBatchChallenge
-	// TypeIdentifyBatchSignature carries (index, sigma, a) for every
-	// challenge the device could answer.
-	TypeIdentifyBatchSignature
-	// TypeIdentifyBatchResult reports the per-probe verdicts (the
-	// identified ID, or "" for probes that failed).
-	TypeIdentifyBatchResult
+	// Tags 12–15 are retired (a batched identify, withdrawn) and stay
+	// reserved so no later tag moves; a server answers them with Reject.
+	_
+	_
+	_
+	_
 	// TypeStatsRequest asks the server for its telemetry snapshot.
 	TypeStatsRequest
 	// TypeStatsResponse carries the telemetry snapshot as JSON.
@@ -114,9 +108,6 @@ const (
 	// cluster.go).
 	TypePartitionOK
 )
-
-// MaxIdentifyBatch bounds the probes of one batched identification run.
-const MaxIdentifyBatch = 1 << 10
 
 // Message is implemented by every protocol message.
 type Message interface {
@@ -476,193 +467,6 @@ func (m *ReEnrollRequest) decode(d *Decoder) error {
 	return err
 }
 
-// IdentifyBatchRequest opens the batched identification protocol: the
-// device ships several probe sketches in one session, amortising framing,
-// database locks and residue computation across them.
-type IdentifyBatchRequest struct {
-	// Probes are the probe sketches, one per reading.
-	Probes []*sketch.Sketch
-	// Tenant is the namespace to search ("" = default tenant).
-	Tenant string
-}
-
-// Type implements Message.
-func (*IdentifyBatchRequest) Type() MsgType { return TypeIdentifyBatchRequest }
-
-func (m *IdentifyBatchRequest) encode(e *Encoder) {
-	e.Uint32(uint32(len(m.Probes)))
-	for _, p := range m.Probes {
-		if p == nil {
-			e.Int64Slice(nil)
-			continue
-		}
-		e.Int64Slice(p.Movements)
-	}
-	e.String(m.Tenant)
-}
-
-func (m *IdentifyBatchRequest) decode(d *Decoder) error {
-	n, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	if int(n) > MaxIdentifyBatch {
-		return fmt.Errorf("%w: identify batch %d", ErrTooLarge, n)
-	}
-	m.Probes = make([]*sketch.Sketch, n)
-	for i := range m.Probes {
-		movements, err := d.Int64Slice(MaxVectorLen)
-		if err != nil {
-			return err
-		}
-		if len(movements) > 0 {
-			m.Probes[i] = &sketch.Sketch{Movements: movements}
-		}
-	}
-	m.Tenant, err = decodeTenantTail(d)
-	return err
-}
-
-// IndexedChallenge is one (probe index, P, c) tuple of a batched
-// identification run.
-type IndexedChallenge struct {
-	// Probe indexes the request probe this challenge answers.
-	Probe uint32
-	// Helper is the matched record's helper data.
-	Helper *core.HelperData
-	// Challenge is the fresh challenge for that record.
-	Challenge []byte
-}
-
-// IdentifyBatchChallenge carries a challenge for every matched probe of a
-// batched identification request; unmatched probes have no entry.
-type IdentifyBatchChallenge struct {
-	// Entries holds one challenge per matched probe.
-	Entries []IndexedChallenge
-}
-
-// Type implements Message.
-func (*IdentifyBatchChallenge) Type() MsgType { return TypeIdentifyBatchChallenge }
-
-func (m *IdentifyBatchChallenge) encode(e *Encoder) {
-	e.Uint32(uint32(len(m.Entries)))
-	for i := range m.Entries {
-		e.Uint32(m.Entries[i].Probe)
-		encodeHelper(e, m.Entries[i].Helper)
-		e.VarBytes(m.Entries[i].Challenge)
-	}
-}
-
-func (m *IdentifyBatchChallenge) decode(d *Decoder) error {
-	n, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	if int(n) > MaxIdentifyBatch {
-		return fmt.Errorf("%w: identify batch %d", ErrTooLarge, n)
-	}
-	m.Entries = make([]IndexedChallenge, n)
-	for i := range m.Entries {
-		if m.Entries[i].Probe, err = d.Uint32(); err != nil {
-			return err
-		}
-		if m.Entries[i].Helper, err = decodeHelper(d); err != nil {
-			return err
-		}
-		if m.Entries[i].Challenge, err = d.VarBytes(MaxBytesLen); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// IndexedSignature is one (probe index, sigma, a) tuple of a batched
-// identification run.
-type IndexedSignature struct {
-	// Probe indexes the request probe this answer belongs to.
-	Probe uint32
-	// Signature is sigma for that probe's challenge.
-	Signature []byte
-	// Nonce is the device-chosen nonce a.
-	Nonce []byte
-}
-
-// IdentifyBatchSignature carries the device's answers to a batched
-// challenge; challenges whose key could not be reproduced have no entry.
-type IdentifyBatchSignature struct {
-	// Entries holds one answer per challenge the device could satisfy.
-	Entries []IndexedSignature
-}
-
-// Type implements Message.
-func (*IdentifyBatchSignature) Type() MsgType { return TypeIdentifyBatchSignature }
-
-func (m *IdentifyBatchSignature) encode(e *Encoder) {
-	e.Uint32(uint32(len(m.Entries)))
-	for i := range m.Entries {
-		e.Uint32(m.Entries[i].Probe)
-		e.VarBytes(m.Entries[i].Signature)
-		e.VarBytes(m.Entries[i].Nonce)
-	}
-}
-
-func (m *IdentifyBatchSignature) decode(d *Decoder) error {
-	n, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	if int(n) > MaxIdentifyBatch {
-		return fmt.Errorf("%w: identify batch %d", ErrTooLarge, n)
-	}
-	m.Entries = make([]IndexedSignature, n)
-	for i := range m.Entries {
-		if m.Entries[i].Probe, err = d.Uint32(); err != nil {
-			return err
-		}
-		if m.Entries[i].Signature, err = d.VarBytes(MaxBytesLen); err != nil {
-			return err
-		}
-		if m.Entries[i].Nonce, err = d.VarBytes(MaxBytesLen); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// IdentifyBatchResult closes a batched identification run: IDs is aligned
-// with the request probes, with "" for probes that were not identified.
-type IdentifyBatchResult struct {
-	// IDs is aligned with the request probes; "" marks unidentified ones.
-	IDs []string
-}
-
-// Type implements Message.
-func (*IdentifyBatchResult) Type() MsgType { return TypeIdentifyBatchResult }
-
-func (m *IdentifyBatchResult) encode(e *Encoder) {
-	e.Uint32(uint32(len(m.IDs)))
-	for _, id := range m.IDs {
-		e.String(id)
-	}
-}
-
-func (m *IdentifyBatchResult) decode(d *Decoder) error {
-	n, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	if int(n) > MaxIdentifyBatch {
-		return fmt.Errorf("%w: identify batch %d", ErrTooLarge, n)
-	}
-	m.IDs = make([]string, n)
-	for i := range m.IDs {
-		if m.IDs[i], err = d.String(MaxBytesLen); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // StatsRequest opens a stats session: the client asks the server for its
 // current telemetry snapshot (operational monitoring, not part of the
 // paper's protocols). Servers without telemetry answer with a Reject.
@@ -833,14 +637,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &Reject{}, nil
 	case TypeRevokeRequest:
 		return &RevokeRequest{}, nil
-	case TypeIdentifyBatchRequest:
-		return &IdentifyBatchRequest{}, nil
-	case TypeIdentifyBatchChallenge:
-		return &IdentifyBatchChallenge{}, nil
-	case TypeIdentifyBatchSignature:
-		return &IdentifyBatchSignature{}, nil
-	case TypeIdentifyBatchResult:
-		return &IdentifyBatchResult{}, nil
 	case TypeStatsRequest:
 		return &StatsRequest{}, nil
 	case TypeStatsResponse:
@@ -886,7 +682,7 @@ func newMessage(t MsgType) (Message, error) {
 	case TypePartitionOK:
 		return &PartitionOK{}, nil
 	default:
-		return nil, fmt.Errorf("%w: unknown message type %d", ErrBadFrame, t)
+		return nil, fmt.Errorf("%w %d", ErrUnknownType, t)
 	}
 }
 

@@ -28,10 +28,6 @@ func everyMessage(t *testing.T) []Message {
 		&Accept{ID: "alice"},
 		&Reject{Reason: "no matching record"},
 		&RevokeRequest{ID: "alice"},
-		&IdentifyBatchRequest{Probes: []*sketch.Sketch{probe, probe}},
-		&IdentifyBatchChallenge{Entries: []IndexedChallenge{{Probe: 3, Helper: helper, Challenge: []byte("c3")}}},
-		&IdentifyBatchSignature{Entries: []IndexedSignature{{Probe: 3, Signature: []byte("sig"), Nonce: []byte("n")}}},
-		&IdentifyBatchResult{IDs: []string{"alice", "", "carol"}},
 		&StatsRequest{},
 		&StatsResponse{JSON: []byte(`{"store.len":1}`)},
 		&NotPrimary{Primary: "10.0.0.1:7700"},
@@ -87,7 +83,7 @@ func TestDecodedMessagesOwnTheirBytes(t *testing.T) {
 		}
 	}
 	for typ := TypeEnrollRequest; typ <= TypePartitionOK; typ++ {
-		if !seen[typ] {
+		if !seen[typ] && !retiredTag(typ) {
 			t.Errorf("message type %d has no sample", typ)
 		}
 	}

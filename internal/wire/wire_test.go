@@ -64,15 +64,6 @@ func TestMessageRoundTrips(t *testing.T) {
 		&Accept{ID: "alice"},
 		&Reject{Reason: "no matching record"},
 		&RevokeRequest{ID: "alice"},
-		&IdentifyBatchRequest{Probes: []*sketch.Sketch{probe, probe}},
-		&IdentifyBatchChallenge{Entries: []IndexedChallenge{
-			{Probe: 0, Helper: helper, Challenge: []byte("c0")},
-			{Probe: 3, Helper: helper, Challenge: []byte("c3")},
-		}},
-		&IdentifyBatchSignature{Entries: []IndexedSignature{
-			{Probe: 3, Signature: []byte("sig"), Nonce: []byte("nonce")},
-		}},
-		&IdentifyBatchResult{IDs: []string{"alice", "", "carol"}},
 		&TenantAdmin{Action: TenantActionCreate, Tenant: "acme"},
 		&TenantAdmin{Action: TenantActionSetLimits, Tenant: "acme",
 			Limits: &LimitsSpec{RateMilli: 1500, Burst: 10, MaxConcurrent: 8, Weight: 3}},

@@ -9,8 +9,8 @@ import (
 	"fuzzyid/internal/protocol"
 )
 
-// TestTelemetryEndToEnd drives a real TCP enroll→verify→identify→batch→
-// revoke sequence against a WithTelemetry system and asserts that every
+// TestTelemetryEndToEnd drives a real TCP enroll→verify→identify→revoke
+// sequence against a WithTelemetry system and asserts that every
 // layer's counters moved: per-op protocol counts and latencies, transport
 // connection/byte accounting, and WAL appends for the persistent store.
 func TestTelemetryEndToEnd(t *testing.T) {
@@ -62,10 +62,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if id, err := client.Identify(reading(1)); err != nil || id != users[1].ID {
 		t.Fatalf("identify = (%q, %v)", id, err)
 	}
-	if ids, err := client.IdentifyBatch([]fuzzyid.Vector{reading(0), reading(2)}); err != nil ||
-		ids[0] != users[0].ID || ids[1] != users[2].ID {
-		t.Fatalf("identify batch = (%v, %v)", ids, err)
-	}
 	if err := client.Revoke(users[2].ID, reading(2)); err != nil {
 		t.Fatalf("revoke: %v", err)
 	}
@@ -82,14 +78,13 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 
 	wantCounters := map[string]uint64{
-		"protocol.enroll.requests":         3,
-		"protocol.verify.requests":         1,
-		"protocol.identify.requests":       1,
-		"protocol.identify_batch.requests": 1,
-		"protocol.revoke.requests":         1,
-		"protocol.stats.requests":          1,
-		"transport.conns.accepted":         1,
-		"persist.wal.appends":              4, // 3 enrollments + 1 revocation
+		"protocol.enroll.requests":   3,
+		"protocol.verify.requests":   1,
+		"protocol.identify.requests": 1,
+		"protocol.revoke.requests":   1,
+		"protocol.stats.requests":    1,
+		"transport.conns.accepted":   1,
+		"persist.wal.appends":        4, // 3 enrollments + 1 revocation
 	}
 	for name, want := range wantCounters {
 		if got := snap.Counter(name); got != want {

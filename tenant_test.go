@@ -178,8 +178,6 @@ func TestUnknownTenantTypedError(t *testing.T) {
 	check("verify", ghost.Verify(u.ID, reading))
 	_, err = ghost.Identify(reading)
 	check("identify", err)
-	_, err = ghost.IdentifyBatch([]Vector{reading})
-	check("identify-batch", err)
 	check("revoke", ghost.Revoke(u.ID, reading))
 	_, err = ghost.IdentifyNormal(reading)
 	check("identify-normal", err)
