@@ -13,11 +13,9 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"fuzzyid/internal/bch"
 	"fuzzyid/internal/biometric"
 	"fuzzyid/internal/core"
 	"fuzzyid/internal/extract"
-	"fuzzyid/internal/gf"
 	"fuzzyid/internal/numberline"
 	"fuzzyid/internal/sigscheme"
 	"fuzzyid/internal/sketch"
@@ -585,146 +583,6 @@ func BenchmarkSigScheme(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkBCH(b *testing.B) {
-	code, err := bch.New(8, 5) // BCH(255, 215, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	msg := make(bch.Bits, code.K())
-	for i := range msg {
-		msg[i] = byte(rng.Intn(2))
-	}
-	cw, err := code.Encode(msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rx := cw.Clone()
-	for _, p := range rng.Perm(code.N())[:code.T()] {
-		rx[p] ^= 1
-	}
-	b.Run("encode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := code.Encode(msg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode-t-errors", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := code.Decode(rx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkCodeOffset(b *testing.B) {
-	code, err := bch.New(8, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	co := sketch.NewCodeOffset(code)
-	rng := rand.New(rand.NewSource(9))
-	w := make(bch.Bits, co.N())
-	for i := range w {
-		w[i] = byte(rng.Intn(2))
-	}
-	s, err := co.Sketch(w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w2 := w.Clone()
-	for _, p := range rng.Perm(co.N())[:co.T()] {
-		w2[p] ^= 1
-	}
-	b.Run("sketch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := co.Sketch(w); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("recover", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := co.Recover(w2, s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkPinSketch(b *testing.B) {
-	ps, err := sketch.NewPinSketch(12, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	perm := rng.Perm(int(ps.Universe()))
-	set := make([]gf.Elem, 40)
-	for i := range set {
-		set[i] = gf.Elem(perm[i] + 1)
-	}
-	syn, err := ps.Sketch(set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probe := append([]gf.Elem(nil), set[4:]...)
-	for i := 0; i < 4; i++ {
-		probe = append(probe, gf.Elem(perm[40+i]+1))
-	}
-	b.Run("sketch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ps.Sketch(set); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("recover-8diff", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ps.Recover(probe, syn); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkFuzzyVault(b *testing.B) {
-	fv, err := sketch.NewFuzzyVault(12, 9, 200)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(12))
-	perm := rng.Perm(4095)
-	features := make([]gf.Elem, 24)
-	for i := range features {
-		features[i] = gf.Elem(perm[i] + 1)
-	}
-	secret := make([]gf.Elem, fv.SecretLen())
-	for i := range secret {
-		secret[i] = gf.Elem(rng.Intn(1 << 12))
-	}
-	locked, err := fv.Lock(features, secret)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probe := features[:14]
-	b.Run("lock", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := fv.Lock(features, secret); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("unlock", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := fv.Unlock(probe, locked); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkWireHelperRoundTrip(b *testing.B) {

@@ -8,7 +8,6 @@
 //	fuzzyid-client -addr HOST:PORT identify -vec probe.vec [-normal]
 //	fuzzyid-client -addr HOST:PORT revoke  -id alice -vec probe.vec
 //	fuzzyid-client -addr HOST:PORT re-enroll -id alice -old probe.vec -vec alice2.vec
-//	fuzzyid-client -addr HOST:PORT stats
 //	fuzzyid-client -addr HOST:PORT repl-status
 //	fuzzyid-client -addr HOST:PORT tenant list
 //	fuzzyid-client -addr HOST:PORT tenant create -name myapp
@@ -64,7 +63,7 @@ func run(args []string) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return errors.New("missing subcommand: newuser, reading, enroll, verify, identify, revoke, re-enroll, stats, repl-status, tenant or cluster")
+		return errors.New("missing subcommand: newuser, reading, enroll, verify, identify, revoke, re-enroll, repl-status, tenant or cluster")
 	}
 	cmd, cmdArgs := rest[0], rest[1:]
 	switch cmd {
@@ -76,8 +75,6 @@ func run(args []string) error {
 		return cmdProtocol(cmd, cmdArgs, *addr, *scheme, *ext)
 	case "re-enroll":
 		return cmdReEnroll(cmdArgs, *addr, *scheme, *ext)
-	case "stats":
-		return cmdStats(*addr, *scheme, *ext)
 	case "repl-status":
 		return cmdReplStatus(*addr, *scheme, *ext)
 	case "tenant":
@@ -275,33 +272,6 @@ func cmdTenant(args []string, addr, scheme, ext string) error {
 	default:
 		return fmt.Errorf("tenant: unknown action %q (want list, create, drop or limits)", action)
 	}
-}
-
-// cmdStats fetches the server's telemetry snapshot over the native protocol
-// and prints the JSON document.
-func cmdStats(addr, scheme, ext string) error {
-	sys, err := fuzzyid.NewSystem(
-		fuzzyid.Params{Line: fuzzyid.PaperLine()},
-		fuzzyid.WithSignatureScheme(scheme),
-		fuzzyid.WithExtractor(ext),
-	)
-	if err != nil {
-		return err
-	}
-	client, err := sys.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-	buf, err := client.Stats()
-	if err != nil {
-		if fuzzyid.IsRejected(err) {
-			return fmt.Errorf("stats unavailable: %w", err)
-		}
-		return err
-	}
-	_, err = os.Stdout.Write(append(buf, '\n'))
-	return err
 }
 
 // cmdReplStatus probes the server's replication role and progress — the

@@ -22,9 +22,6 @@
 //
 //	go tool pprof http://127.0.0.1:7701/debug/pprof/profile?seconds=30
 //
-// The same snapshot is available over the native protocol via
-// "fuzzyid-client stats".
-//
 // Read scaling (DESIGN.md §8, OPERATIONS.md): -serve-replication makes the
 // server a primary that streams its mutation log to followers, and
 // -replica-of starts a read-only follower that bootstraps from the

@@ -17,7 +17,7 @@
 //     and identification protocols of §V over TCP (Listen / Dial) or
 //     in-memory pipes (LocalClient).
 //   - The substrates, importable directly from internal/... by code inside
-//     this module: secure sketches, strong extractors, BCH codes, the
+//     this module: secure sketches, strong extractors, the
 //     synthetic biometric source and the experiment harness.
 //
 // Quick start:
@@ -95,7 +95,7 @@ type (
 	QoSLimits = qos.Limits
 )
 
-// ParseStats decodes a stats JSON document (from Client.Stats or the
+// ParseStats decodes a stats JSON document (from StatsJSON or the
 // -stats-addr endpoint) into a typed snapshot.
 func ParseStats(buf []byte) (*StatsSnapshot, error) { return telemetry.ParseSnapshot(buf) }
 
@@ -112,7 +112,7 @@ func WithMaxConns(n int) ServerOption { return transport.WithMaxConns(n) }
 // WithReplicas names a dialed Client's followers: the client routes by a
 // one-group map of the dialed primary and these replicas. Identifications
 // rotate round-robin across healthy replicas; enrollments, revocations,
-// re-enrollments, verifications and stats go to the primary. A replica
+// re-enrollments and verifications go to the primary. A replica
 // whose stream is down, that is more than 1024 mutations behind its primary
 // (transport.DefaultMaxReplicaLag, a fixed bound), or that fails at the
 // transport level is skipped, and identifications fall back to the primary
@@ -375,8 +375,8 @@ func WithGroupWindow(d time.Duration) Option {
 // a Server started with Listen additionally tracks connections and bytes
 // moved. Observations are lock-free atomic updates
 // with zero allocations, cheap enough to leave on in production. Read the
-// numbers via (*System).Stats / StatsJSON, the stats session of a connected
-// Client, or the fuzzyid-server -stats-addr HTTP endpoint.
+// numbers via (*System).Stats / StatsJSON, or the fuzzyid-server
+// -stats-addr HTTP endpoint.
 func WithTelemetry() Option {
 	return optionFunc(func(c *config) error {
 		c.telemetry = true
@@ -661,8 +661,8 @@ func (s *System) Metrics() *Metrics { return s.metrics }
 // WithTelemetry).
 func (s *System) Stats() StatsSnapshot { return s.metrics.Snapshot() }
 
-// StatsJSON returns the stats snapshot as indented JSON — the same document
-// the -stats-addr endpoint and the client stats session serve.
+// StatsJSON returns the stats snapshot as indented JSON — the document the
+// -stats-addr endpoint serves.
 func (s *System) StatsJSON() ([]byte, error) {
 	if s.metrics == nil {
 		return nil, errors.New("fuzzyid: telemetry disabled (build the system WithTelemetry)")

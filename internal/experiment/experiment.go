@@ -10,8 +10,6 @@
 //	robust     — §IV-C: helper-data tamper detection
 //	ablate     — design-choice ablations (k, index depth, extractor, scheme)
 //	reuse      — extension: exact multi-enrollment leakage H̃∞(X|S₁,S₂)
-//	codeoffset — extension: comparators from §VIII (Hamming code-offset,
-//	             set-difference PinSketch) vs the Chebyshev construction
 //	accuracy   — extension: FRR/FAR across the noise threshold (§III/§VI-B)
 //	comm       — extension: wire sizes per protocol message (§I motivation)
 //	durable    — extension: durable enroll latency vs concurrent writers,
@@ -177,7 +175,6 @@ func Registry() map[string]Runner {
 		"robust":     Robust,
 		"ablate":     Ablate,
 		"reuse":      Reuse,
-		"codeoffset": CodeOffsetCompare,
 		"accuracy":   Accuracy,
 		"comm":       Comm,
 		"durable":    DurableEnroll,

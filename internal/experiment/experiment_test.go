@@ -16,7 +16,7 @@ func TestRegistryAndIDs(t *testing.T) {
 	if len(reg) != len(ids) {
 		t.Fatalf("registry %d vs ids %d", len(reg), len(ids))
 	}
-	for _, want := range []string{"table2", "verify", "fig4", "falseclose", "entropy", "robust", "ablate", "reuse", "codeoffset", "accuracy", "comm", "openset", "aging"} {
+	for _, want := range []string{"table2", "verify", "fig4", "falseclose", "entropy", "robust", "ablate", "reuse", "accuracy", "comm", "openset", "aging"} {
 		if _, ok := reg[want]; !ok {
 			t.Errorf("experiment %q missing from registry", want)
 		}
@@ -276,26 +276,6 @@ func TestReuseQuick(t *testing.T) {
 		if leak > 1e-9 || leak < -1e-9 {
 			t.Errorf("%s: second sketch leaked %v bits, want 0", row[0], leak)
 		}
-	}
-}
-
-func TestCodeOffsetCompareQuick(t *testing.T) {
-	tbl, err := CodeOffsetCompare(quickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4 constructions", len(tbl.Rows))
-	}
-	// Only the Chebyshev construction supports identification lookup.
-	yes := 0
-	for _, row := range tbl.Rows {
-		if strings.HasPrefix(row[5], "yes") {
-			yes++
-		}
-	}
-	if yes != 1 {
-		t.Errorf("%d constructions claim lookup support, want exactly 1", yes)
 	}
 }
 

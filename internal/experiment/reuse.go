@@ -83,7 +83,7 @@ func Reuse(cfg Config) (*Table, error) {
 	}
 	tbl.AddNote("a second enrollment sketch leaks zero additional bits: the movement is a deterministic " +
 		"function of the point, and the boundary coin only re-reveals what |s| = ka/2 already said.")
-	tbl.AddNote("contrast: a fresh-codeword code-offset sketch (comparator in exp codeoffset) leaks anew per enrollment.")
+	tbl.AddNote("contrast: a fresh-codeword code-offset sketch (the comparator table frozen in EXPERIMENTS.md) leaks anew per enrollment.")
 	return tbl, nil
 }
 

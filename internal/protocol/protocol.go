@@ -275,17 +275,6 @@ func (d *Device) IdentifyNormal(rw io.ReadWriter, bio numberline.Vector) (string
 	return "", ErrNoMatch
 }
 
-// Stats runs a stats session: it asks the server for its telemetry snapshot
-// and returns the raw JSON document (see internal/telemetry.ParseSnapshot
-// for the typed view). Servers without telemetry reject the request.
-func (d *Device) Stats(rw io.ReadWriter) ([]byte, error) {
-	m, err := await[*wire.StatsResponse](rw, &wire.StatsRequest{}, "stats")
-	if err != nil {
-		return nil, err
-	}
-	return m.JSON, nil
-}
-
 // Tenants runs a tenant administration session asking for the hosted
 // namespace names.
 func (d *Device) Tenants(rw io.ReadWriter) ([]string, error) {
@@ -603,25 +592,21 @@ func (o *opStats) bind(reg *telemetry.Registry, op string) {
 // request/error counter families. The zero value (all nil instruments) is
 // the uninstrumented state and costs one branch per update.
 type serverMetrics struct {
-	reg                                                      *telemetry.Registry
-	enroll, verify, identify, identifyNormal, revoke, statsQ opStats
-	reenroll, replSub, replStatus, tenantAdmin               opStats
-	clusterMap, partAdmin, partIngest                        opStats
-	tenantReqs, tenantErrs                                   *telemetry.LabelledCounters
+	enroll, verify, identify, identifyNormal, revoke opStats
+	reenroll, replSub, replStatus, tenantAdmin       opStats
+	clusterMap, partAdmin, partIngest                opStats
+	tenantReqs, tenantErrs                           *telemetry.LabelledCounters
 }
 
-// Instrument binds the server's per-operation metrics to reg and makes reg
-// the snapshot the stats session reports. Call before serving traffic;
-// Instrument(nil) leaves the server uninstrumented.
+// Instrument binds the server's per-operation metrics to reg. Call before
+// serving traffic; Instrument(nil) leaves the server uninstrumented.
 func (s *Server) Instrument(reg *telemetry.Registry) {
-	s.m.reg = reg
 	s.m.enroll.bind(reg, "enroll")
 	s.m.verify.bind(reg, "verify")
 	s.m.identify.bind(reg, "identify")
 	s.m.identifyNormal.bind(reg, "identify_normal")
 	s.m.revoke.bind(reg, "revoke")
 	s.m.reenroll.bind(reg, "reenroll")
-	s.m.statsQ.bind(reg, "stats")
 	s.m.replSub.bind(reg, "repl_subscribe")
 	s.m.replStatus.bind(reg, "repl_status")
 	s.m.tenantAdmin.bind(reg, "tenant_admin")
@@ -651,11 +636,12 @@ func (s *Server) HandleSession(rw io.ReadWriter) error {
 	msg, err := wire.ReceiveInto(rw, sp)
 	if err != nil {
 		putMovements(sp)
-		// The frame was read whole, so the stream is still in sync: answer
-		// an unknown or retired tag as any other opener that cannot open
-		// a session.
-		if errors.Is(err, wire.ErrUnknownType) {
-			_ = wire.Send(rw, &wire.Reject{Reason: "unknown message type"})
+		// A frame read whole leaves the stream in sync: answer one that
+		// does not decode (an unknown or retired tag, a malformed body)
+		// as any other opener that cannot open a session. A frame cut
+		// short, or declared over wire.MaxFrameLen, closes with no reply.
+		if errors.Is(err, wire.ErrBadFrame) {
+			_ = wire.Send(rw, &wire.Reject{Reason: err.Error()})
 		}
 		return err
 	}
@@ -682,8 +668,6 @@ func (s *Server) HandleSession(rw io.ReadWriter) error {
 		om, run = &s.m.revoke, s.keyedRun(rw, m.Tenant, m.ID, mutatingOp, 0, func(db *store.Journaled, _ string) error { return s.handleRevoke(rw, db, m) })
 	case *wire.ReEnrollRequest:
 		om, run = &s.m.reenroll, s.keyedRun(rw, m.Tenant, m.ID, mutatingOp, enrollPayloadBytes(m.PublicKey, m.Helper), func(db *store.Journaled, _ string) error { return s.handleReEnroll(rw, db, m) })
-	case *wire.StatsRequest:
-		om, run = &s.m.statsQ, func() error { return s.handleStats(rw) }
 	case *wire.ReplSubscribe:
 		om, run = &s.m.replSub, func() error { return s.handleSubscribe(rw, m) }
 	case *wire.ReplStatus:
@@ -813,20 +797,6 @@ func (s *Server) scanGate(rw io.ReadWriter, name string) (release func(), ok boo
 		return nil, false, s.shed(rw, acquireErr)
 	}
 	return release, true, nil
-}
-
-// handleStats serves the operational stats session: the registry snapshot as
-// JSON — the same document the HTTP stats endpoint serves. An
-// uninstrumented server rejects the request.
-func (s *Server) handleStats(rw io.ReadWriter) error {
-	if s.m.reg == nil {
-		return wire.Send(rw, &wire.Reject{Reason: "telemetry disabled"})
-	}
-	buf, err := s.m.reg.MarshalJSON()
-	if err != nil {
-		return wire.Send(rw, &wire.Reject{Reason: fmt.Sprintf("stats: %v", err)})
-	}
-	return wire.Send(rw, &wire.StatsResponse{JSON: buf})
 }
 
 // handleSubscribe serves a replication stream; the session stays open for

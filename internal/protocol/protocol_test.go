@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -293,12 +294,13 @@ func TestServerRejectsBadOpener(t *testing.T) {
 }
 
 // TestSessionRejectsRetiredTags sends whole frames whose tags name no
-// message — the retired batched-identify tags 12–15 and an unassigned 255
-// — and expects each answered with Reject, like any opener that cannot
-// open a session, rather than a silently dropped connection.
+// message — the retired batched-identify tags 12–15, the retired stats
+// tags 16–17 and an unassigned 255 — and expects each answered with
+// Reject, like any opener that cannot open a session, rather than a
+// silently dropped connection.
 func TestSessionRejectsRetiredTags(t *testing.T) {
 	e := newEnv(t, 64, 118)
-	for _, tag := range []byte{12, 13, 14, 15, 255} {
+	for _, tag := range []byte{12, 13, 14, 15, 16, 17, 255} {
 		devEnd, srvEnd := net.Pipe()
 		srvDone := make(chan error, 1)
 		go func() {
@@ -319,6 +321,65 @@ func TestSessionRejectsRetiredTags(t *testing.T) {
 			t.Fatalf("tag %d: server err = %v, want ErrProtocol or ErrBadFrame", tag, srvErr)
 		}
 		devEnd.Close()
+	}
+}
+
+// TestSessionRejectsMalformedBodies sends whole frames under known tags
+// whose bodies do not decode, and expects each answered with Reject: the
+// frame was read whole, so the stream is in sync. A frame that could not be
+// read whole — cut short by EOF, or declared over wire.MaxFrameLen — still
+// closes with no reply, because the stream is not.
+func TestSessionRejectsMalformedBodies(t *testing.T) {
+	e := newEnv(t, 64, 119)
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"empty frame", nil},
+		{"enroll with a truncated ID", []byte{byte(wire.TypeEnrollRequest), 0, 0, 0, 9, 'a'}},
+		{"identify with bool byte 7", []byte{byte(wire.TypeIdentifyRequest), 7, 0, 0, 0, 0}},
+		{"cluster map request with a trailing byte", []byte{byte(wire.TypeClusterMapRequest), 0}},
+	} {
+		devEnd, srvEnd := net.Pipe()
+		srvDone := make(chan error, 1)
+		go func() {
+			defer srvEnd.Close()
+			srvDone <- e.server.HandleSession(srvEnd)
+		}()
+		frame := append([]byte{0, 0, 0, byte(len(tc.body))}, tc.body...)
+		if _, err := devEnd.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := wire.Receive(devEnd)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, ok := msg.(*wire.Reject); !ok {
+			t.Fatalf("%s: got %T, want Reject", tc.name, msg)
+		}
+		if srvErr := <-srvDone; !errors.Is(srvErr, wire.ErrBadFrame) {
+			t.Fatalf("%s: server err = %v, want ErrBadFrame", tc.name, srvErr)
+		}
+		devEnd.Close()
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"body cut short", []byte{0, 0, 0, 9, byte(wire.TypeEnrollRequest), 0, 0}},
+		{"header over MaxFrameLen", []byte{0xFF, 0xFF, 0xFF, 0xFF, byte(wire.TypeEnrollRequest)}},
+	} {
+		var out bytes.Buffer
+		err := e.server.HandleSession(struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(tc.frame), &out})
+		if err == nil || errors.Is(err, wire.ErrBadFrame) {
+			t.Fatalf("%s: server err = %v, want a read error", tc.name, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%s: server replied %d bytes to a frame it could not read whole", tc.name, out.Len())
+		}
 	}
 }
 

@@ -46,10 +46,6 @@ var deviceCalls = []deviceCall{
 	{"ReEnroll", func(d *Device, rw io.ReadWriter, bio numberline.Vector) (string, wire.MsgType, error) {
 		return "alice", wire.TypeAccept, d.ReEnroll(rw, "alice", bio, bio)
 	}},
-	{"Stats", func(d *Device, rw io.ReadWriter, _ numberline.Vector) (string, wire.MsgType, error) {
-		_, err := d.Stats(rw)
-		return "", noIdentity, err
-	}},
 	{"Tenants", func(d *Device, rw io.ReadWriter, _ numberline.Vector) (string, wire.MsgType, error) {
 		_, err := d.Tenants(rw)
 		return "", noIdentity, err
@@ -195,7 +191,6 @@ func FuzzDeviceReplies(f *testing.F) {
 		{&wire.ChallengeBatch{Entries: []wire.ChallengeEntry{{Helper: helper, Challenge: c}}}, &wire.Accept{ID: "alice"}},
 		{&wire.Challenge{Helper: helper, Challenge: c}, &wire.Accept{ID: "alice"}},
 		{&wire.Challenge{Helper: helper, Challenge: c}, &wire.Accept{ID: "alice"}},
-		{&wire.StatsResponse{JSON: []byte("{}")}},
 		{&wire.TenantInfo{Tenants: []string{"default"}}},
 		{&wire.Accept{ID: "t"}},
 		{&wire.Accept{ID: "t"}},
@@ -215,9 +210,12 @@ func FuzzDeviceReplies(f *testing.F) {
 	f.Add(byte(2), encodeFrames(f, &wire.Challenge{Helper: helper, Challenge: c}, &wire.Accept{ID: "mallory"}))
 	f.Add(byte(1), encodeFrames(f, &wire.Challenge{Helper: helper, Challenge: c}, &wire.Accept{ID: "mallory"}))
 	// Replies under retired tags (12–15, once a batched identify's
-	// challenge and result) decode to nothing and establish no identity.
+	// challenge and result; 16–17, once a stats session's request and
+	// snapshot) decode to nothing and establish no identity.
 	f.Add(byte(2), []byte{0, 0, 0, 5, 13, 0, 0, 0, 0})
 	f.Add(byte(1), []byte{0, 0, 0, 5, 15, 0, 0, 0, 0})
+	f.Add(byte(6), []byte{0, 0, 0, 5, 16, 0, 0, 0, 0})
+	f.Add(byte(6), []byte{0, 0, 0, 5, 17, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, which byte, replies []byte) {
 		call := deviceCalls[int(which)%len(deviceCalls)]

@@ -1,7 +1,6 @@
 // Package sketch implements the secure sketches of the paper: the
-// Chebyshev-metric (maximum norm) sketch of §IV-B, its robust wrapper of
-// §IV-C (Boyen et al. generic construction), and a Hamming-metric
-// code-offset sketch used as a comparator (§VIII).
+// Chebyshev-metric (maximum norm) sketch of §IV-B and its robust wrapper of
+// §IV-C (Boyen et al. generic construction).
 //
 // A secure sketch is a pair of procedures (SS, Rec): SS(x) emits public
 // helper data s that leaks little about x, and Rec(y, s) recovers x exactly

@@ -402,7 +402,7 @@ func (l *LabelledCounters) Get(label string) *Counter {
 
 // Snapshot is the exported state of a whole registry. Map keys are the
 // instrument names; the JSON field names are part of the output contract of
-// the -stats-addr endpoint and the stats wire message — append only.
+// the -stats-addr endpoint — append only.
 type Snapshot struct {
 	// TakenAtMS is the snapshot wall-clock time in Unix milliseconds.
 	TakenAtMS int64 `json:"taken_at_ms"`
@@ -509,13 +509,13 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // MarshalJSON returns the registry snapshot as indented JSON — the payload
-// of the -stats-addr endpoint and the stats wire message.
+// of the -stats-addr endpoint.
 func (r *Registry) MarshalJSON() ([]byte, error) {
 	return r.Snapshot().marshal()
 }
 
 // ParseSnapshot decodes a snapshot previously produced by MarshalJSON /
-// WriteJSON (the client side of the stats wire message).
+// WriteJSON, such as a body the -stats-addr endpoint served.
 func ParseSnapshot(buf []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(buf, &s); err != nil {

@@ -16,8 +16,8 @@ package transport
 //     and falls back to the primary. A miss refreshes a fetched map once;
 //     a miss with an unreachable group is a typed PartialIdentifyError
 //     instead of a silent false reject.
-//   - Tenant administration fans out to every primary. Stats, tenant
-//     listing, limits, replication status and handoff stay on the seed.
+//   - Tenant administration fans out to every primary. Tenant listing,
+//     limits, replication status and handoff stay on the seed.
 
 import (
 	"cmp"

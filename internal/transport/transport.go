@@ -473,11 +473,6 @@ func (c *Client) ReEnroll(id string, oldBio, newBio numberline.Vector) error {
 	return c.keyed(id, func(rw io.ReadWriter) error { return c.device.ReEnroll(rw, id, oldBio, newBio) })
 }
 
-// Stats asks the seed server for its telemetry snapshot over the native
-// protocol and returns the raw JSON document. Servers without telemetry
-// reject the request (protocol.IsRejected on the error).
-func (c *Client) Stats() ([]byte, error) { return seedCall(c, c.device.Stats) }
-
 // Tenants asks the seed server for the hosted tenant namespace names.
 func (c *Client) Tenants() ([]string, error) { return seedCall(c, c.device.Tenants) }
 

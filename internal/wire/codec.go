@@ -35,9 +35,13 @@ const (
 var (
 	ErrTooLarge  = errors.New("wire: field exceeds size limit")
 	ErrTruncated = errors.New("wire: truncated message")
-	ErrBadFrame  = errors.New("wire: malformed frame")
+	// ErrBadFrame marks a frame that does not decode as a message. Every
+	// Unmarshal, Receive and ReceiveInto error after the frame was read
+	// whole is one, so a stream that returned it is still in sync; a
+	// frame cut short or declared over MaxFrameLen is not one.
+	ErrBadFrame = errors.New("wire: malformed frame")
 	// ErrUnknownType is an ErrBadFrame whose tag names no message, such as
-	// a retired one. The frame was read whole.
+	// a retired one.
 	ErrUnknownType = fmt.Errorf("%w: unknown message type", ErrBadFrame)
 )
 

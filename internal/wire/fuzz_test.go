@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"fuzzyid/internal/core"
@@ -57,7 +58,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint16(3))
 	// Retired tags, bare and with a one-probe body shaped like the
 	// batched identify request tag 12 once carried.
-	for tag := MsgType(12); tag <= 15; tag++ {
+	for tag := MsgType(12); tag <= 17; tag++ {
 		e := NewEncoder(32)
 		e.Byte(byte(tag))
 		e.Uint32(1)
@@ -72,7 +73,13 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("retired tag %d decoded into %T", data[0], msg)
 		}
 		if err != nil {
-			return // rejection is fine; panics are not
+			// Rejection is fine; panics are not. A whole buffer that does
+			// not decode is always ErrBadFrame, which is what lets a server
+			// answer it and keep the stream.
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("Unmarshal error %v is not ErrBadFrame", err)
+			}
+			return
 		}
 		re, err := Marshal(msg)
 		if err != nil {
@@ -105,8 +112,9 @@ func FuzzUnmarshal(f *testing.F) {
 }
 
 // retiredTag reports the tags of withdrawn messages (12–15, a batched
-// identify): they stay reserved, and no decoder may accept them.
-func retiredTag(t MsgType) bool { return t >= 12 && t <= 15 }
+// identify; 16–17, a stats session): they stay reserved, and no decoder
+// may accept them.
+func retiredTag(t MsgType) bool { return t >= 12 && t <= 17 }
 
 // fuzzHelper builds a small valid helper datum for codec seeds.
 func fuzzHelper() *core.HelperData {

@@ -39,16 +39,15 @@ const (
 	// TypeRevokeRequest asks to revoke an enrollment after proving
 	// possession of the biometric (challenge-response follows).
 	TypeRevokeRequest
-	// Tags 12–15 are retired (a batched identify, withdrawn) and stay
-	// reserved so no later tag moves; a server answers them with Reject.
+	// Tags 12–15 (a batched identify) and 16–17 (a stats session; the
+	// snapshot is served over HTTP instead) are retired and stay reserved
+	// so no later tag moves; a server answers them with Reject.
 	_
 	_
 	_
 	_
-	// TypeStatsRequest asks the server for its telemetry snapshot.
-	TypeStatsRequest
-	// TypeStatsResponse carries the telemetry snapshot as JSON.
-	TypeStatsResponse
+	_
+	_
 	// TypeNotPrimary rejects a mutation on a read-only replica, naming the
 	// primary the client should redirect to.
 	TypeNotPrimary
@@ -467,39 +466,6 @@ func (m *ReEnrollRequest) decode(d *Decoder) error {
 	return err
 }
 
-// StatsRequest opens a stats session: the client asks the server for its
-// current telemetry snapshot (operational monitoring, not part of the
-// paper's protocols). Servers without telemetry answer with a Reject.
-type StatsRequest struct{}
-
-// Type implements Message.
-func (*StatsRequest) Type() MsgType { return TypeStatsRequest }
-
-func (m *StatsRequest) encode(e *Encoder) {}
-
-func (m *StatsRequest) decode(d *Decoder) error { return nil }
-
-// StatsResponse carries the server's telemetry snapshot. The payload is the
-// JSON document of internal/telemetry.(*Registry).MarshalJSON — the same
-// bytes the -stats-addr HTTP endpoint serves — so the wire stays stable as
-// metrics are added (JSON is self-describing; new keys are ignored by old
-// clients).
-type StatsResponse struct {
-	// JSON is the telemetry snapshot document.
-	JSON []byte
-}
-
-// Type implements Message.
-func (*StatsResponse) Type() MsgType { return TypeStatsResponse }
-
-func (m *StatsResponse) encode(e *Encoder) { e.VarBytes(m.JSON) }
-
-func (m *StatsResponse) decode(d *Decoder) error {
-	var err error
-	m.JSON, err = d.VarBytes(MaxBytesLen)
-	return err
-}
-
 // Reject reports protocol failure (the ⊥ output).
 type Reject struct {
 	// Reason is a human-readable explanation of the rejection.
@@ -536,19 +502,28 @@ func Unmarshal(buf []byte) (Message, error) { return unmarshal(NewDecoder(buf)) 
 func unmarshal(d *Decoder) (Message, error) {
 	tag, err := d.Byte()
 	if err != nil {
-		return nil, err
+		return nil, badFrame(err)
 	}
 	m, err := newMessage(MsgType(tag))
 	if err != nil {
 		return nil, err
 	}
 	if err := m.decode(d); err != nil {
-		return nil, fmt.Errorf("wire: decode %T: %w", m, err)
+		return nil, badFrame(fmt.Errorf("wire: decode %T: %w", m, err))
 	}
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// badFrame marks a decode error as ErrBadFrame, keeping its own sentinel
+// (ErrTruncated, ErrTooLarge) matchable beside it.
+func badFrame(err error) error {
+	if errors.Is(err, ErrBadFrame) {
+		return err
+	}
+	return fmt.Errorf("%w: %w", ErrBadFrame, err)
 }
 
 // maxPooledFrame bounds the frame buffers Send and Receive recycle; a larger
@@ -637,10 +612,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &Reject{}, nil
 	case TypeRevokeRequest:
 		return &RevokeRequest{}, nil
-	case TypeStatsRequest:
-		return &StatsRequest{}, nil
-	case TypeStatsResponse:
-		return &StatsResponse{}, nil
 	case TypeNotPrimary:
 		return &NotPrimary{}, nil
 	case TypeReplSubscribe:

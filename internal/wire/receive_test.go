@@ -28,8 +28,6 @@ func everyMessage(t *testing.T) []Message {
 		&Accept{ID: "alice"},
 		&Reject{Reason: "no matching record"},
 		&RevokeRequest{ID: "alice"},
-		&StatsRequest{},
-		&StatsResponse{JSON: []byte(`{"store.len":1}`)},
 		&NotPrimary{Primary: "10.0.0.1:7700"},
 		&ReplSubscribe{Epoch: 0xdead, From: 42},
 		&ReplSnapshot{Epoch: 1, Next: 10, First: true, Done: true, Records: []*store.Record{rec}},

@@ -25,8 +25,6 @@ func TestMessageTagBytesArePinned(t *testing.T) {
 		{"Accept", TypeAccept, 9},
 		{"Reject", TypeReject, 10},
 		{"RevokeRequest", TypeRevokeRequest, 11},
-		{"StatsRequest", TypeStatsRequest, 16},
-		{"StatsResponse", TypeStatsResponse, 17},
 		{"NotPrimary", TypeNotPrimary, 18},
 		{"ReplSubscribe", TypeReplSubscribe, 19},
 		{"ReplSnapshot", TypeReplSnapshot, 20},

@@ -6,7 +6,6 @@ import (
 
 	"fuzzyid"
 	"fuzzyid/internal/biometric"
-	"fuzzyid/internal/protocol"
 )
 
 // TestTelemetryEndToEnd drives a real TCP enroll→verify→identify→revoke
@@ -66,11 +65,10 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatalf("revoke: %v", err)
 	}
 
-	// Native-protocol stats session: the same JSON document the HTTP
-	// endpoint serves, fetched over the wire.
-	buf, err := client.Stats()
+	// The JSON document the -stats-addr endpoint serves, parsed back.
+	buf, err := sys.StatsJSON()
 	if err != nil {
-		t.Fatalf("stats over the wire: %v", err)
+		t.Fatalf("stats JSON: %v", err)
 	}
 	snap, err := fuzzyid.ParseStats(buf)
 	if err != nil {
@@ -82,7 +80,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"protocol.verify.requests":   1,
 		"protocol.identify.requests": 1,
 		"protocol.revoke.requests":   1,
-		"protocol.stats.requests":    1,
 		"transport.conns.accepted":   1,
 		"persist.wal.appends":        4, // 3 enrollments + 1 revocation
 	}
@@ -131,30 +128,10 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Errorf("enroll latency p95 = %v, want > 0", hist.P95MS)
 	}
 
-	// The facade snapshot agrees with the wire snapshot on settled counters
-	// (the stats op itself races; compare a quiesced one).
+	// The typed snapshot agrees with the JSON document on settled counters.
 	local := sys.Stats()
 	if got := local.Counter("protocol.enroll.requests"); got != 3 {
 		t.Errorf("facade enroll requests = %d, want 3", got)
-	}
-}
-
-// TestStatsRejectedWithoutTelemetry pins the contract that a server built
-// without WithTelemetry answers a stats session with a rejection, not a
-// protocol error.
-func TestStatsRejectedWithoutTelemetry(t *testing.T) {
-	sys, err := fuzzyid.NewSystem(fuzzyid.Params{Line: fuzzyid.PaperLine(), Dimension: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, stop := sys.LocalClient()
-	defer stop()
-	_, err = client.Stats()
-	if err == nil {
-		t.Fatal("stats succeeded on an uninstrumented server")
-	}
-	if !protocol.IsRejected(err) {
-		t.Fatalf("stats error = %v, want a rejection", err)
 	}
 }
 
