@@ -71,16 +71,13 @@ type groupCommit struct {
 // Wait implements store.Commit.
 func (c groupCommit) Wait() error { return c.l.waitDurable(c.seq) }
 
-// Begin implements store.Journal: it writes the mutation's frame into
-// the active segment and flushes it to the kernel, but — under SyncAlways
-// with group commit enabled — defers the fsync to the returned commit
-// handle, so concurrent writers share one sync. A nil commit (with nil
+// Begin implements store.Journal: it encodes the mutation's frame into the
+// log's reused frame buffer (so it keeps nothing of the mutation), writes
+// it into the active segment and flushes it to the kernel, but — under
+// SyncAlways with group commit enabled — defers the fsync to the returned
+// commit handle, so concurrent writers share one sync. A nil commit (with nil
 // error) means the append is already as durable as the sync policy makes it.
 func (l *Log) Begin(m store.Mutation) (store.Commit, error) {
-	payload, err := encodeMutation(m)
-	if err != nil {
-		return nil, err
-	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -95,7 +92,12 @@ func (l *Log) Begin(m store.Mutation) (store.Commit, error) {
 		l.mu.Unlock()
 		return nil, err
 	}
-	l.scratch = appendFrame(l.scratch[:0], payload)
+	frame, err := appendMutationFrame(l.scratch[:0], m)
+	if err != nil {
+		l.mu.Unlock()
+		return nil, err
+	}
+	l.scratch = frame
 	if _, err := l.w.Write(l.scratch); err != nil {
 		err = l.poison(fmt.Errorf("persist: append: %w", err))
 		l.mu.Unlock()

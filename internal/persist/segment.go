@@ -113,15 +113,21 @@ func readFrame(r io.Reader) (payload []byte, claimed int64, err error) {
 	return payload, claimed, nil
 }
 
-// encodeMutation serialises one mutation into a frame payload, using the
+// appendMutationFrame appends m's WAL frame to buf: the payload is the
 // shared codec of internal/wire (the replication stream ships the very same
-// bytes).
-func encodeMutation(m store.Mutation) ([]byte, error) {
-	e := wire.NewEncoder(256)
-	if err := wire.EncodeMutation(e, m); err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+// bytes), encoded in place behind the frame header it then fills in, so an
+// append into a warm buf allocates nothing.
+func appendMutationFrame(buf []byte, m store.Mutation) ([]byte, error) {
+	start := len(buf)
+	e := wire.AppendEncoder(append(buf, make([]byte, frameOverhead)...))
+	if err := wire.EncodeMutation(&e, m); err != nil {
+		return buf, fmt.Errorf("persist: %w", err)
 	}
-	return e.Bytes(), nil
+	frame := e.Bytes()
+	payload := frame[start+frameOverhead:]
+	binary.BigEndian.PutUint32(frame[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[start+4:], crc32.Checksum(payload, castagnoli))
+	return frame, nil
 }
 
 // decodeMutation parses a frame payload back into a mutation.

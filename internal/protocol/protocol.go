@@ -465,9 +465,9 @@ func awaitInto[T wire.Message](rw io.ReadWriter, req wire.Message, sp *[]int64, 
 }
 
 // movementBufs recycles the movement vectors of a session: the device's
-// probe and decoded Challenge, and the server's decoded probe (40 KB each
-// at n = 5000). They are per call, never engine fields: one Device or
-// Server runs many sessions at once.
+// probe and decoded Challenge, and the server's decoded probe or enrolled
+// helper (40 KB each at n = 5000). They are per call, never engine fields:
+// one Device or Server runs many sessions at once.
 var movementBufs = sync.Pool{New: func() any { return new([]int64) }}
 
 // maxPooledMovements keeps a hostile peer's oversized vector out of the
@@ -645,12 +645,11 @@ func (s *Server) HandleSession(rw io.ReadWriter) error {
 		}
 		return err
 	}
-	// Only an identify's probe dies with the session. An enroll or
-	// re-enroll helper decoded into the scratch is owned by the store's
-	// journal and the replication ring from now on.
-	if _, ok := msg.(*wire.IdentifyRequest); ok {
-		defer putMovements(sp)
-	}
+	// The scratch dies with the session: an identify's probe, and an
+	// enroll or re-enroll helper too, because the store copies the helper
+	// into its packed row and a store.Journal keeps nothing of a record
+	// once Begin returns.
+	defer putMovements(sp)
 	var om *opStats
 	var run func() error
 	switch m := msg.(type) {

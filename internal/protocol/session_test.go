@@ -83,7 +83,7 @@ func TestSessionAllocations(t *testing.T) {
 		dim                  int
 		identifyKB, enrollKB float64
 	}{
-		{dim: 5000, identifyKB: 8, enrollKB: 128},
+		{dim: 5000, identifyKB: 8, enrollKB: 64},
 		{dim: 64, identifyKB: 6},
 	}
 	for _, g := range gates {

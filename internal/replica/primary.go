@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -147,8 +148,15 @@ func (h *Hub) Latest() uint64 {
 // journaled store holds its mutation lock across Begin, so offsets are
 // assigned in exactly the order mutations commit within a tenant; across
 // tenants the hub's own lock makes the interleaving a single total order
-// every follower applies identically.
+// every follower applies identically. The ring keeps its own copy of the
+// mutation's record (see store.Journal).
 func (h *Hub) Begin(m store.Mutation) (store.Commit, error) {
+	if m.Record != nil {
+		rec := *m.Record
+		rec.PublicKey = slices.Clone(rec.PublicKey)
+		rec.Helper = rec.Helper.Clone()
+		m.Record = &rec
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if len(h.ring) < h.retain {

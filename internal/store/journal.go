@@ -89,6 +89,12 @@ func ReplaceMutation(rec *Record) Mutation {
 // wrapper calls Begin under its mutation lock — fixing journal order — and
 // Wait outside it, so concurrent writers batch instead of serialising on
 // the backend's fsync.
+//
+// Begin may not keep the mutation's Record, nor any slice it holds, after
+// it returns: the caller owns them and may reuse them at once (the server
+// recycles a decoded helper's movement vector after every enroll). A
+// backend that needs the record later encodes it inside Begin, as the WAL
+// does, or keeps its own copy, as the replication hub does.
 type Journal interface {
 	// Begin stages m in journal order and returns its pending commit.
 	Begin(Mutation) (Commit, error)

@@ -94,6 +94,62 @@ func TestStoreHeapPerRecord(t *testing.T) {
 	}
 }
 
+// TestStoreGrowthAllocatesLiveBytes gates what growing a store costs beyond
+// what it keeps: inserting records at n = 5000 allocates at most 1.25× the
+// live heap they add. Each shard's residue matrix grows a chunk at a time
+// and never copies a row; a flat matrix regrown by 1.5× allocates about 3×
+// the rows it ends up holding. The records and their residues are built
+// before the count starts and go straight to the table, so only the
+// store's own allocations are measured (under -race, sync.Pool drops the
+// puts of Insert's pooled residue buffer on purpose).
+func TestStoreGrowthAllocatesLiveBytes(t *testing.T) {
+	const dim, n, helpers = 5000, 400, 8
+	fe, err := core.New(core.Params{Line: numberline.PaperParams(), Dimension: dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := biometric.NewSource(fe.Line(), biometric.Paper(dim), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]*Record, n)
+	res := make([][]int64, helpers)
+	for i := range recs {
+		if i < helpers {
+			_, helper, err := fe.Gen(src.NewUser("").Template)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs[i] = &Record{PublicKey: make([]byte, 32), Helper: helper}
+			res[i] = residuesInto(nil, fe.Line(), helper.Sketch.Sketch)
+		} else {
+			recs[i] = &Record{PublicKey: recs[i%helpers].PublicKey, Helper: recs[i%helpers].Helper}
+		}
+		recs[i].ID = fmt.Sprintf("user-%06d", i)
+	}
+	s := NewScan(fe.Line())
+	var m0, m1, m2 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for i, rec := range recs {
+		if err := s.tab.insert(rec, res[i%helpers]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	runtime.GC()
+	runtime.ReadMemStats(&m2)
+	allocated := float64(m1.TotalAlloc - m0.TotalAlloc)
+	live := float64(m2.HeapAlloc) - float64(m0.HeapAlloc)
+	t.Logf("dim %d, %d records: %.0f B/record allocated, %.0f B/record live (%.2fx)", dim, n, allocated/n, live/n, allocated/live)
+	if allocated > 1.25*live {
+		t.Errorf("inserting %d records allocated %.0f B for %.0f B live (%.2fx), want <= 1.25x", n, allocated, live, allocated/live)
+	}
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(recs)
+	runtime.KeepAlive(res)
+}
+
 // TestSteadyStateLookupsAllocateNothing gates the server's lookup path: an
 // identify hit and a GetInto into a warm scratch record allocate nothing,
 // at the paper's dimension and at dim 64.

@@ -13,17 +13,17 @@ import (
 //
 // Residues live in [0, ka): the interval span ka is fixed when the number
 // line is built, so the narrowest machine integer that holds ka-1 is known
-// before the first insert. Packing the flat row-major matrix to int16 or
+// before the first insert. Packing the row-major matrix to int16 or
 // int32 halves or quarters the bytes the scan streams per row — and at
 // millions of records the scan is memory-bandwidth-bound, not CPU-bound
 // (the paper's decode/check per candidate is O(1); the search dominates).
 //
 // Three layers:
 //
-//   - matrix[T]: the generic packed storage with a width-erased resMatrix
-//     interface. Interface dispatch happens once per scanned stretch of a
-//     cell (at most a scanBlock of rows), never per row, so the hot loop is
-//     monomorphic.
+//   - matrix[T]: the generic packed storage, kept in fixed-size chunks of
+//     rows, with a width-erased resMatrix interface. Interface dispatch
+//     happens once per scanned stretch of a cell (at most a scanBlock of
+//     rows), never per row, so the hot loop is monomorphic.
 //   - matchPacked: the block-vectorized condition check. The per-coordinate
 //     early exit of matchRow is restructured into fixed-width blocks of
 //     branchless circular-distance lanes whose verdicts OR together; the
@@ -127,9 +127,9 @@ func matchPacked[T resWord](row []T, probe []int64, span, t int64) bool {
 	return true
 }
 
-// resMatrix is the width-erased interface over the packed flat row-major
-// residue matrix of one shard. The granularity of every scanning method is a
-// row range, so the per-row hot path never pays interface dispatch.
+// resMatrix is the width-erased interface over the packed row-major residue
+// matrix of one shard. The granularity of every scanning method is a row
+// range, so the per-row hot path never pays interface dispatch.
 type resMatrix interface {
 	// appendRow packs res onto the end of the matrix.
 	appendRow(res []int64)
@@ -148,53 +148,90 @@ type resMatrix interface {
 	scanCell(keys []uint64, rows []int32, dim int, probe []int64, span, t int64, cp coarseProbe) int
 }
 
+// chunkBytes is the size a matrix chunk is cut to. A chunk holds the
+// largest power-of-two number of rows that fits (at least one): 4 rows at
+// the paper's n = 5000 and 16-bit residues, 512 at dim 64.
+const chunkBytes = 64 << 10
+
 // matrix is the generic packed storage instantiated at one of the three
-// widths by newMatrix.
+// widths by newMatrix. Rows live in fixed-size chunks, so growth allocates
+// one chunk and never copies a row: a shard's residues cost its live rows
+// plus at most one partly filled chunk, and a spare empty one after a
+// delete. Row r is row r&mask of chunk r>>shift. Only the first chunk
+// starts short and doubles up to its full size, so a shard of a few rows
+// (a small tenant) does not pin a whole chunk.
 type matrix[T resWord] struct {
-	data []T
+	chunks [][]T // (mask+1)*dim long, the first maybe less; at most one spare
+	shift  uint
+	mask   int
+	rows   int
 }
 
-// newMatrix constructs the packed matrix for a resolved storage width.
-func newMatrix(width int) resMatrix {
+// newMatrix constructs the packed matrix for a resolved storage width and
+// the table's record dimension.
+func newMatrix(width, dim int) resMatrix {
+	per := max(1, chunkBytes/(dim*width/8))
+	shift := uint(bits.Len(uint(per))) - 1
 	switch width {
 	case Width16:
-		return &matrix[int16]{}
+		return &matrix[int16]{shift: shift, mask: 1<<shift - 1}
 	case Width32:
-		return &matrix[int32]{}
+		return &matrix[int32]{shift: shift, mask: 1<<shift - 1}
 	default:
-		return &matrix[int64]{}
+		return &matrix[int64]{shift: shift, mask: 1<<shift - 1}
 	}
+}
+
+// row returns row r's residues.
+func (m *matrix[T]) row(r, dim int) []T {
+	off := (r & m.mask) * dim
+	return m.chunks[r>>m.shift][off : off+dim : off+dim]
 }
 
 func (m *matrix[T]) appendRow(res []int64) {
-	if need := len(m.data) + len(res); cap(m.data) < need {
-		grown := make([]T, len(m.data), need+need/2)
-		copy(grown, m.data)
-		m.data = grown
+	c, end := m.rows>>m.shift, (m.rows&m.mask+1)*len(res)
+	if c == len(m.chunks) {
+		m.chunks = append(m.chunks, nil)
 	}
-	for _, r := range res {
-		m.data = append(m.data, T(r))
+	if ch := m.chunks[c]; end > len(ch) {
+		size := (m.mask + 1) * len(res)
+		if c == 0 {
+			size = min(size, max(2*len(ch), end))
+		}
+		m.chunks[c] = append(make([]T, 0, size), ch...)[:size]
 	}
+	dst := m.row(m.rows, len(res))
+	for j, r := range res {
+		dst[j] = T(r)
+	}
+	m.rows++
 }
 
 func (m *matrix[T]) moveRow(dst, src, dim int) {
-	copy(m.data[dst*dim:(dst+1)*dim], m.data[src*dim:(src+1)*dim])
+	copy(m.row(dst, dim), m.row(src, dim))
 }
 
 func (m *matrix[T]) setRow(row int, res []int64) {
-	dst := m.data[row*len(res) : (row+1)*len(res)]
+	dst := m.row(row, len(res))
 	for j, r := range res {
 		dst[j] = T(r)
 	}
 }
 
-func (m *matrix[T]) truncate(rows, dim int) {
-	m.data = m.data[:rows*dim]
+// truncate keeps the chunks the remaining rows use plus one spare, so a
+// shard that alternates inserts and deletes at a chunk boundary does not
+// allocate a chunk per insert.
+func (m *matrix[T]) truncate(rows, _ int) {
+	m.rows = rows
+	if keep := (rows+m.mask)>>m.shift + 1; keep < len(m.chunks) {
+		clear(m.chunks[keep:])
+		m.chunks = m.chunks[:keep]
+	}
 }
 
 func (m *matrix[T]) liftRow(row, dim int, span int64, dst []int64) []int64 {
 	half := span / 2
-	for _, r := range m.data[row*dim : (row+1)*dim] {
+	for _, r := range m.row(row, dim) {
 		v := int64(r)
 		if v > half {
 			v -= span
@@ -211,16 +248,14 @@ func (m *matrix[T]) scanCell(keys []uint64, rows []int32, dim int, probe []int64
 			if !cp.admit(k) {
 				continue
 			}
-			off := int(rows[j]) * dim
-			if matchPacked(m.data[off:off+dim], probe, span, t) {
-				return int(rows[j])
+			if r := int(rows[j]); matchPacked(m.row(r, dim), probe, span, t) {
+				return r
 			}
 		}
 		return -1
 	}
 	for _, r := range rows {
-		off := int(r) * dim
-		if matchPacked(m.data[off:off+dim], probe, span, t) {
+		if matchPacked(m.row(int(r), dim), probe, span, t) {
 			return int(r)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fuzzyid/internal/numberline"
@@ -615,4 +616,129 @@ func FuzzMatchPacked(f *testing.F) {
 			}
 		}
 	})
+}
+
+// chunkGeometry reports a matrix's rows per chunk, its chunk count and the
+// residues its first chunk has room for.
+func chunkGeometry(m resMatrix) (perChunk, chunks, first int) {
+	switch m := m.(type) {
+	case *matrix[int16]:
+		return m.mask + 1, len(m.chunks), firstLen(m.chunks)
+	case *matrix[int32]:
+		return m.mask + 1, len(m.chunks), firstLen(m.chunks)
+	case *matrix[int64]:
+		return m.mask + 1, len(m.chunks), firstLen(m.chunks)
+	}
+	panic(fmt.Sprintf("unknown matrix %T", m))
+}
+
+func firstLen[T resWord](chunks [][]T) int {
+	if len(chunks) == 0 {
+		return 0
+	}
+	return len(chunks[0])
+}
+
+// TestChunkedMatrixMatchesFlat drives the chunked matrix at the paper's
+// n = 5000, where a chunk holds a handful of rows, against a flat slice of
+// reference rows: appends, swap-deletes (moveRow + truncate) and in-place
+// replacements (setRow), while the row count climbs past several chunk
+// boundaries, falls to zero and climbs again. After every step the touched
+// rows must lift (liftRow) to the reference, the chunk count must cover
+// the rows with at most one spare chunk, and at each turn every row must
+// read back whole and be the row scanCell finds for its own residues.
+func TestChunkedMatrixMatchesFlat(t *testing.T) {
+	const dim, span, thr = 5000, 1 << 15, 100
+	lift := func(res []int64) []int64 {
+		out := make([]int64, len(res))
+		for i, r := range res {
+			out[i] = r
+			if r > span/2 {
+				out[i] = r - span
+			}
+		}
+		return out
+	}
+	for _, width := range []int{Width16, Width32, Width64} {
+		m := newMatrix(width, dim)
+		per, _, _ := chunkGeometry(m)
+		if per > 16 || per&(per-1) != 0 {
+			t.Fatalf("width %d: %d rows per chunk at dim %d, want a power of two <= 16", width, per, dim)
+		}
+		// The first chunk starts at one row, so a one-row shard pins one.
+		m.appendRow(make([]int64, dim))
+		if _, _, first := chunkGeometry(m); first != dim {
+			t.Fatalf("width %d: a one-row matrix holds room for %d residues, want %d", width, first, dim)
+		}
+		m.truncate(0, dim)
+		rng := rand.New(rand.NewSource(int64(width)))
+		var ref [][]int64
+		check := func(step string, rows ...int) {
+			t.Helper()
+			if _, chunks, _ := chunkGeometry(m); chunks < (len(ref)+per-1)/per || chunks > (len(ref)+per-1)/per+1 {
+				t.Fatalf("width %d, %s: %d chunks for %d rows at %d per chunk", width, step, chunks, len(ref), per)
+			}
+			for _, r := range rows {
+				if got := m.liftRow(r, dim, span, nil); !slices.Equal(got, lift(ref[r])) {
+					t.Fatalf("width %d, %s: row %d of %d differs from the reference", width, step, r, len(ref))
+				}
+			}
+		}
+		checkAll := func(step string) {
+			t.Helper()
+			all := make([]int, len(ref))
+			keys := make([]uint64, len(ref))
+			rows := make([]int32, len(ref))
+			for r := range ref {
+				all[r], rows[r] = r, int32(r)
+			}
+			check(step, all...)
+			for r := range ref {
+				if got := m.scanCell(keys, rows, dim, ref[r], span, thr, coarseProbe{}); got != r {
+					t.Fatalf("width %d, %s: scanCell for row %d's residues = %d", width, step, r, got)
+				}
+			}
+		}
+		for _, target := range []int{5*per + 1, 0, 3 * per, per - 1, 4*per + 2, 0} {
+			for len(ref) != target {
+				switch op := rng.Intn(10); {
+				case len(ref) < target && op < 7, len(ref) > target && op < 2:
+					row := randRow(rng, dim, span)
+					m.appendRow(row)
+					ref = append(ref, row)
+					check("append", len(ref)-1)
+				case len(ref) > 0 && op < 8:
+					r, last := rng.Intn(len(ref)), len(ref)-1
+					m.moveRow(r, last, dim)
+					m.truncate(last, dim)
+					ref[r] = ref[last]
+					ref = ref[:last]
+					if r < last {
+						check("delete", r)
+					} else {
+						check("delete")
+					}
+				case len(ref) > 0:
+					r := rng.Intn(len(ref))
+					ref[r] = randRow(rng, dim, span)
+					m.setRow(r, ref[r])
+					check("set", r)
+				}
+			}
+			checkAll(fmt.Sprintf("turn at %d rows", target))
+		}
+		// Alternating insert and delete at a chunk boundary keeps its
+		// spare chunk instead of allocating one per insert.
+		zero := make([]int64, dim)
+		for range 2 * per {
+			m.appendRow(zero)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			m.appendRow(zero)
+			m.truncate(2*per, dim)
+		})
+		if allocs != 0 {
+			t.Errorf("width %d: insert and delete at a chunk boundary allocate %v per cycle, want 0", width, allocs)
+		}
+	}
 }

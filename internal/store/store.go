@@ -19,10 +19,10 @@
 // Concurrency and layout. Scan partitions its records into P independent
 // shards (see table.go): readers of different shards never share a lock
 // cache line, and an insert or delete contends with one shard only.
-// Residues live in a flat row-major matrix per shard, packed to the
-// narrowest integer width that holds the interval span ka (see packed.go),
-// so the early-exit scan streams a quarter of the bytes the naive int64
-// layout would. Each row has a coarse summary key of its bucketed leading
+// Residues live in a row-major matrix per shard, packed to the narrowest
+// integer width that holds the interval span ka and kept in fixed-size
+// chunks of rows (see packed.go), so the early-exit scan streams a quarter
+// of the bytes the naive int64 layout would and growth never copies a row. Each row has a coarse summary key of its bucketed leading
 // residues, checked before the row, all of its fields in one lane-wise word
 // expression, so an open-set (no-match) probe rejects almost every row after
 // reading 8 bytes. A shard groups its rows into cells by the leading lanes

@@ -13,19 +13,20 @@ import (
 	"fuzzyid/internal/sketch"
 )
 
-// This file implements the sharded flat residue table behind the Scan
+// This file implements the sharded residue table behind the Scan
 // store. Records are partitioned into P independent shards by a hash of
 // their ID; each shard guards its state with its own RWMutex, so concurrent
 // reads never touch the same lock cache line and an insert or delete
 // contends only with operations on the same shard.
 //
-// Within a shard the precomputed mod-ka residues live in one flat row-major
-// matrix packed to the narrowest width that holds the span (see packed.go),
-// with a parallel slice of row metadata. Each row's coarse summary word
-// lives in the row's cell: rows are grouped by the buckets of their leading
-// coarse lanes, and a cell lists its members' keys and rows side by side,
-// so the early-exit scan of conditions (1)-(4) skips every cell whose
-// buckets miss the probe's and streams the keys of the rest. Deletion
+// Within a shard the precomputed mod-ka residues live in one row-major
+// matrix packed to the narrowest width that holds the span and stored in
+// fixed-size chunks of rows (see packed.go), with a parallel slice of row
+// metadata. Each row's coarse summary word lives in the row's cell: rows
+// are grouped by the buckets of their leading coarse lanes, and a cell
+// lists its members' keys and rows side by side, so the early-exit scan of
+// conditions (1)-(4) skips every cell whose buckets miss the probe's and
+// streams the keys of the rest. Deletion
 // swap-removes the row from the matrix and its entry from its cell, and
 // re-points both moved entries at their new positions.
 //
@@ -72,7 +73,7 @@ type Tuning struct {
 // tableShard is one shard of the residue table.
 type tableShard struct {
 	mu    sync.RWMutex
-	mat   resMatrix      // packed flat row-major residue matrix; nil until first insert
+	mat   resMatrix      // packed row-major residue matrix; nil until first insert
 	cells []cell         // rows grouped by the cell lanes of their coarse key; nil until first insert
 	rows  []rowMeta      // everything but the residues, parallel to mat
 	byID  map[string]int // row of each record; byID[rows[i].id] == i
@@ -106,7 +107,7 @@ type exception struct {
 	mv    int64
 }
 
-// resTable is the sharded flat residue store.
+// resTable is the sharded residue store.
 type resTable struct {
 	line     *numberline.Line
 	shards   []tableShard
@@ -253,7 +254,7 @@ func (t *resTable) insert(rec *Record, res []int64) error {
 		return fmt.Errorf("%w: %q", ErrDuplicateID, rec.ID)
 	}
 	if sh.mat == nil {
-		sh.mat = newMatrix(t.width)
+		sh.mat = newMatrix(t.width, len(res))
 		sh.cells = make([]cell, t.coarse.cells())
 	}
 	sh.byID[rec.ID] = len(sh.rows)

@@ -6,6 +6,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -38,17 +39,33 @@ const (
 	MaxOverloadBackoff = time.Second
 )
 
+// frameBodyDeadline bounds how long a frame's body may take to arrive once
+// its header has. It is sized for the largest legitimate inbound frame, a
+// 1 024-record PartitionIngest chunk (about 41 MB at n = 5000), arriving
+// at 0.7 MB/s; a peer that sends a header and trickles the body holds its
+// connection for a minute instead of forever. Idle time between frames is
+// not bounded by it.
+const frameBodyDeadline = time.Minute
+
+// bodyTicks is how many watchdog ticks make up the body deadline: a body
+// still due after bodyTicks whole ticks is cut, between 1 and
+// 1 + 1/bodyTicks deadlines after its header arrived.
+const bodyTicks = 4
+
 // Server accepts connections and serves protocol sessions concurrently.
 type Server struct {
-	proto       *protocol.Server
-	ln          net.Listener
-	idleTimeout time.Duration
-	maxConns    int
-	closer      io.Closer
-	m           connMetrics
+	proto        *protocol.Server
+	ln           net.Listener
+	idleTimeout  time.Duration
+	bodyDeadline time.Duration // frameBodyDeadline; shortened only by tests
+	maxConns     int
+	closer       io.Closer
+	m            connMetrics
+	ticks        atomic.Int64  // body watchdog ticks since Listen
+	done         chan struct{} // closed by Close: stops the body watchdog
 
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[net.Conn]*frameReader
 	closed bool
 
 	wg sync.WaitGroup
@@ -63,6 +80,7 @@ type connMetrics struct {
 	active   *telemetry.Gauge   // connections currently being served
 	bytesIn  *telemetry.Counter // bytes read from peers
 	bytesOut *telemetry.Counter // bytes written to peers
+	bodyCut  *telemetry.Counter // connections cut at the frame body deadline
 }
 
 func (m *connMetrics) bind(reg *telemetry.Registry) {
@@ -71,11 +89,12 @@ func (m *connMetrics) bind(reg *telemetry.Registry) {
 	m.active = reg.Gauge("transport.conns.active")
 	m.bytesIn = reg.Counter("transport.bytes.in")
 	m.bytesOut = reg.Counter("transport.bytes.out")
+	m.bodyCut = reg.Counter("transport.conns.body_cut")
 }
 
 // measuredRW counts the bytes a session moves over the connection. It wraps
 // only the stream handed to the protocol engine; deadline control stays on
-// the underlying net.Conn.
+// the underlying connection.
 type measuredRW struct {
 	rw      io.ReadWriter
 	in, out *telemetry.Counter
@@ -114,6 +133,80 @@ func (c *measuredRW) SetWriteDeadline(t time.Time) error {
 		return d.SetWriteDeadline(t)
 	}
 	return nil
+}
+
+// frameReader is a server connection. It follows the length-prefixed
+// frames its reads pass on, and while a frame's body is due it publishes
+// the watchdog tick its header arrived in, for watchBodies to cut the
+// connection if the body is late. Arming and clearing are an atomic store
+// each: a read deadline per frame would arm a runtime timer per frame, and
+// each one wakes the network poller.
+type frameReader struct {
+	net.Conn
+	ticks    *atomic.Int64 // the server's watchdog tick count
+	due      atomic.Int64  // 1 + the tick a due body's header arrived in; 0: none due
+	cut      bool          // watchBodies has cut the connection; guarded by Server.mu
+	hdr      [4]byte
+	got      int   // header bytes of the current frame seen so far
+	bodyLeft int64 // body bytes of the current frame still to come
+}
+
+func (r *frameReader) Read(p []byte) (int, error) {
+	n, err := r.Conn.Read(p)
+	r.follow(p[:n])
+	return n, err
+}
+
+// follow advances the frame position over b, the bytes just read.
+func (r *frameReader) follow(b []byte) {
+	for len(b) > 0 {
+		if r.got < len(r.hdr) {
+			k := copy(r.hdr[r.got:], b)
+			r.got += k
+			b = b[k:]
+			if r.got < len(r.hdr) {
+				return
+			}
+			r.bodyLeft = int64(binary.BigEndian.Uint32(r.hdr[:]))
+			if r.bodyLeft > int64(len(b)) {
+				r.due.Store(r.ticks.Load() + 1)
+			}
+		}
+		k := min(r.bodyLeft, int64(len(b)))
+		r.bodyLeft -= k
+		b = b[k:]
+		if r.bodyLeft == 0 {
+			r.got = 0
+			r.due.Store(0)
+		}
+	}
+}
+
+// watchBodies cuts every connection whose frame body is still due
+// bodyTicks whole ticks after its header arrived: it fails the
+// connection's blocked read with a deadline in the past, and the session
+// ends as on any read error. It runs until Close.
+func (s *Server) watchBodies() {
+	defer s.wg.Done()
+	t := time.NewTicker(s.bodyDeadline / bodyTicks)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.done:
+			return
+		case <-t.C:
+		}
+		now := s.ticks.Add(1)
+		s.mu.Lock()
+		for c, fr := range s.conns {
+			if due := fr.due.Load(); due != 0 && now-due >= bodyTicks && !fr.cut {
+				fr.cut = true
+				s.m.bodyCut.Inc()
+				_ = c.SetReadDeadline(time.Unix(1, 0)) // the read fails and the session ends
+			}
+		}
+		s.mu.Unlock()
+	}
 }
 
 // ServerOption configures a Server.
@@ -164,12 +257,13 @@ func Listen(addr string, proto *protocol.Server, opts ...ServerOption) (*Server,
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
-	s := &Server{proto: proto, ln: ln, conns: make(map[net.Conn]struct{})}
+	s := &Server{proto: proto, ln: ln, bodyDeadline: frameBodyDeadline, done: make(chan struct{}), conns: make(map[net.Conn]*frameReader)}
 	for _, o := range opts {
 		o.applyServer(s)
 	}
-	s.wg.Add(1)
+	s.wg.Add(2)
 	go s.acceptLoop()
+	go s.watchBodies()
 	return s, nil
 }
 
@@ -185,6 +279,7 @@ func (s *Server) Close() error {
 		return ErrClosed
 	}
 	s.closed = true
+	close(s.done)
 	for c := range s.conns {
 		c.Close()
 	}
@@ -206,7 +301,8 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		switch s.track(conn) {
+		fr := &frameReader{Conn: conn, ticks: &s.ticks}
+		switch s.track(fr) {
 		case trackClosed:
 			conn.Close()
 			return
@@ -222,7 +318,7 @@ func (s *Server) acceptLoop() {
 			defer s.wg.Done()
 			defer s.m.active.Dec()
 			defer s.untrack(conn)
-			s.serveConn(conn)
+			s.serveConn(fr)
 		}()
 	}
 }
@@ -236,7 +332,7 @@ const (
 	trackFull               // connection cap reached
 )
 
-func (s *Server) track(conn net.Conn) trackResult {
+func (s *Server) track(fr *frameReader) trackResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -245,7 +341,7 @@ func (s *Server) track(conn net.Conn) trackResult {
 	if s.maxConns > 0 && len(s.conns) >= s.maxConns {
 		return trackFull
 	}
-	s.conns[conn] = struct{}{}
+	s.conns[fr.Conn] = fr
 	return trackOK
 }
 
@@ -257,7 +353,7 @@ func (s *Server) untrack(conn net.Conn) {
 }
 
 // serveConn runs protocol sessions until the peer disconnects or misbehaves.
-func (s *Server) serveConn(conn net.Conn) {
+func (s *Server) serveConn(conn *frameReader) {
 	var rw io.ReadWriter = conn
 	if s.m.bytesIn != nil || s.m.bytesOut != nil {
 		rw = &measuredRW{rw: conn, in: s.m.bytesIn, out: s.m.bytesOut}

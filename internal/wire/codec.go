@@ -55,6 +55,11 @@ func NewEncoder(capacity int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capacity)}
 }
 
+// AppendEncoder returns an encoder that appends to buf, reusing its
+// capacity: a caller that keeps its buffer between encodings allocates
+// only when an encoding outgrows it.
+func AppendEncoder(buf []byte) Encoder { return Encoder{buf: buf} }
+
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
 

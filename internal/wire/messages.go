@@ -570,9 +570,8 @@ func Receive(r io.Reader) (Message, error) { return ReceiveInto(r, nil) }
 // EnrollRequest or ReEnrollRequest — into scratch's capacity, and setting
 // *scratch to it. The decoded message aliases *scratch from then on: the
 // caller may reuse the scratch (pass it to ReceiveInto again, or return it
-// to a pool) only once it is done with the message, and never when the
-// message is handed on — an enrolled helper lives in the store's journal
-// and the replication ring. A nil scratch is Receive.
+// to a pool) only once nothing holds the message any more. A nil scratch
+// is Receive.
 func ReceiveInto(r io.Reader, scratch *[]int64) (Message, error) {
 	bp := frameBufs.Get().(*[]byte)
 	defer frameBufs.Put(bp)
