@@ -464,10 +464,9 @@ func awaitInto[T wire.Message](rw io.ReadWriter, req wire.Message, sp *[]int64, 
 	return zero, fmt.Errorf("%w: %T awaiting %s", ErrProtocol, msg, step)
 }
 
-// movementBufs recycles the movement vectors of a session: the device's
-// probe and decoded Challenge, and the server's decoded probe or enrolled
-// helper (40 KB each at n = 5000). They are per call, never engine fields:
-// one Device or Server runs many sessions at once.
+// movementBufs recycles the movement vectors of a device session: the
+// probe and the decoded Challenge (40 KB each at n = 5000). They are per
+// call, never engine fields: one Device runs many sessions at once.
 var movementBufs = sync.Pool{New: func() any { return new([]int64) }}
 
 // maxPooledMovements keeps a hostile peer's oversized vector out of the
@@ -477,6 +476,26 @@ const maxPooledMovements = 1 << 17
 func putMovements(p *[]int64) {
 	if cap(*p) <= maxPooledMovements {
 		movementBufs.Put(p)
+	}
+}
+
+// session is the pooled state of one server session: the decoded opener
+// (an identify's probe; an enroll's or re-enroll's whole message, helper
+// data and byte strings) and the record an enroll or re-enroll hands the
+// store. Like movementBufs it is per session, never a Server field.
+type session struct {
+	open wire.Opener
+	rec  store.Record
+}
+
+var sessions = sync.Pool{New: func() any { return new(session) }}
+
+// putSession recycles st unless a peer inflated its buffers past the 1 MiB
+// a pooled movement vector may hold.
+func putSession(st *session) {
+	if st.open.Retained() <= 8*maxPooledMovements {
+		st.rec = store.Record{}
+		sessions.Put(st)
 	}
 }
 
@@ -632,10 +651,10 @@ func (s *Server) countTenant(name string, failed bool) {
 // before a request, nil after a completed run (including rejections, which
 // are normal protocol outcomes), and an error on malformed traffic.
 func (s *Server) HandleSession(rw io.ReadWriter) error {
-	sp := movementBufs.Get().(*[]int64)
-	msg, err := wire.ReceiveInto(rw, sp)
+	st := sessions.Get().(*session)
+	msg, err := wire.ReceiveOpener(rw, &st.open)
 	if err != nil {
-		putMovements(sp)
+		putSession(st)
 		// A frame read whole leaves the stream in sync: answer one that
 		// does not decode (an unknown or retired tag, a malformed body)
 		// as any other opener that cannot open a session. A frame cut
@@ -645,16 +664,15 @@ func (s *Server) HandleSession(rw io.ReadWriter) error {
 		}
 		return err
 	}
-	// The scratch dies with the session: an identify's probe, and an
-	// enroll or re-enroll helper too, because the store copies the helper
-	// into its packed row and a store.Journal keeps nothing of a record
-	// once Begin returns.
-	defer putMovements(sp)
+	// The state dies with the session, after an enroll's or re-enroll's
+	// mutation has committed: the store copies the record into its row
+	// and a store.Journal keeps nothing of a record once Begin returns.
+	defer putSession(st)
 	var om *opStats
 	var run func() error
 	switch m := msg.(type) {
 	case *wire.EnrollRequest:
-		om, run = &s.m.enroll, s.keyedRun(rw, m.Tenant, m.ID, mutatingOp, enrollPayloadBytes(m.PublicKey, m.Helper), func(db *store.Journaled, _ string) error { return s.handleEnroll(rw, db, m) })
+		om, run = &s.m.enroll, s.keyedRun(rw, m.Tenant, m.ID, mutatingOp, enrollPayloadBytes(m.PublicKey, m.Helper), func(db *store.Journaled, _ string) error { return s.handleEnroll(rw, db, m, &st.rec) })
 	case *wire.VerifyRequest:
 		om, run = &s.m.verify, s.keyedRun(rw, m.Tenant, m.ID, readOp, 0, func(db *store.Journaled, _ string) error { return s.handleVerify(rw, db, m) })
 	case *wire.IdentifyRequest:
@@ -666,7 +684,7 @@ func (s *Server) HandleSession(rw io.ReadWriter) error {
 	case *wire.RevokeRequest:
 		om, run = &s.m.revoke, s.keyedRun(rw, m.Tenant, m.ID, mutatingOp, 0, func(db *store.Journaled, _ string) error { return s.handleRevoke(rw, db, m) })
 	case *wire.ReEnrollRequest:
-		om, run = &s.m.reenroll, s.keyedRun(rw, m.Tenant, m.ID, mutatingOp, enrollPayloadBytes(m.PublicKey, m.Helper), func(db *store.Journaled, _ string) error { return s.handleReEnroll(rw, db, m) })
+		om, run = &s.m.reenroll, s.keyedRun(rw, m.Tenant, m.ID, mutatingOp, enrollPayloadBytes(m.PublicKey, m.Helper), func(db *store.Journaled, _ string) error { return s.handleReEnroll(rw, db, m, &st.rec) })
 	case *wire.ReplSubscribe:
 		om, run = &s.m.replSub, func() error { return s.handleSubscribe(rw, m) }
 	case *wire.ReplStatus:
@@ -887,8 +905,10 @@ func (s *Server) handleTenantLimits(rw io.ReadWriter, m *wire.TenantAdmin) error
 	})
 }
 
-func (s *Server) handleEnroll(rw io.ReadWriter, db *store.Journaled, m *wire.EnrollRequest) error {
-	err := db.Insert(&store.Record{ID: m.ID, PublicKey: m.PublicKey, Helper: m.Helper})
+// handleEnroll stores m's record, built in rec, the session's own.
+func (s *Server) handleEnroll(rw io.ReadWriter, db *store.Journaled, m *wire.EnrollRequest, rec *store.Record) error {
+	*rec = store.Record{ID: m.ID, PublicKey: m.PublicKey, Helper: m.Helper}
+	err := db.Insert(rec)
 	return s.commit(rw, m.Tenant, "enroll", err, &wire.EnrollOK{ID: m.ID})
 }
 
@@ -931,10 +951,12 @@ func (s *Server) handleRevoke(rw io.ReadWriter, db *store.Journaled, m *wire.Rev
 // handleReEnroll replaces an enrollment's template after the device proves
 // possession of the *currently enrolled* biometric. The swap goes through
 // Journaled.Replace — one journalled mutation — so concurrent identify/verify
-// sessions observe either the old template or the new one in full.
-func (s *Server) handleReEnroll(rw io.ReadWriter, db *store.Journaled, m *wire.ReEnrollRequest) error {
+// sessions observe either the old template or the new one in full. The
+// replacement is built in rec, the session's own.
+func (s *Server) handleReEnroll(rw io.ReadWriter, db *store.Journaled, m *wire.ReEnrollRequest, rec *store.Record) error {
 	return s.claimed(rw, db, m.ID, func() error {
-		err := db.Replace(&store.Record{ID: m.ID, PublicKey: m.PublicKey, Helper: m.Helper})
+		*rec = store.Record{ID: m.ID, PublicKey: m.PublicKey, Helper: m.Helper}
+		err := db.Replace(rec)
 		return s.commit(rw, m.Tenant, "re-enroll", err, &wire.Accept{ID: m.ID})
 	})
 }

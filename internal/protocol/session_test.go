@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -10,6 +12,10 @@ import (
 
 	"fuzzyid/internal/biometric"
 	"fuzzyid/internal/numberline"
+	"fuzzyid/internal/sigscheme"
+	"fuzzyid/internal/store"
+	"fuzzyid/internal/telemetry"
+	"fuzzyid/internal/wire"
 )
 
 // conn is one long-lived device connection: the server end runs
@@ -179,4 +185,76 @@ func TestSharedDeviceSessions(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// TestEnrollSessionAllocatesLiveBytes gates the server's enroll path at
+// dim 64, where a user's live bytes are a few hundred and every per-session
+// allocation shows: serving enroll sessions allocates at most 1.3× the
+// live heap they add. The sessions are pre-encoded frames fed to
+// HandleSession, so the device's Gen, signing and encoding are not
+// counted; what is counted is the server's decode, the store's growth and
+// the reply. A decode that allocates its message, helper structs and byte
+// strings per session, or a store whose row metadata regrows by copying,
+// breaks the gate. The store has four shards, as in
+// TestStoreGrowthAllocatesLiveBytes.
+func TestEnrollSessionAllocatesLiveBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race")
+	}
+	const dim, n, helpers = 64, 40000, 8
+	e := newEnv(t, dim, 403)
+	tenants, err := store.NewTenantRegistry(func(name string) (*store.Journaled, func() error, error) {
+		return store.NewJournaledTenant(store.NewScanShards(e.fe.Line(), 4), nil, nil, name), nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(e.fe, sigscheme.Default(), tenants)
+	srv.Instrument(telemetry.NewRegistry())
+	var frames []byte
+	for i, u := range e.src.Population(helpers) {
+		_, helper, err := e.fe.Gen(u.Template)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk := bytes.Repeat([]byte{byte(i + 1)}, 32)
+		for j := i; j < warmup+n; j += helpers {
+			body, err := wire.Marshal(&wire.EnrollRequest{ID: fmt.Sprintf("user-%06d", j), PublicKey: pk, Helper: helper})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = binary.BigEndian.AppendUint32(frames, uint32(len(body)))
+			frames = append(frames, body...)
+		}
+	}
+	// The frames were laid out helper by helper; serve them as they lie.
+	var rw io.ReadWriter = struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(frames), io.Discard}
+	serve := func(sessions int) {
+		for i := 0; i < sessions; i++ {
+			if err := srv.HandleSession(rw); err != nil {
+				t.Fatalf("session %d: %v", i, err)
+			}
+		}
+	}
+	serve(warmup)
+	var m0, m1, m2 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	serve(n)
+	runtime.ReadMemStats(&m1)
+	runtime.GC()
+	runtime.ReadMemStats(&m2)
+	if got := tenants.Enrolled(); got != warmup+n {
+		t.Fatalf("%d users enrolled, want %d", got, warmup+n)
+	}
+	allocated := float64(m1.TotalAlloc - m0.TotalAlloc)
+	live := float64(m2.HeapAlloc) - float64(m0.HeapAlloc)
+	t.Logf("%d enroll sessions at dim %d: %.0f B/session allocated, %.0f B/user live (%.2fx)", n, dim, allocated/n, live/n, allocated/live)
+	if allocated > 1.3*live {
+		t.Errorf("%d enroll sessions allocated %.0f B for %.0f B live (%.2fx), want <= 1.3x", n, allocated, live, allocated/live)
+	}
+	runtime.KeepAlive(frames)
 }

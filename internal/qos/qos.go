@@ -93,6 +93,7 @@ type Controller struct {
 	defaults Limits
 	budget   time.Duration
 	scan     *FairQueue
+	now      func() time.Time // the rate limiter's clock: time.Now, or a test's
 
 	mu      sync.Mutex
 	tenants map[string]*tenantState
@@ -125,6 +126,7 @@ func New(cfg Config) *Controller {
 	c := &Controller{
 		defaults: cfg.Defaults,
 		budget:   budget,
+		now:      time.Now,
 		tenants:  make(map[string]*tenantState),
 	}
 	if slots := resolveScanSlots(cfg.ScanSlots); slots > 0 {
@@ -220,7 +222,7 @@ func (c *Controller) Admit(tenant string, payloadBytes int) (func(), error) {
 	// Rate first: a session that will be shed must not consume a slot.
 	var delay time.Duration
 	if lim.Rate > 0 {
-		wait, ok := st.bucket.reserve(time.Now(), lim, c.budget, sessionCostMilli(lim, payloadBytes))
+		wait, ok := st.bucket.reserve(c.now(), lim, c.budget, sessionCostMilli(lim, payloadBytes))
 		if !ok {
 			st.mu.Unlock()
 			c.shed.Get(tenant).Inc()

@@ -301,11 +301,15 @@ func TestAcquireScanShedsAtBudget(t *testing.T) {
 }
 
 // TestThrottledCounter pins that rate-delayed (but admitted) sessions are
-// counted as throttled, not shed.
+// counted as throttled, not shed. The limiter's clock stands still, so a
+// scheduling stall between the admits refills no credit: the second and
+// third wait 5 and 10 ms whatever the box is doing.
 func TestThrottledCounter(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := New(Config{Defaults: Limits{Rate: 200, Burst: 1}, Budget: time.Second})
 	c.Instrument(reg)
+	start := time.Now()
+	c.now = func() time.Time { return start }
 	for i := 0; i < 3; i++ {
 		release, err := c.Admit("t", 0)
 		if err != nil {

@@ -20,7 +20,8 @@ func (s *Scan) CheckCells() error {
 }
 
 func (t *resTable) checkCells(sh *tableShard) error {
-	for row, m := range sh.rows {
+	for row := range sh.meta.rows {
+		m := sh.row(row)
 		if int(m.cell) >= len(sh.cells) || int(m.pos) >= len(sh.cells[m.cell].rows) || sh.cells[m.cell].rows[m.pos] != int32(row) {
 			return fmt.Errorf("row %d (%q) points at cell %d pos %d, which does not hold it", row, m.id, m.cell, m.pos)
 		}
@@ -34,8 +35,8 @@ func (t *resTable) checkCells(sh *tableShard) error {
 		}
 		members += len(cl.rows)
 		for pos, row := range cl.rows {
-			if row < 0 || int(row) >= len(sh.rows) {
-				return fmt.Errorf("cell %d pos %d: row %d of %d", c, pos, row, len(sh.rows))
+			if row < 0 || int(row) >= sh.meta.rows {
+				return fmt.Errorf("cell %d pos %d: row %d of %d", c, pos, row, sh.meta.rows)
 			}
 			res := sh.mat.liftRow(int(row), dim, span, nil)
 			for i, v := range res {
@@ -49,8 +50,8 @@ func (t *resTable) checkCells(sh *tableShard) error {
 			}
 		}
 	}
-	if members != len(sh.rows) {
-		return fmt.Errorf("cells hold %d members, shard %d rows", members, len(sh.rows))
+	if members != sh.meta.rows {
+		return fmt.Errorf("cells hold %d members, shard %d rows", members, sh.meta.rows)
 	}
 	return nil
 }

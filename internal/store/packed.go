@@ -153,58 +153,93 @@ type resMatrix interface {
 // the paper's n = 5000 and 16-bit residues, 512 at dim 64.
 const chunkBytes = 64 << 10
 
-// matrix is the generic packed storage instantiated at one of the three
-// widths by newMatrix. Rows live in fixed-size chunks, so growth allocates
-// one chunk and never copies a row: a shard's residues cost its live rows
-// plus at most one partly filled chunk, and a spare empty one after a
-// delete. Row r is row r&mask of chunk r>>shift. Only the first chunk
-// starts short and doubles up to its full size, so a shard of a few rows
-// (a small tenant) does not pin a whole chunk.
-type matrix[T resWord] struct {
-	chunks [][]T // (mask+1)*dim long, the first maybe less; at most one spare
+// chunkShift returns log2 of the rows a matrix chunk holds at a storage
+// width and record dimension. A shard's row metadata is chunked at the same
+// shift, so metadata chunk k holds exactly the rows of residue chunk k.
+func chunkShift(width, dim int) uint {
+	per := max(1, chunkBytes/(dim*width/8))
+	return uint(bits.Len(uint(per))) - 1
+}
+
+// chunked is row storage kept in fixed-size chunks of 1<<shift rows, each
+// row stride elements wide: row r is row r&mask of chunk r>>shift. Growth
+// allocates one chunk and never copies a row, so a shard's rows cost its
+// live rows plus at most one partly filled chunk, and a spare empty one
+// after a delete. Only the first chunk starts short and doubles up to its
+// full size, so a shard of a few rows (a small tenant) does not pin a
+// whole chunk. A shard keeps its packed residues (matrix) and its row
+// metadata (table.go) in one each.
+type chunked[T any] struct {
+	chunks [][]T // (mask+1)*stride long, the first maybe less; at most one spare
 	shift  uint
 	mask   int
 	rows   int
 }
 
+func newChunked[T any](shift uint) chunked[T] {
+	return chunked[T]{shift: shift, mask: 1<<shift - 1}
+}
+
+// row returns row r, stride elements wide.
+func (c *chunked[T]) row(r, stride int) []T {
+	off := (r & c.mask) * stride
+	return c.chunks[r>>c.shift][off : off+stride : off+stride]
+}
+
+// push appends a row stride elements wide and returns it for the caller to
+// fill: it may hold a deleted row's elements.
+func (c *chunked[T]) push(stride int) []T {
+	k, end := c.rows>>c.shift, (c.rows&c.mask+1)*stride
+	if k == len(c.chunks) {
+		c.chunks = append(c.chunks, nil)
+	}
+	if ch := c.chunks[k]; end > len(ch) {
+		size := (c.mask + 1) * stride
+		if k == 0 {
+			size = min(size, max(2*len(ch), end))
+		}
+		c.chunks[k] = append(make([]T, 0, size), ch...)[:size]
+	}
+	c.rows++
+	return c.row(c.rows-1, stride)
+}
+
+// truncate shrinks the storage to the given row count, keeping the chunks
+// the remaining rows use plus one spare, so a shard that alternates inserts
+// and deletes at a chunk boundary does not allocate a chunk per insert.
+func (c *chunked[T]) truncate(rows int) {
+	c.rows = rows
+	if keep := (rows+c.mask)>>c.shift + 1; keep < len(c.chunks) {
+		clear(c.chunks[keep:])
+		c.chunks = c.chunks[:keep]
+	}
+}
+
+// matrix is the generic packed storage instantiated at one of the three
+// widths by newMatrix: one row of dim residues per record, chunked.
+type matrix[T resWord] struct {
+	chunked[T]
+}
+
 // newMatrix constructs the packed matrix for a resolved storage width and
 // the table's record dimension.
 func newMatrix(width, dim int) resMatrix {
-	per := max(1, chunkBytes/(dim*width/8))
-	shift := uint(bits.Len(uint(per))) - 1
+	shift := chunkShift(width, dim)
 	switch width {
 	case Width16:
-		return &matrix[int16]{shift: shift, mask: 1<<shift - 1}
+		return &matrix[int16]{newChunked[int16](shift)}
 	case Width32:
-		return &matrix[int32]{shift: shift, mask: 1<<shift - 1}
+		return &matrix[int32]{newChunked[int32](shift)}
 	default:
-		return &matrix[int64]{shift: shift, mask: 1<<shift - 1}
+		return &matrix[int64]{newChunked[int64](shift)}
 	}
-}
-
-// row returns row r's residues.
-func (m *matrix[T]) row(r, dim int) []T {
-	off := (r & m.mask) * dim
-	return m.chunks[r>>m.shift][off : off+dim : off+dim]
 }
 
 func (m *matrix[T]) appendRow(res []int64) {
-	c, end := m.rows>>m.shift, (m.rows&m.mask+1)*len(res)
-	if c == len(m.chunks) {
-		m.chunks = append(m.chunks, nil)
-	}
-	if ch := m.chunks[c]; end > len(ch) {
-		size := (m.mask + 1) * len(res)
-		if c == 0 {
-			size = min(size, max(2*len(ch), end))
-		}
-		m.chunks[c] = append(make([]T, 0, size), ch...)[:size]
-	}
-	dst := m.row(m.rows, len(res))
+	dst := m.push(len(res))
 	for j, r := range res {
 		dst[j] = T(r)
 	}
-	m.rows++
 }
 
 func (m *matrix[T]) moveRow(dst, src, dim int) {
@@ -218,16 +253,7 @@ func (m *matrix[T]) setRow(row int, res []int64) {
 	}
 }
 
-// truncate keeps the chunks the remaining rows use plus one spare, so a
-// shard that alternates inserts and deletes at a chunk boundary does not
-// allocate a chunk per insert.
-func (m *matrix[T]) truncate(rows, _ int) {
-	m.rows = rows
-	if keep := (rows+m.mask)>>m.shift + 1; keep < len(m.chunks) {
-		clear(m.chunks[keep:])
-		m.chunks = m.chunks[:keep]
-	}
-}
+func (m *matrix[T]) truncate(rows, _ int) { m.chunked.truncate(rows) }
 
 func (m *matrix[T]) liftRow(row, dim int, span int64, dst []int64) []int64 {
 	half := span / 2

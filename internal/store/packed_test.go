@@ -109,8 +109,8 @@ func tableMatches(tab *resTable, probe []int64) map[string]bool {
 				if row < 0 {
 					break
 				}
-				out[sh.rows[row].id] = true
-				lo = int(sh.rows[row].pos) + 1
+				out[sh.row(row).id] = true
+				lo = int(sh.row(row).pos) + 1
 			}
 		}
 		sh.mu.RUnlock()

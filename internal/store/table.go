@@ -21,14 +21,14 @@ import (
 //
 // Within a shard the precomputed mod-ka residues live in one row-major
 // matrix packed to the narrowest width that holds the span and stored in
-// fixed-size chunks of rows (see packed.go), with a parallel slice of row
-// metadata. Each row's coarse summary word lives in the row's cell: rows
-// are grouped by the buckets of their leading coarse lanes, and a cell
-// lists its members' keys and rows side by side, so the early-exit scan of
-// conditions (1)-(4) skips every cell whose buckets miss the probe's and
-// streams the keys of the rest. Deletion
-// swap-removes the row from the matrix and its entry from its cell, and
-// re-points both moved entries at their new positions.
+// fixed-size chunks of rows (see packed.go), and the row metadata lives in
+// chunks of the same rows beside it. Each row's coarse summary word lives
+// in the row's cell: rows are grouped by the buckets of their leading
+// coarse lanes, and a cell lists its members' keys and rows side by side,
+// so the early-exit scan of conditions (1)-(4) skips every cell whose
+// buckets miss the probe's and streams the keys of the rest. Deletion
+// swap-removes the row from the matrix, its metadata and its entry from
+// its cell, and re-points the moved entries at their new positions.
 //
 // The packed row is the only copy of a record's movements. The store keeps
 // no caller *Record: a movement s_i is recovered from its residue r by the
@@ -73,11 +73,14 @@ type Tuning struct {
 // tableShard is one shard of the residue table.
 type tableShard struct {
 	mu    sync.RWMutex
-	mat   resMatrix      // packed row-major residue matrix; nil until first insert
-	cells []cell         // rows grouped by the cell lanes of their coarse key; nil until first insert
-	rows  []rowMeta      // everything but the residues, parallel to mat
-	byID  map[string]int // row of each record; byID[rows[i].id] == i
+	mat   resMatrix        // packed row-major residue matrix; nil until first insert
+	cells []cell           // rows grouped by the cell lanes of their coarse key; nil until first insert
+	meta  chunked[rowMeta] // everything but the residues, chunked like mat; meta.rows counts the shard's rows
+	byID  map[string]int   // row of each record; byID[row(i).id] == i
 }
+
+// row returns row i's metadata.
+func (sh *tableShard) row(i int) *rowMeta { return &sh.meta.row(i, 1)[0] }
 
 // cell lists the shard rows whose coarse keys share their cell lanes, with
 // each member's key beside its row: rows[i] is the row whose key is
@@ -216,7 +219,7 @@ func (t *resTable) newRow(rec *Record) rowMeta {
 // dst aliases the store afterwards. The caller holds the shard's read lock,
 // so a concurrent replace is seen wholly old or wholly new.
 func (t *resTable) load(sh *tableShard, row int, dst *Record) {
-	r := &sh.rows[row]
+	r := sh.row(row)
 	dst.ID = r.id
 	dst.PublicKey = append(dst.PublicKey[:0], r.pk...)
 	if dst.Helper == nil {
@@ -256,12 +259,14 @@ func (t *resTable) insert(rec *Record, res []int64) error {
 	if sh.mat == nil {
 		sh.mat = newMatrix(t.width, len(res))
 		sh.cells = make([]cell, t.coarse.cells())
+		sh.meta = newChunked[rowMeta](chunkShift(t.width, len(res)))
 	}
-	sh.byID[rec.ID] = len(sh.rows)
+	row := sh.meta.rows
+	sh.byID[rec.ID] = row
 	sh.mat.appendRow(res)
 	meta.seq = t.seq.Add(1)
-	sh.rows = append(sh.rows, meta)
-	sh.link(len(sh.rows)-1, key, t.coarse.cellMask)
+	sh.meta.push(1)[0] = meta
+	sh.link(row, key, t.coarse.cellMask)
 	t.count.Add(1)
 	return nil
 }
@@ -270,7 +275,8 @@ func (t *resTable) insert(rec *Record, res []int64) error {
 func (sh *tableShard) link(row int, key, cellMask uint64) {
 	c := int32(key & cellMask)
 	cl := &sh.cells[c]
-	sh.rows[row].cell, sh.rows[row].pos = c, int32(len(cl.keys))
+	r := sh.row(row)
+	r.cell, r.pos = c, int32(len(cl.keys))
 	cl.keys = append(cl.keys, key)
 	cl.rows = append(cl.rows, int32(row))
 }
@@ -278,12 +284,12 @@ func (sh *tableShard) link(row int, key, cellMask uint64) {
 // unlink swap-removes row's entry from its cell, re-pointing the entry
 // moved into its place.
 func (sh *tableShard) unlink(row int) {
-	r := sh.rows[row]
+	r := sh.row(row)
 	cl := &sh.cells[r.cell]
 	last := len(cl.keys) - 1
 	if int(r.pos) != last {
 		cl.keys[r.pos], cl.rows[r.pos] = cl.keys[last], cl.rows[last]
-		sh.rows[cl.rows[r.pos]].pos = r.pos
+		sh.row(int(cl.rows[r.pos])).pos = r.pos
 	}
 	cl.keys, cl.rows = cl.keys[:last], cl.rows[:last]
 }
@@ -320,10 +326,10 @@ func (t *resTable) replace(rec *Record, res []int64) error {
 	if d := t.dimension(); len(res) != d {
 		return fmt.Errorf("%w: got %d, want %d", ErrBadDimension, len(res), d)
 	}
-	meta.seq = sh.rows[row].seq
+	meta.seq = sh.row(row).seq
 	sh.mat.setRow(row, res)
 	sh.unlink(row)
-	sh.rows[row] = meta
+	*sh.row(row) = meta
 	sh.link(row, t.coarse.keyOf(res), t.coarse.cellMask)
 	return nil
 }
@@ -339,16 +345,17 @@ func (t *resTable) delete(id string) error {
 	}
 	dim := int(t.dim.Load())
 	sh.unlink(row)
-	last := len(sh.rows) - 1
+	last := sh.meta.rows - 1
 	if row != last {
 		sh.mat.moveRow(row, last, dim)
-		sh.rows[row] = sh.rows[last]
-		sh.byID[sh.rows[row].id] = row
-		sh.cells[sh.rows[row].cell].rows[sh.rows[row].pos] = int32(row)
+		moved := sh.row(row)
+		*moved = *sh.row(last)
+		sh.byID[moved.id] = row
+		sh.cells[moved.cell].rows[moved.pos] = int32(row)
 	}
 	sh.mat.truncate(last, dim)
-	sh.rows[last] = rowMeta{}
-	sh.rows = sh.rows[:last]
+	*sh.row(last) = rowMeta{}
+	sh.meta.truncate(last)
 	delete(sh.byID, id)
 	t.count.Add(-1)
 	return nil
@@ -364,10 +371,10 @@ func (t *resTable) all() []*Record {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.RLock()
-		for j := range sh.rows {
+		for j := range sh.meta.rows {
 			rec := new(Record)
 			t.load(sh, j, rec)
-			rows = append(rows, seqRec{seq: sh.rows[j].seq, rec: rec})
+			rows = append(rows, seqRec{seq: sh.row(j).seq, rec: rec})
 		}
 		sh.mu.RUnlock()
 	}

@@ -122,6 +122,9 @@ type Decoder struct {
 	off int
 	// scratch, when set, receives the next Int64Slice (see ReceiveInto).
 	scratch *[]int64
+	// open, when set, is the session state an EnrollRequest or
+	// ReEnrollRequest decodes into (see ReceiveOpener).
+	open *Opener
 }
 
 // NewDecoder wraps buf for decoding.
@@ -204,9 +207,9 @@ func (d *Decoder) Bytes32() ([32]byte, error) {
 	return out, nil
 }
 
-// VarBytes reads a length-prefixed byte string of at most max bytes. The
-// returned slice is a copy.
-func (d *Decoder) VarBytes(max int) ([]byte, error) {
+// view reads a length-prefixed byte string of at most max bytes and
+// returns it in place: the slice aliases the decoder's buffer.
+func (d *Decoder) view(max int) ([]byte, error) {
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, err
@@ -214,19 +217,43 @@ func (d *Decoder) VarBytes(max int) ([]byte, error) {
 	if int(n) > max {
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, n, max)
 	}
-	b, err := d.take(int(n))
+	return d.take(int(n))
+}
+
+// VarBytes reads a length-prefixed byte string of at most max bytes. The
+// returned slice is a copy.
+func (d *Decoder) VarBytes(max int) ([]byte, error) {
+	b, err := d.view(max)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, n)
+	out := make([]byte, len(b))
 	copy(out, b)
 	return out, nil
 }
 
-// String reads a length-prefixed string of at most max bytes.
+// varBytesInto is VarBytes copying into *dst's capacity, and setting *dst
+// to the copy, when dst is non-nil.
+func (d *Decoder) varBytesInto(max int, dst *[]byte) ([]byte, error) {
+	if dst == nil {
+		return d.VarBytes(max)
+	}
+	b, err := d.view(max)
+	if err != nil {
+		return nil, err
+	}
+	*dst = append((*dst)[:0], b...)
+	return *dst, nil
+}
+
+// String reads a length-prefixed string of at most max bytes, copying it
+// out of the buffer once.
 func (d *Decoder) String(max int) (string, error) {
-	b, err := d.VarBytes(max)
-	return string(b), err
+	b, err := d.view(max)
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
 }
 
 // Int64Slice reads a length-prefixed int64 slice of at most max elements.

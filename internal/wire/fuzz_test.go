@@ -15,7 +15,8 @@ import (
 // panic, and anything it accepts must re-encode to a decodable message of
 // the same type (decode/encode/decode stability). Every accepted input is
 // also decoded through ReceiveInto, into scratch of capacity scratchCap
-// pre-filled with garbage, and must re-marshal to Unmarshal's bytes.
+// pre-filled with garbage, and through ReceiveOpener, into one opener every
+// input reuses, and each must re-marshal to Unmarshal's bytes.
 func FuzzUnmarshal(f *testing.F) {
 	// Seed with every message type plus structural edge cases.
 	seeds := []Message{
@@ -67,6 +68,7 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Add([]byte{byte(tag)}, uint16(0))
 		f.Add(e.Bytes(), uint16(1))
 	}
+	var open Opener
 	f.Fuzz(func(t *testing.T, data []byte, scratchCap uint16) {
 		msg, err := Unmarshal(data)
 		if len(data) > 0 && retiredTag(MsgType(data[0])) && err == nil {
@@ -107,6 +109,13 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if !bytes.Equal(viaScratch, re) {
 			t.Fatalf("ReceiveInto decoded differently from Unmarshal:\n%x\n%x", viaScratch, re)
+		}
+		opened, err := ReceiveOpener(bytes.NewReader(frame(data)), &open)
+		if err != nil {
+			t.Fatalf("ReceiveOpener rejected what Unmarshal accepted: %v", err)
+		}
+		if viaOpener, err := Marshal(opened); err != nil || !bytes.Equal(viaOpener, re) {
+			t.Fatalf("ReceiveOpener decoded differently from Unmarshal (%v):\n%x\n%x", err, viaOpener, re)
 		}
 	})
 }

@@ -154,10 +154,10 @@ func (m *EnrollRequest) decode(d *Decoder) error {
 	if m.ID, err = d.String(MaxBytesLen); err != nil {
 		return err
 	}
-	if m.PublicKey, err = d.VarBytes(MaxBytesLen); err != nil {
+	if m.PublicKey, err = d.varBytesInto(MaxBytesLen, d.open.pkBuf()); err != nil {
 		return err
 	}
-	if m.Helper, err = decodeHelper(d); err != nil {
+	if m.Helper, err = decodeHelperInto(d, d.open); err != nil {
 		return err
 	}
 	m.Tenant, err = decodeTenantTail(d)
@@ -456,10 +456,10 @@ func (m *ReEnrollRequest) decode(d *Decoder) error {
 	if m.ID, err = d.String(MaxBytesLen); err != nil {
 		return err
 	}
-	if m.PublicKey, err = d.VarBytes(MaxBytesLen); err != nil {
+	if m.PublicKey, err = d.varBytesInto(MaxBytesLen, d.open.pkBuf()); err != nil {
 		return err
 	}
-	if m.Helper, err = decodeHelper(d); err != nil {
+	if m.Helper, err = decodeHelperInto(d, d.open); err != nil {
 		return err
 	}
 	m.Tenant, err = decodeTenantTail(d)
@@ -504,7 +504,7 @@ func unmarshal(d *Decoder) (Message, error) {
 	if err != nil {
 		return nil, badFrame(err)
 	}
-	m, err := newMessage(MsgType(tag))
+	m, err := d.open.message(MsgType(tag))
 	if err != nil {
 		return nil, err
 	}
@@ -530,12 +530,13 @@ func badFrame(err error) error {
 // frame (a snapshot chunk, a normal-approach batch) uses a one-off buffer.
 const maxPooledFrame = 1 << 20
 
-// frameBufs recycles Send's and Receive's frame buffers. Recycling a
+// frameBufs recycles Send's and Receive's frame buffers, each held in the
+// Encoder Send writes through, so a Send allocates neither. Recycling a
 // received frame is safe because every decoder copies what it keeps
 // (VarBytes, String, Bytes32, Int64Slice): no decoded message aliases its
 // frame. A sent frame is done with once Write returns (io.Writer must not
 // retain it).
-var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+var frameBufs = sync.Pool{New: func() any { return new(Encoder) }}
 
 // Send marshals m and writes it as one frame — header, tag and body in
 // one buffer, so one Write.
@@ -543,13 +544,13 @@ func Send(w io.Writer, m Message) error {
 	if m == nil {
 		return errNilMessage
 	}
-	bp := frameBufs.Get().(*[]byte)
-	defer frameBufs.Put(bp)
-	e := Encoder{buf: append((*bp)[:0], 0, 0, 0, 0, byte(m.Type()))}
-	m.encode(&e)
+	e := frameBufs.Get().(*Encoder)
+	defer frameBufs.Put(e)
+	e.buf = append(e.buf[:0], 0, 0, 0, 0, byte(m.Type()))
+	m.encode(e)
 	frame := e.buf
-	if cap(frame) <= maxPooledFrame {
-		*bp = frame[:0]
+	if cap(frame) > maxPooledFrame {
+		e.buf = nil
 	}
 	if len(frame)-4 > MaxFrameLen {
 		return fmt.Errorf("%w: frame %d bytes", ErrTooLarge, len(frame)-4)
@@ -573,17 +574,87 @@ func Receive(r io.Reader) (Message, error) { return ReceiveInto(r, nil) }
 // to a pool) only once nothing holds the message any more. A nil scratch
 // is Receive.
 func ReceiveInto(r io.Reader, scratch *[]int64) (Message, error) {
-	bp := frameBufs.Get().(*[]byte)
-	defer frameBufs.Put(bp)
-	buf, err := readFrameInto(r, *bp)
+	return receive(r, &Decoder{scratch: scratch})
+}
+
+// Opener is the reusable decode state of the message that opens a server
+// session. ReceiveOpener decodes an EnrollRequest or ReEnrollRequest wholly
+// into it: the message struct, the helper data's three structs, and the
+// public key, seed and movement vector, each in capacity an earlier
+// session left. Only the ID and tenant strings are allocated, as a store
+// keeps the ID. The zero value is ready to use.
+type Opener struct {
+	d         Decoder
+	movements []int64
+	pk, seed  []byte
+	enroll    EnrollRequest
+	reEnroll  ReEnrollRequest
+	helper    core.HelperData
+	robust    sketch.RobustSketch
+	sketch    sketch.Sketch
+}
+
+// ReceiveOpener is ReceiveInto for a session's opening message, decoding
+// into o: an EnrollRequest or ReEnrollRequest is o's own, and any other
+// message decodes its first movement vector into o's. The message aliases
+// o from then on: the caller may reuse o (pass it to ReceiveOpener again,
+// or return it to a pool) only once nothing holds the message, nor
+// anything taken from it, any more.
+func ReceiveOpener(r io.Reader, o *Opener) (Message, error) {
+	o.d = Decoder{scratch: &o.movements, open: o}
+	m, err := receive(r, &o.d)
+	o.d = Decoder{}
+	return m, err
+}
+
+// Retained returns the bytes of buffer capacity o keeps for the next
+// session, so a pool can drop an opener a hostile peer inflated.
+func (o *Opener) Retained() int { return 8*cap(o.movements) + cap(o.pk) + cap(o.seed) }
+
+// pkBuf and seedBuf return the buffers a public key and a seed decode
+// into: o's, or nil (a fresh copy) for a nil o.
+func (o *Opener) pkBuf() *[]byte {
+	if o == nil {
+		return nil
+	}
+	return &o.pk
+}
+
+func (o *Opener) seedBuf() *[]byte {
+	if o == nil {
+		return nil
+	}
+	return &o.seed
+}
+
+// message returns the zeroed message a tag decodes into: o's own for an
+// enroll or re-enroll opener, and a fresh one otherwise or for a nil o.
+func (o *Opener) message(t MsgType) (Message, error) {
+	if o != nil {
+		switch t {
+		case TypeEnrollRequest:
+			o.enroll = EnrollRequest{}
+			return &o.enroll, nil
+		case TypeReEnrollRequest:
+			o.reEnroll = ReEnrollRequest{}
+			return &o.reEnroll, nil
+		}
+	}
+	return newMessage(t)
+}
+
+// receive reads one frame into a pooled buffer and unmarshals it through d.
+func receive(r io.Reader, d *Decoder) (Message, error) {
+	fb := frameBufs.Get().(*Encoder)
+	defer frameBufs.Put(fb)
+	buf, err := readFrameInto(r, fb.buf)
 	if err != nil {
 		return nil, err
 	}
 	if cap(buf) <= maxPooledFrame {
-		*bp = buf[:0]
+		fb.buf = buf[:0]
 	}
-	d := NewDecoder(buf)
-	d.scratch = scratch
+	d.buf = buf
 	return unmarshal(d)
 }
 
@@ -660,7 +731,11 @@ func newMessage(t MsgType) (Message, error) {
 // the exported form shared with the on-disk record codec.
 func encodeHelper(e *Encoder, h *core.HelperData) { EncodeHelper(e, h) }
 
-func decodeHelper(d *Decoder) (*core.HelperData, error) {
+func decodeHelper(d *Decoder) (*core.HelperData, error) { return decodeHelperInto(d, nil) }
+
+// decodeHelperInto is decodeHelper building the helper data in o's structs
+// and its seed in o's buffer when o is non-nil.
+func decodeHelperInto(d *Decoder, o *Opener) (*core.HelperData, error) {
 	movements, err := d.Int64Slice(MaxVectorLen)
 	if err != nil {
 		return nil, err
@@ -669,18 +744,24 @@ func decodeHelper(d *Decoder) (*core.HelperData, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed, err := d.VarBytes(MaxBytesLen)
+	seed, err := d.varBytesInto(MaxBytesLen, o.seedBuf())
 	if err != nil {
 		return nil, err
 	}
 	if len(movements) == 0 && len(seed) == 0 {
 		return nil, nil
 	}
-	return &core.HelperData{
-		Sketch: &sketch.RobustSketch{
-			Sketch: &sketch.Sketch{Movements: movements},
-			Digest: digest,
-		},
-		Seed: seed,
-	}, nil
+	if o == nil {
+		return &core.HelperData{
+			Sketch: &sketch.RobustSketch{
+				Sketch: &sketch.Sketch{Movements: movements},
+				Digest: digest,
+			},
+			Seed: seed,
+		}, nil
+	}
+	o.sketch = sketch.Sketch{Movements: movements}
+	o.robust = sketch.RobustSketch{Sketch: &o.sketch, Digest: digest}
+	o.helper = core.HelperData{Sketch: &o.robust, Seed: seed}
+	return &o.helper, nil
 }

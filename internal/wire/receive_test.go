@@ -188,3 +188,76 @@ func TestReceiveIntoDecodesIntoScratch(t *testing.T) {
 		t.Fatalf("ReceiveInto allocates %v, Receive %v: want exactly the movement vector fewer", into, plain)
 	}
 }
+
+// TestReceiveOpenerDecodesIntoOpener checks the aliasing ReceiveOpener
+// documents: an EnrollRequest or ReEnrollRequest is the opener's own
+// struct, with its public key, helper data, seed and movements in the
+// opener's buffers, so a warm opener decodes one allocating only its ID. A
+// message from plain Receive owns its bytes: decoding another opener into
+// the same state leaves it as it was.
+func TestReceiveOpenerDecodesIntoOpener(t *testing.T) {
+	_, _, _, helper := goldenGen(t)
+	other := helper.Clone()
+	other.Seed[0] ^= 0xff
+	other.Sketch.Sketch.Movements[0]++
+	for _, c := range []struct{ first, second Message }{
+		{&EnrollRequest{ID: "alice", PublicKey: []byte("pk-1"), Helper: helper}, &EnrollRequest{ID: "bob", PublicKey: []byte("pk-2"), Helper: other}},
+		{&ReEnrollRequest{ID: "alice", PublicKey: []byte("pk-1"), Helper: helper}, &ReEnrollRequest{ID: "bob", PublicKey: []byte("pk-2"), Helper: other}},
+	} {
+		first, err := Marshal(c.first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := Marshal(c.second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var o Opener
+		msg, err := ReceiveOpener(bytes.NewReader(frame(first)), &o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pk []byte
+		var h any
+		switch m := msg.(type) {
+		case *EnrollRequest:
+			if m != &o.enroll {
+				t.Fatal("EnrollRequest is not the opener's own")
+			}
+			pk, h = m.PublicKey, m.Helper
+		case *ReEnrollRequest:
+			if m != &o.reEnroll {
+				t.Fatal("ReEnrollRequest is not the opener's own")
+			}
+			pk, h = m.PublicKey, m.Helper
+		}
+		if h != &o.helper || &pk[0] != &o.pk[0] || &o.helper.Seed[0] != &o.seed[0] ||
+			o.helper.Sketch != &o.robust || o.robust.Sketch != &o.sketch || &o.sketch.Movements[0] != &o.movements[0] {
+			t.Fatalf("%T: decoded fields do not alias the opener", msg)
+		}
+		if got, _ := Marshal(msg); !bytes.Equal(got, first) {
+			t.Fatalf("%T: the opener's message re-marshals differently", msg)
+		}
+		plain, err := Receive(bytes.NewReader(frame(first)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raceEnabled {
+			continue // sync.Pool drops puts under -race
+		}
+		next := frame(second)
+		r := bytes.NewReader(nil)
+		allocs := testing.AllocsPerRun(50, func() {
+			r.Reset(next)
+			if _, err := ReceiveOpener(r, &o); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Fatalf("%T: a warm opener allocates %v per decode, want the ID's 1", msg, allocs)
+		}
+		if got, _ := Marshal(plain); !bytes.Equal(got, first) {
+			t.Fatalf("%T: a Receive'd message changed when an opener decoded another", plain)
+		}
+	}
+}

@@ -177,6 +177,29 @@ func TestDecoderLimits(t *testing.T) {
 	}
 }
 
+// TestDecoderStringAllocatesOnce pins String's cost: a non-empty string is
+// read straight from the buffer into one allocation, and an empty one
+// costs none.
+func TestDecoderStringAllocatesOnce(t *testing.T) {
+	e := NewEncoder(64)
+	e.String("user-000001")
+	e.String("")
+	buf := e.Bytes()
+	allocs := testing.AllocsPerRun(100, func() {
+		d := Decoder{buf: buf}
+		id, err := d.String(MaxBytesLen)
+		if err != nil || id != "user-000001" {
+			t.Fatalf("String = %q, %v", id, err)
+		}
+		if empty, err := d.String(MaxBytesLen); err != nil || empty != "" {
+			t.Fatalf("String = %q, %v, want empty", empty, err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("decoding a non-empty and an empty string allocates %v, want 1", allocs)
+	}
+}
+
 func TestDecoderBool(t *testing.T) {
 	d := NewDecoder([]byte{2})
 	if _, err := d.Bool(); !errors.Is(err, ErrBadFrame) {
